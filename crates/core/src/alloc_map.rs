@@ -1,12 +1,14 @@
 //! The Allocator mode (§3.1, mode 2): keys and/or values larger than 8 bytes
 //! are stored in out-of-line records obtained from a [`ValueAllocator`]; the
-//! slot's value word holds a [`TaggedPtr`] to the record.
+//! slot's value word holds a [`TaggedPtr`] to the record. The record layout,
+//! key words and record reclamation live in [`crate::record`]; this map uses
+//! them with no per-record metadata.
 //!
 //! Features implemented here, as described by the paper:
 //!
-//! * **Pointer API** instead of Put (§3.2.1): a Get can expose the record so
-//!   the client modifies the value in place; blind overwrites are expressed as
-//!   delete+insert.
+//! * **Pointer API** (§3.2.1): a Get can expose the record so the client
+//!   modifies the value in place; [`AllocSession::replace_with`] swaps in a
+//!   whole new record with one Put of its pointer.
 //! * **Variable-size keys and values in a single index** (§3.4.1): when
 //!   enabled, every record carries its own key/value lengths.
 //! * **Namespaces** (§3.4.2): a 12-bit namespace id packed in the tagged
@@ -20,35 +22,19 @@
 
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
+use crate::record::{key_word, Records};
 use crate::stats::TableStats;
 use crate::table::RawTable;
 use crate::tagged_ptr::TaggedPtr;
 use dlht_alloc::ValueAllocator;
 use dlht_epoch::{Collector, LocalHandle};
-use dlht_hash::WyHash;
 use std::sync::Arc;
-
-/// Maximum supported key length in bytes.
-pub const MAX_KEY_LEN: usize = u16::MAX as usize;
-
-/// Record header used when variable-size keys/values are enabled.
-#[repr(C)]
-struct VarHeader {
-    key_len: u16,
-    _pad: u16,
-    val_len: u32,
-}
-
-const VAR_HEADER_LEN: usize = std::mem::size_of::<VarHeader>();
 
 /// Concurrent map for out-of-line (≥ 8 B) keys and values.
 pub struct DlhtAllocMap {
     table: RawTable,
-    allocator: Arc<dyn ValueAllocator>,
+    records: Records<()>,
     collector: Arc<Collector>,
-    /// Fixed key/value lengths used when `config.variable_size` is false.
-    fixed_key_len: usize,
-    fixed_val_len: usize,
 }
 
 impl DlhtAllocMap {
@@ -63,12 +49,11 @@ impl DlhtAllocMap {
         fixed_key_len: usize,
         fixed_val_len: usize,
     ) -> Self {
+        let fixed = (!config.variable_size).then_some((fixed_key_len, fixed_val_len));
         DlhtAllocMap {
             table: RawTable::with_config(config),
-            allocator,
+            records: Records::new(allocator, fixed),
             collector: Arc::new(Collector::new()),
-            fixed_key_len,
-            fixed_val_len,
         }
     }
 
@@ -117,132 +102,33 @@ impl DlhtAllocMap {
         self.table.config()
     }
 
-    // ---- record layout helpers -------------------------------------------------
-
-    fn record_size(&self, key_len: usize, val_len: usize) -> usize {
-        if self.config().variable_size {
-            VAR_HEADER_LEN + key_len + val_len
-        } else {
-            self.fixed_key_len + self.fixed_val_len
-        }
+    /// [`key_word`] of `key` under `namespace` (the fingerprint seed). With
+    /// namespaces enabled every key is fingerprinted, because the namespace
+    /// must separate equal keys.
+    fn word(&self, namespace: u16, key: &[u8]) -> (u64, bool) {
+        key_word(key, namespace as u64 + 1, !self.config().namespaces)
     }
 
-    /// Key word + whether the key is inlined exactly (no record verification
-    /// needed).
-    fn key_word(&self, namespace: u16, key: &[u8]) -> (u64, bool) {
-        if key.len() == 8 && !self.config().namespaces {
-            let word = u64::from_le_bytes(key.try_into().unwrap());
-            if !crate::bucket::is_reserved_key(word) {
-                return (word, true);
-            }
-        }
-        // Fingerprint path: hash the namespace and key; collisions are
-        // resolved by verifying against the record.
-        let mut fp = WyHash::hash_bytes_seeded(key, namespace as u64 + 1);
-        if crate::bucket::is_reserved_key(fp) {
-            fp ^= 1;
-        }
-        (fp, false)
-    }
-
-    /// Write a record and return its pointer.
-    fn write_record(&self, key: &[u8], value: &[u8]) -> *mut u8 {
-        let size = self.record_size(key.len(), value.len());
-        let ptr = self.allocator.alloc(size);
-        // SAFETY: `ptr` is a fresh allocation of `size` bytes.
-        unsafe {
-            if self.config().variable_size {
-                let header = VarHeader {
-                    key_len: key.len() as u16,
-                    _pad: 0,
-                    val_len: value.len() as u32,
-                };
-                std::ptr::copy_nonoverlapping(
-                    (&header as *const VarHeader).cast::<u8>(),
-                    ptr,
-                    VAR_HEADER_LEN,
-                );
-                std::ptr::copy_nonoverlapping(key.as_ptr(), ptr.add(VAR_HEADER_LEN), key.len());
-                std::ptr::copy_nonoverlapping(
-                    value.as_ptr(),
-                    ptr.add(VAR_HEADER_LEN + key.len()),
-                    value.len(),
-                );
-            } else {
-                debug_assert_eq!(key.len(), self.fixed_key_len);
-                debug_assert_eq!(value.len(), self.fixed_val_len);
-                std::ptr::copy_nonoverlapping(key.as_ptr(), ptr, key.len());
-                std::ptr::copy_nonoverlapping(value.as_ptr(), ptr.add(key.len()), value.len());
-            }
-        }
-        ptr
-    }
-
-    /// Decode a record into (key bytes, value bytes) slices.
-    ///
-    /// # Safety
-    /// `ptr` must point to a live record written by [`Self::write_record`]
-    /// with the same configuration.
-    unsafe fn read_record<'a>(&self, ptr: *const u8) -> (&'a [u8], &'a [u8]) {
-        // SAFETY: caller contract — `ptr` is a live record laid out by
-        // `write_record` under the same configuration, so the header (in
-        // variable mode) and the key/value ranges are all in bounds.
-        unsafe {
-            if self.config().variable_size {
-                let header = &*(ptr as *const VarHeader);
-                let key =
-                    std::slice::from_raw_parts(ptr.add(VAR_HEADER_LEN), header.key_len as usize);
-                let value = std::slice::from_raw_parts(
-                    ptr.add(VAR_HEADER_LEN + header.key_len as usize),
-                    header.val_len as usize,
-                );
-                (key, value)
-            } else {
-                let key = std::slice::from_raw_parts(ptr, self.fixed_key_len);
-                let value =
-                    std::slice::from_raw_parts(ptr.add(self.fixed_key_len), self.fixed_val_len);
-                (key, value)
-            }
-        }
-    }
-
-    fn free_record(&self, ptr: *mut u8, key_len: usize, val_len: usize) {
-        let size = self.record_size(key_len, val_len);
-        // SAFETY: the record was allocated with exactly this size.
-        unsafe { self.allocator.dealloc(ptr, size) };
-    }
-
-    /// Validate lengths against the configuration.
-    fn check_lengths(&self, key: &[u8], value: &[u8]) -> Result<(), DlhtError> {
-        if key.is_empty() || key.len() > MAX_KEY_LEN {
-            return Err(DlhtError::KeyTooLong);
-        }
-        if !self.config().variable_size
-            && (key.len() != self.fixed_key_len || value.len() != self.fixed_val_len)
-        {
-            return Err(DlhtError::KeyTooLong);
-        }
-        Ok(())
+    /// Write a record for `key -> value` and tag its pointer with
+    /// `namespace`.
+    fn new_record(&self, namespace: u16, key: &[u8], value: &[u8]) -> Result<TaggedPtr, DlhtError> {
+        self.records.check(key, value)?;
+        let record = self.records.write(key, value, ());
+        let inline_size = if key.len() <= 8 { key.len() } else { 0 };
+        TaggedPtr::pack(record, namespace, inline_size).inspect_err(|_| {
+            // SAFETY: just written and never published.
+            unsafe { self.records.free(record) };
+        })
     }
 }
 
 impl Drop for DlhtAllocMap {
     fn drop(&mut self) {
-        // Free every record still referenced by the index. Exclusive access.
-        let mut ptrs = Vec::new();
-        self.table.for_each(|_, value_word| {
-            ptrs.push(TaggedPtr(value_word));
+        self.table.for_each(|_, word| {
+            // SAFETY: `&mut self` means no session is open, so no reader can
+            // reach a record; the index links each record once.
+            unsafe { self.records.free(TaggedPtr(word).ptr()) }
         });
-        for tp in ptrs {
-            let ptr = tp.ptr();
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: exclusive access; record is live.
-            let (k, v) = unsafe { self.read_record(ptr) };
-            let (kl, vl) = (k.len(), v.len());
-            self.free_record(ptr, kl, vl);
-        }
     }
 }
 
@@ -256,30 +142,16 @@ impl AllocSession<'_> {
     /// Insert `key -> value` under `namespace`. Returns `Ok(false)` if the key
     /// already exists (the existing value is left untouched).
     pub fn insert(&mut self, namespace: u16, key: &[u8], value: &[u8]) -> Result<bool, DlhtError> {
-        self.map.check_lengths(key, value)?;
-        let (word, _exact) = self.map.key_word(namespace, key);
-        let record = self.map.write_record(key, value);
-        let inline_size = if key.len() <= 8 { key.len() } else { 0 };
-        let tagged = match TaggedPtr::pack(record, namespace, inline_size) {
-            Ok(t) => t,
-            Err(e) => {
-                self.map.free_record(record, key.len(), value.len());
-                return Err(e);
-            }
-        };
-        match self.map.table.insert(word, tagged.0) {
-            Ok(InsertOutcome::Inserted) => Ok(true),
-            Ok(InsertOutcome::AlreadyExists(_)) => {
-                // The paper notes the Insert may fail after allocating; the
-                // allocation is released before returning (§3.2.2 Allocator).
-                self.map.free_record(record, key.len(), value.len());
-                Ok(false)
-            }
-            Err(e) => {
-                self.map.free_record(record, key.len(), value.len());
-                Err(e)
-            }
+        let tagged = self.map.new_record(namespace, key, value)?;
+        let (word, _) = self.map.word(namespace, key);
+        let result = self.map.table.insert(word, tagged.0);
+        if !matches!(result, Ok(InsertOutcome::Inserted)) {
+            // The paper notes the Insert may fail after allocating; the
+            // allocation is released before returning (§3.2.2 Allocator).
+            // SAFETY: the record was never published.
+            unsafe { self.map.records.free(tagged.ptr()) };
         }
+        result.map(|outcome| outcome.inserted())
     }
 
     /// Issue a software prefetch for the index bin `key` hashes to under
@@ -287,8 +159,21 @@ impl AllocSession<'_> {
     /// a handful of keys, then issue the lookups, so the random index
     /// accesses overlap.
     pub fn prefetch(&mut self, namespace: u16, key: &[u8]) {
-        let (word, _) = self.map.key_word(namespace, key);
+        let (word, _) = self.map.word(namespace, key);
         self.map.table.prefetch(word);
+    }
+
+    /// The key word of `key` and the record it maps to, verified against
+    /// the stored key when the word is a fingerprint. The record stays
+    /// readable until this session's next quiescent point (epoch GC).
+    fn find(&self, namespace: u16, key: &[u8]) -> Option<(u64, *mut u8)> {
+        let (word, exact) = self.map.word(namespace, key);
+        let tagged = TaggedPtr(self.map.table.get(word)?);
+        let ptr = tagged.ptr();
+        // SAFETY: `ptr` was published by this map and cannot be freed before
+        // this session's next quiescent point.
+        let holds = unsafe { self.map.records.holds(ptr, key, exact) };
+        (tagged.namespace() == namespace && holds).then_some((word, ptr))
     }
 
     /// Look up `key`, invoking `f` on the value bytes without copying them
@@ -299,23 +184,10 @@ impl AllocSession<'_> {
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Option<R> {
-        let (word, exact) = self.map.key_word(namespace, key);
-        let value_word = self.map.table.get(word)?;
-        let tagged = TaggedPtr(value_word);
-        let ptr = tagged.ptr();
-        if ptr.is_null() {
-            return None;
-        }
-        // SAFETY: the record cannot be freed before this session's next
-        // quiescent point (epoch GC).
-        let (rec_key, rec_val) = unsafe { self.map.read_record(ptr) };
-        if tagged.namespace() != namespace {
-            return None;
-        }
-        if !exact && rec_key != key {
-            return None;
-        }
-        Some(f(rec_val))
+        let (_, ptr) = self.find(namespace, key)?;
+        // SAFETY: `find` returns a live record, protected until our next
+        // quiescent point.
+        Some(f(unsafe { self.map.records.value(ptr) }))
     }
 
     /// Look up `key` and return a copy of its value bytes.
@@ -332,59 +204,71 @@ impl AllocSession<'_> {
     // is the epoch protection here — the record cannot be freed until the
     // caller's next `quiesce`, exactly the documented pointer lifetime.
     pub fn get_value_ptr(&mut self, namespace: u16, key: &[u8]) -> Option<(*mut u8, usize)> {
-        let (word, exact) = self.map.key_word(namespace, key);
-        let value_word = self.map.table.get(word)?;
-        let tagged = TaggedPtr(value_word);
-        let ptr = tagged.ptr();
-        if ptr.is_null() || tagged.namespace() != namespace {
-            return None;
-        }
-        // SAFETY: record protected by the epoch GC until our next quiescence.
-        let (rec_key, rec_val) = unsafe { self.map.read_record(ptr) };
-        if !exact && rec_key != key {
-            return None;
-        }
-        // SAFETY: `rec_val` was sliced out of the record at `ptr`, so both
-        // pointers are in the same allocation and the offset is in bounds.
-        let offset = unsafe { rec_val.as_ptr().offset_from(ptr) } as usize;
-        // SAFETY: as above — `ptr + offset` is the value's start, in bounds.
-        Some((unsafe { ptr.add(offset) }, rec_val.len()))
+        let (_, ptr) = self.find(namespace, key)?;
+        // SAFETY: live record under epoch protection (see `find`).
+        Some(unsafe { self.map.records.value_ptr(ptr) })
     }
 
     /// Whether `key` exists under `namespace`.
     pub fn contains(&mut self, namespace: u16, key: &[u8]) -> bool {
-        self.get_with(namespace, key, |_| ()).is_some()
+        self.find(namespace, key).is_some()
+    }
+
+    /// Replace the value of an existing `key` with `value`, calling `f` on
+    /// the previous value; `Ok(None)` when the key is absent.
+    ///
+    /// The new record is published by one Put of its pointer (§3.2.4), so a
+    /// concurrent reader sees either the old or the new value, never a gap;
+    /// the old record is freed by the epoch GC two epochs later.
+    pub fn replace_with<R>(
+        &mut self,
+        namespace: u16,
+        key: &[u8],
+        value: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, DlhtError> {
+        // Verify before swapping so a fingerprint collision cannot overwrite
+        // an unrelated pair.
+        let Some((word, _)) = self.find(namespace, key) else {
+            return Ok(None);
+        };
+        let tagged = self.map.new_record(namespace, key, value)?;
+        let Some(prev) = self.map.table.put(word, tagged.0) else {
+            // Deleted since the check: nothing was published.
+            // SAFETY: the record was never published.
+            unsafe { self.map.records.free(tagged.ptr()) };
+            return Ok(None);
+        };
+        let old = TaggedPtr(prev).ptr();
+        // SAFETY: our Put unlinked `old`; concurrent readers are protected by
+        // the epoch until it is retired here, exactly once.
+        let result = unsafe {
+            let result = f(self.map.records.value(old));
+            self.map.records.retire(&mut self.handle, old, |_| ());
+            result
+        };
+        Ok(Some(result))
     }
 
     /// Delete `key`. The index slot is reclaimed immediately; the record is
     /// freed by the epoch GC two epochs later.
     pub fn delete(&mut self, namespace: u16, key: &[u8]) -> bool {
-        let (word, exact) = self.map.key_word(namespace, key);
+        let (word, exact) = self.map.word(namespace, key);
         // Verify before deleting so a fingerprint collision cannot remove an
         // unrelated pair.
-        if !exact && !self.contains(namespace, key) {
+        if !exact && self.find(namespace, key).is_none() {
             return false;
         }
         let Some(value_word) = self.map.table.delete(word) else {
             return false;
         };
-        let tagged = TaggedPtr(value_word);
-        let ptr = tagged.ptr();
-        if ptr.is_null() {
-            return true;
-        }
-        // SAFETY: we hold the only logical reference for reclamation purposes;
-        // concurrent readers are protected by the epoch.
-        let (rec_key, rec_val) = unsafe { self.map.read_record(ptr) };
-        let (kl, vl) = (rec_key.len(), rec_val.len());
-        let allocator = Arc::clone(&self.map.allocator);
-        let size = self.map.record_size(kl, vl);
-        let addr = ptr as usize;
-        self.handle.defer(move || {
-            // SAFETY: by the time the epoch GC runs this, no reader can hold
-            // the record.
-            unsafe { allocator.dealloc(addr as *mut u8, size) };
-        });
+        // SAFETY: our Delete unlinked the record; concurrent readers are
+        // protected by the epoch.
+        unsafe {
+            self.map
+                .records
+                .retire(&mut self.handle, TaggedPtr(value_word).ptr(), |_| ())
+        };
         true
     }
 

@@ -2,20 +2,10 @@
 //! a memory budget, layered over the DLHT index.
 //!
 //! [`CacheMap`] is the storage engine behind the memcache-compatible text
-//! protocol in `dlht-net`. It reuses the Allocator-mode recipe of
-//! [`crate::DlhtAllocMap`] — out-of-line records addressed by a hashed key
-//! word, reclaimed through the epoch GC — and extends every record with the
-//! metadata a cache needs:
-//!
-//! ```text
-//!  entry record (VALUE_ALIGN-aligned, one allocation)
-//!  ┌──────────┬─────┬─────────┬───────┬──────────┬─────┬─────────────┬────────┐
-//!  │ key_len  │ pad │ val_len │ flags │ deadline │ cas │ last_access │ charge │
-//!  ├──────────┴─────┴─────────┴───────┴──────────┴─────┴─────────────┴────────┤
-//!  │ key bytes …                                                              │
-//!  │ value bytes …                                                            │
-//!  └──────────────────────────────────────────────────────────────────────────┘
-//! ```
+//! protocol in `dlht-net`. Its entries are the same out-of-line records as
+//! [`crate::DlhtAllocMap`]'s (see [`crate::record`] for the layout, key words
+//! and epoch reclamation), each carrying an [`EntryMeta`] block with the
+//! fields a cache needs: `flags`, `deadline`, `cas` and `last_access`.
 //!
 //! * **TTL** — `deadline` is an absolute cache-clock second (`0` = never
 //!   expires). Reads check it lazily, so an expired entry is *never served*
@@ -42,11 +32,11 @@
 //! loop pass).
 
 use crate::error::{DlhtError, InsertOutcome};
+use crate::record::{key_word, Records};
 use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
-use dlht_alloc::{AllocatorKind, ValueAllocator, VALUE_ALIGN};
+use dlht_alloc::AllocatorKind;
 use dlht_epoch::{Collector, LocalHandle};
-use dlht_hash::WyHash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -134,17 +124,15 @@ impl CacheClock for ManualClock {
 }
 
 // ---------------------------------------------------------------------------
-// Entry records
+// Entry metadata
 // ---------------------------------------------------------------------------
 
-/// Per-entry metadata, written once at the head of every record allocation.
-/// `deadline` and `last_access` are atomics so `touch` and the read path can
-/// update them in place while concurrent readers hold the record.
+/// Per-entry metadata, written once into every record (see
+/// [`crate::record`]). `deadline` and `last_access` are atomics so `touch`
+/// and the read path can update them in place while concurrent readers hold
+/// the record.
 #[repr(C)]
-struct EntryHeader {
-    key_len: u16,
-    _pad: u16,
-    val_len: u32,
+struct EntryMeta {
     flags: u32,
     /// Absolute cache-clock second after which the entry is dead; 0 = never.
     deadline: AtomicU32,
@@ -154,49 +142,12 @@ struct EntryHeader {
     /// order — a sequence, not seconds, so recency resolves below one
     /// second; approximate again only after 2³² accesses wrap it).
     last_access: AtomicU32,
-    /// Total record size in bytes (header + key + value): the amount the
-    /// resident-bytes gauge was charged for this entry.
-    charge: u32,
 }
 
-const ENTRY_HEADER_LEN: usize = std::mem::size_of::<EntryHeader>();
-
-// The layout math in read/write paths assumes this exact header size, and
-// the allocator's VALUE_ALIGN guarantee must cover the header's alignment
-// (the u64 `cas` and the atomics).
-const _: () = assert!(ENTRY_HEADER_LEN == 32);
-const _: () = assert!(VALUE_ALIGN >= std::mem::align_of::<EntryHeader>());
-
-/// # Safety
-/// `ptr` must point to a live entry record written by `CacheMap::write_entry`.
-unsafe fn entry_header<'a>(ptr: *const u8) -> &'a EntryHeader {
-    // SAFETY: caller contract — `ptr` is a live, VALUE_ALIGN-aligned record
-    // whose first ENTRY_HEADER_LEN bytes are an initialized EntryHeader.
-    unsafe { &*ptr.cast::<EntryHeader>() }
-}
-
-/// # Safety
-/// As [`entry_header`].
-unsafe fn entry_key<'a>(ptr: *const u8) -> &'a [u8] {
-    // SAFETY: caller contract — the record was written with `key_len` key
-    // bytes immediately after the header, so the range is in bounds.
-    unsafe {
-        let header = entry_header(ptr);
-        std::slice::from_raw_parts(ptr.add(ENTRY_HEADER_LEN), header.key_len as usize)
-    }
-}
-
-/// # Safety
-/// As [`entry_header`].
-unsafe fn entry_value<'a>(ptr: *const u8) -> &'a [u8] {
-    // SAFETY: caller contract — `val_len` value bytes follow the key bytes,
-    // all inside the record's single allocation.
-    unsafe {
-        let header = entry_header(ptr);
-        std::slice::from_raw_parts(
-            ptr.add(ENTRY_HEADER_LEN + header.key_len as usize),
-            header.val_len as usize,
-        )
+impl EntryMeta {
+    fn expired_at(&self, now: u32) -> bool {
+        let deadline = self.deadline.load(Ordering::Acquire);
+        deadline != 0 && deadline <= now
     }
 }
 
@@ -332,7 +283,7 @@ pub struct ReapOutcome {
 /// TTL-carrying entry records. See the module docs for the design.
 pub struct CacheMap {
     table: ShardedTable,
-    allocator: Arc<dyn ValueAllocator>,
+    records: Records<EntryMeta>,
     collector: Arc<Collector>,
     clock: Arc<dyn CacheClock>,
     /// Unix seconds at cache-clock second 1 (for absolute memcache expiry).
@@ -375,7 +326,7 @@ impl CacheMap {
             .unwrap_or(0);
         CacheMap {
             table,
-            allocator: AllocatorKind::Pool.build(),
+            records: Records::new(AllocatorKind::Pool.build(), None),
             collector: Arc::new(Collector::new()),
             clock,
             unix_at_start,
@@ -497,23 +448,6 @@ impl CacheMap {
         &self.stripes[(word as usize) & (STRIPES - 1)]
     }
 
-    /// Key word for the index: 8-byte keys inline exactly (no verification
-    /// needed), everything else is a 64-bit fingerprint verified against the
-    /// record's stored key on read.
-    fn key_word(key: &[u8]) -> (u64, bool) {
-        if key.len() == 8 {
-            let word = u64::from_le_bytes(key.try_into().expect("len checked"));
-            if !crate::bucket::is_reserved_key(word) {
-                return (word, true);
-            }
-        }
-        let mut fp = WyHash::hash_bytes_seeded(key, CACHE_HASH_SEED);
-        if crate::bucket::is_reserved_key(fp) {
-            fp ^= 1;
-        }
-        (fp, false)
-    }
-
     /// Allocate and fill an entry record; returns its pointer.
     fn write_entry(
         &self,
@@ -523,42 +457,26 @@ impl CacheMap {
         deadline: u32,
         cas: u64,
     ) -> *mut u8 {
-        let size = ENTRY_HEADER_LEN + key.len() + value.len();
-        let ptr = self.allocator.alloc(size);
-        let header = EntryHeader {
-            key_len: key.len() as u16,
-            _pad: 0,
-            val_len: value.len() as u32,
+        let meta = EntryMeta {
             flags,
             deadline: AtomicU32::new(deadline),
             cas,
             last_access: AtomicU32::new(self.access_stamp()),
-            charge: size as u32,
         };
-        // SAFETY: `ptr` is a fresh allocation of `size` bytes with
-        // VALUE_ALIGN alignment; header, key, and value ranges are disjoint
-        // and in bounds by construction of `size`.
-        unsafe {
-            std::ptr::write(ptr.cast::<EntryHeader>(), header);
-            std::ptr::copy_nonoverlapping(key.as_ptr(), ptr.add(ENTRY_HEADER_LEN), key.len());
-            std::ptr::copy_nonoverlapping(
-                value.as_ptr(),
-                ptr.add(ENTRY_HEADER_LEN + key.len()),
-                value.len(),
-            );
-        }
+        let size = self.records.size_for(key.len(), value.len());
         self.value_bytes.fetch_add(size as u64, Ordering::Relaxed);
-        ptr
+        self.records.write(key, value, meta)
     }
 
     /// Undo a `write_entry` that never got linked into the index.
     fn discard_entry(&self, ptr: *mut u8) {
         // SAFETY: the entry was just written by `write_entry` and is not
         // linked anywhere, so this thread holds the only reference.
-        let size = unsafe { entry_header(ptr) }.charge as usize;
-        self.value_bytes.fetch_sub(size as u64, Ordering::Relaxed);
-        // SAFETY: allocated with exactly `size` by `write_entry`.
-        unsafe { self.allocator.dealloc(ptr, size) };
+        unsafe {
+            let size = self.records.size(ptr);
+            self.value_bytes.fetch_sub(size as u64, Ordering::Relaxed);
+            self.records.free(ptr);
+        }
     }
 
     /// Retire an entry that was just unlinked from the index: move its bytes
@@ -566,47 +484,45 @@ impl CacheMap {
     /// free to the epoch GC.
     fn retire_entry(&self, handle: &mut LocalHandle, word_value: u64) {
         let ptr = word_value as *mut u8;
-        // SAFETY: the entry was unlinked by the caller under its stripe lock
-        // and stays alive until this session's next quiescent point.
-        let size = unsafe { entry_header(ptr) }.charge as usize;
-        self.value_bytes.fetch_sub(size as u64, Ordering::Relaxed);
-        self.pending_reclaim_bytes
-            .fetch_add(size as u64, Ordering::Relaxed);
-        let allocator = Arc::clone(&self.allocator);
         let pending = Arc::clone(&self.pending_reclaim_bytes);
-        let addr = word_value as usize;
-        handle.defer(move || {
-            pending.fetch_sub(size as u64, Ordering::Relaxed);
-            // SAFETY: the epoch GC runs this only after every session passed
-            // a quiescent point, so no reader can still hold the record.
-            unsafe { allocator.dealloc(addr as *mut u8, size) };
-        });
+        // SAFETY: the entry was unlinked by the caller under its stripe lock
+        // and stays alive until this session's next quiescent point; it is
+        // retired once.
+        unsafe {
+            let size = self.records.size(ptr) as u64;
+            self.value_bytes.fetch_sub(size, Ordering::Relaxed);
+            self.pending_reclaim_bytes
+                .fetch_add(size, Ordering::Relaxed);
+            self.records.retire(handle, ptr, move |size| {
+                pending.fetch_sub(size as u64, Ordering::Relaxed);
+            });
+        }
+    }
+
+    /// Metadata of a published entry.
+    ///
+    /// # Safety
+    /// `word_value` must be linked in this map's index, or unlinked after
+    /// the calling session's last quiescent point; the reference must not
+    /// outlive that protection.
+    unsafe fn meta<'r>(&self, word_value: u64) -> &'r EntryMeta {
+        // SAFETY: caller contract.
+        unsafe { self.records.meta(word_value as *const u8) }
     }
 
     /// Next LRU recency stamp.
     fn access_stamp(&self) -> u32 {
         self.access_seq.fetch_add(1, Ordering::Relaxed)
     }
-
-    fn expired_at(header: &EntryHeader, now: u32) -> bool {
-        let deadline = header.deadline.load(Ordering::Acquire);
-        deadline != 0 && deadline <= now
-    }
 }
 
 impl Drop for CacheMap {
     fn drop(&mut self) {
-        // Exclusive access: free every record still linked in the index.
-        let mut ptrs: Vec<u64> = Vec::new();
-        self.table.for_each(|_, value_word| ptrs.push(value_word));
-        for word_value in ptrs {
-            let ptr = word_value as *mut u8;
-            // SAFETY: exclusive access (we hold &mut self); the record is
-            // live and was allocated by `write_entry` with `charge` bytes.
-            let size = unsafe { entry_header(ptr) }.charge as usize;
-            // SAFETY: as above — matching size and allocator.
-            unsafe { self.allocator.dealloc(ptr, size) };
-        }
+        self.table.for_each(|_, word| {
+            // SAFETY: `&mut self` means no session is open, so no reader can
+            // reach a record; the index links each record once.
+            unsafe { self.records.free(word as *mut u8) }
+        });
     }
 }
 
@@ -647,14 +563,17 @@ impl<'a> CacheSession<'a> {
         match self.map.table.get(word) {
             None => SlotState::Empty,
             Some(cur) => {
-                let ptr = cur as *const u8;
                 // SAFETY: `cur` was published by this map and cannot be
                 // freed before this session's next quiescent point.
-                let header = unsafe { entry_header(ptr) };
-                // SAFETY: as above.
-                if !exact && unsafe { entry_key(ptr) } != key {
+                let (holds, meta) = unsafe {
+                    (
+                        self.map.records.holds(cur as *const u8, key, exact),
+                        self.map.meta(cur),
+                    )
+                };
+                if !holds {
                     SlotState::Foreign(cur)
-                } else if CacheMap::expired_at(header, now) {
+                } else if meta.expired_at(now) {
                     SlotState::Expired(cur)
                 } else {
                     SlotState::Live(cur)
@@ -715,12 +634,10 @@ impl<'a> CacheSession<'a> {
         exptime: i64,
         require_live: Option<bool>,
     ) -> Result<StoreOutcome, DlhtError> {
-        if key.is_empty() || key.len() > crate::MAX_KEY_LEN {
-            return Err(DlhtError::KeyTooLong);
-        }
+        self.map.records.check(key, value)?;
         let deadline = self.map.deadline_for(exptime);
         let now = self.map.clock.now();
-        let (word, exact) = CacheMap::key_word(key);
+        let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
         let stored = {
             let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
             let state = self.slot_state(word, exact, key, now);
@@ -755,15 +672,11 @@ impl<'a> CacheSession<'a> {
                     Ok(InsertOutcome::Inserted) => {
                         self.map.items.fetch_add(1, Ordering::Relaxed);
                     }
-                    Ok(InsertOutcome::AlreadyExists(_)) => {
-                        // Unreachable under the stripe lock; keep the map
-                        // consistent anyway.
+                    // `AlreadyExists` is unreachable under the stripe lock;
+                    // keep the map consistent anyway.
+                    failed => {
                         self.map.discard_entry(entry);
-                        return Ok(StoreOutcome::NotStored);
-                    }
-                    Err(e) => {
-                        self.map.discard_entry(entry);
-                        return Err(e);
+                        return failed.map(|_| StoreOutcome::NotStored);
                     }
                 },
             }
@@ -780,7 +693,7 @@ impl<'a> CacheSession<'a> {
     // HOT: the cache read path — no locks, one index Get, one record read.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(CacheView<'_>) -> R) -> Option<R> {
         let now = self.map.clock.now();
-        let (word, exact) = CacheMap::key_word(key);
+        let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
         let miss = |map: &CacheMap| {
             map.misses.fetch_add(1, Ordering::Relaxed);
         };
@@ -791,26 +704,21 @@ impl<'a> CacheSession<'a> {
         let ptr = cur as *const u8;
         // SAFETY: `cur` was published by this map; epoch protection (this
         // session is between quiescent points) keeps the record alive.
-        let header = unsafe { entry_header(ptr) };
+        let meta = unsafe { self.map.meta(cur) };
         // SAFETY: as above.
-        if !exact && unsafe { entry_key(ptr) } != key {
+        if !unsafe { self.map.records.holds(ptr, key, exact) } || meta.expired_at(now) {
             miss(self.map);
             return None;
         }
-        if CacheMap::expired_at(header, now) {
-            miss(self.map);
-            return None;
-        }
-        header
-            .last_access
+        meta.last_access
             .store(self.map.access_stamp(), Ordering::Relaxed);
         self.map.hits.fetch_add(1, Ordering::Relaxed);
         // SAFETY: as above — the value slice lives inside the same record.
-        let value = unsafe { entry_value(ptr) };
+        let value = unsafe { self.map.records.value(ptr) };
         Some(f(CacheView {
             value,
-            flags: header.flags,
-            cas: header.cas,
+            flags: meta.flags,
+            cas: meta.cas,
         }))
     }
 
@@ -824,7 +732,7 @@ impl<'a> CacheSession<'a> {
     /// physically but reported as absent.
     pub fn delete(&mut self, key: &[u8]) -> bool {
         let now = self.map.clock.now();
-        let (word, exact) = CacheMap::key_word(key);
+        let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
         let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
         match self.slot_state(word, exact, key, now) {
             SlotState::Empty | SlotState::Foreign(_) => false,
@@ -845,17 +753,15 @@ impl<'a> CacheSession<'a> {
     pub fn touch(&mut self, key: &[u8], exptime: i64) -> bool {
         let deadline = self.map.deadline_for(exptime);
         let now = self.map.clock.now();
-        let (word, exact) = CacheMap::key_word(key);
+        let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
         let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
         match self.slot_state(word, exact, key, now) {
             SlotState::Live(cur) => {
-                let ptr = cur as *const u8;
                 // SAFETY: live entry under epoch protection; deadline and
                 // last_access are atomics made for in-place update.
-                let header = unsafe { entry_header(ptr) };
-                header.deadline.store(deadline, Ordering::Release);
-                header
-                    .last_access
+                let meta = unsafe { self.map.meta(cur) };
+                meta.deadline.store(deadline, Ordering::Release);
+                meta.last_access
                     .store(self.map.access_stamp(), Ordering::Relaxed);
                 true
             }
@@ -875,17 +781,16 @@ impl<'a> CacheSession<'a> {
 
     fn counter_op(&mut self, key: &[u8], delta: u64, up: bool) -> Result<u64, CounterError> {
         let now = self.map.clock.now();
-        let (word, exact) = CacheMap::key_word(key);
+        let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
         let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
         let cur = match self.slot_state(word, exact, key, now) {
             SlotState::Live(cur) => cur,
             _ => return Err(CounterError::NotFound),
         };
-        let ptr = cur as *const u8;
         // SAFETY: live entry under epoch protection (see `get_with`).
-        let header = unsafe { entry_header(ptr) };
+        let meta = unsafe { self.map.meta(cur) };
         // SAFETY: as above.
-        let value = unsafe { entry_value(ptr) };
+        let value = unsafe { self.map.records.value(cur as *const u8) };
         let current = parse_decimal_u64(value).ok_or(CounterError::NotNumeric)?;
         let next = if up {
             current.wrapping_add(delta)
@@ -894,8 +799,8 @@ impl<'a> CacheSession<'a> {
         };
         let mut buf = [0u8; 20];
         let text = format_decimal_u64(&mut buf, next);
-        let deadline = header.deadline.load(Ordering::Acquire);
-        let flags = header.flags;
+        let deadline = meta.deadline.load(Ordering::Acquire);
+        let flags = meta.flags;
         let cas = self.map.cas_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let entry = self.map.write_entry(key, text, flags, deadline, cas);
         let prev = self.map.table.put(word, entry as u64);
@@ -940,11 +845,9 @@ impl<'a> CacheSession<'a> {
         let now = self.map.clock.now();
         let mut victims: Vec<(u64, u64)> = Vec::new();
         self.map.table.for_each(|word, value_word| {
-            let ptr = value_word as *const u8;
             // SAFETY: published record under epoch protection — this
             // session does not quiesce during the scan.
-            let header = unsafe { entry_header(ptr) };
-            if CacheMap::expired_at(header, now) {
+            if unsafe { self.map.meta(value_word) }.expired_at(now) {
                 victims.push((word, value_word));
             }
         });
@@ -954,10 +857,8 @@ impl<'a> CacheSession<'a> {
             if self.map.table.get(word) != Some(value_word) {
                 continue; // replaced since the scan
             }
-            let ptr = value_word as *const u8;
             // SAFETY: still linked (checked above under the stripe lock).
-            let header = unsafe { entry_header(ptr) };
-            if !CacheMap::expired_at(header, now) {
+            if !unsafe { self.map.meta(value_word) }.expired_at(now) {
                 continue; // a racing touch extended it
             }
             self.unlink(word, value_word);
@@ -999,16 +900,14 @@ impl<'a> CacheSession<'a> {
         let fifo = self.map.eviction == EvictionPolicy::Fifo;
         let mut candidates: Vec<(u64, u64, u64)> = Vec::new();
         self.map.table.for_each(|word, value_word| {
-            let ptr = value_word as *const u8;
             // SAFETY: published record under epoch protection (no quiesce
             // during the scan).
-            let header = unsafe { entry_header(ptr) };
+            let meta = unsafe { self.map.meta(value_word) };
             let order = if fifo {
-                header.cas
+                meta.cas
             } else {
                 // LRU: coldest access first; ties broken by insert order.
-                ((header.last_access.load(Ordering::Relaxed) as u64) << 32)
-                    | (header.cas & 0xFFFF_FFFF)
+                ((meta.last_access.load(Ordering::Relaxed) as u64) << 32) | (meta.cas & 0xFFFF_FFFF)
             };
             candidates.push((order, word, value_word));
         });
@@ -1022,9 +921,8 @@ impl<'a> CacheSession<'a> {
             if self.map.table.get(word) != Some(value_word) {
                 continue;
             }
-            let ptr = value_word as *const u8;
             // SAFETY: still linked (checked above under the stripe lock).
-            let was_expired = CacheMap::expired_at(unsafe { entry_header(ptr) }, now);
+            let was_expired = unsafe { self.map.meta(value_word) }.expired_at(now);
             self.unlink(word, value_word);
             if was_expired {
                 self.map.expired.fetch_add(1, Ordering::Relaxed);
@@ -1310,7 +1208,7 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.sets, 1);
-        assert!(stats.value_bytes >= (ENTRY_HEADER_LEN + 2) as u64);
+        assert_eq!(stats.value_bytes, map.records.size_for(1, 1) as u64);
         assert!((stats.hit_ratio() - 0.5).abs() < f64::EPSILON);
     }
 

@@ -16,6 +16,7 @@ use crate::set::DlhtSet;
 use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
 use crate::table::RawTable;
+use std::sync::Arc;
 
 /// Feature matrix entries (Table 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,109 +214,64 @@ pub fn execute_serial<B: KvBackend + ?Sized>(backend: &B, batch: &mut Batch, pol
     }
 }
 
-/// Blanket impl so `Arc<M>` can be used wherever a backend is expected.
-impl<M: KvBackend + ?Sized> KvBackend for std::sync::Arc<M> {
-    fn get(&self, key: u64) -> Option<u64> {
-        (**self).get(key)
-    }
-    fn contains(&self, key: u64) -> bool {
-        (**self).contains(key)
-    }
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        (**self).insert(key, value)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        (**self).put(key, value)
-    }
-    fn delete(&self, key: u64) -> Option<u64> {
-        (**self).delete(key)
-    }
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        (**self).upsert(key, value)
-    }
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn features(&self) -> MapFeatures {
-        (**self).features()
-    }
-    fn stats(&self) -> TableStats {
-        (**self).stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        (**self).retired_indexes()
-    }
-    fn supports_batching(&self) -> bool {
-        (**self).supports_batching()
-    }
-    fn prefetch_key(&self, key: u64) {
-        (**self).prefetch_key(key)
-    }
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        (**self).execute(batch, policy)
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        (**self).execute_prefetched(batch, policy)
-    }
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        (**self).execute_batch(requests, policy)
-    }
+/// Blanket impls so `Arc<M>` and `Box<M>` can be used wherever a backend is
+/// expected: every method forwards to the pointee.
+macro_rules! forward_kv_backend {
+    ($($ptr:ident),+) => {$(
+        impl<M: KvBackend + ?Sized> KvBackend for $ptr<M> {
+            fn get(&self, key: u64) -> Option<u64> {
+                (**self).get(key)
+            }
+            fn contains(&self, key: u64) -> bool {
+                (**self).contains(key)
+            }
+            fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
+                (**self).insert(key, value)
+            }
+            fn put(&self, key: u64, value: u64) -> Option<u64> {
+                (**self).put(key, value)
+            }
+            fn delete(&self, key: u64) -> Option<u64> {
+                (**self).delete(key)
+            }
+            fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
+                (**self).upsert(key, value)
+            }
+            fn len(&self) -> usize {
+                (**self).len()
+            }
+            fn name(&self) -> &'static str {
+                (**self).name()
+            }
+            fn features(&self) -> MapFeatures {
+                (**self).features()
+            }
+            fn stats(&self) -> TableStats {
+                (**self).stats()
+            }
+            fn retired_indexes(&self) -> usize {
+                (**self).retired_indexes()
+            }
+            fn supports_batching(&self) -> bool {
+                (**self).supports_batching()
+            }
+            fn prefetch_key(&self, key: u64) {
+                (**self).prefetch_key(key)
+            }
+            fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+                (**self).execute(batch, policy)
+            }
+            fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+                (**self).execute_prefetched(batch, policy)
+            }
+            fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
+                (**self).execute_batch(requests, policy)
+            }
+        }
+    )+};
 }
 
-/// Blanket impl so `Box<M>` can be used wherever a backend is expected.
-impl<M: KvBackend + ?Sized> KvBackend for Box<M> {
-    fn get(&self, key: u64) -> Option<u64> {
-        (**self).get(key)
-    }
-    fn contains(&self, key: u64) -> bool {
-        (**self).contains(key)
-    }
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        (**self).insert(key, value)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        (**self).put(key, value)
-    }
-    fn delete(&self, key: u64) -> Option<u64> {
-        (**self).delete(key)
-    }
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        (**self).upsert(key, value)
-    }
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-    fn features(&self) -> MapFeatures {
-        (**self).features()
-    }
-    fn stats(&self) -> TableStats {
-        (**self).stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        (**self).retired_indexes()
-    }
-    fn supports_batching(&self) -> bool {
-        (**self).supports_batching()
-    }
-    fn prefetch_key(&self, key: u64) {
-        (**self).prefetch_key(key)
-    }
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        (**self).execute(batch, policy)
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        (**self).execute_prefetched(batch, policy)
-    }
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        (**self).execute_batch(requests, policy)
-    }
-}
+forward_kv_backend!(Arc, Box);
 
 impl KvBackend for DlhtMap {
     fn get(&self, key: u64) -> Option<u64> {

@@ -90,11 +90,12 @@ pub mod typed;
 mod alloc_map;
 mod cache;
 mod map;
+mod record;
 mod set;
 mod single_thread;
 mod table;
 
-pub use alloc_map::{AllocSession, DlhtAllocMap, MAX_KEY_LEN};
+pub use alloc_map::{AllocSession, DlhtAllocMap};
 pub use batch::{Batch, BatchPolicy, Request, Response};
 pub use cache::{
     format_decimal_u64, parse_decimal_u64, CacheClock, CacheConfig, CacheMap, CacheSession,
@@ -106,6 +107,7 @@ pub use error::{DlhtError, InsertOutcome};
 pub use kv::{KvBackend, MapFeatures};
 pub use map::DlhtMap;
 pub use pipeline::{BatchExecutor, Pipeline};
+pub use record::MAX_KEY_LEN;
 pub use session::Session;
 pub use set::DlhtSet;
 pub use sharded::{ShardedSession, ShardedTable, MAX_SHARDS};

@@ -349,9 +349,9 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
         }
     }
 
-    fn key_bytes(key: &K) -> Vec<u8> {
+    fn bytes_of<T: KvCodec>(item: &T) -> Vec<u8> {
         let mut buf = Vec::new();
-        key.encode_bytes(&mut buf);
+        item.encode_bytes(&mut buf);
         buf
     }
 
@@ -360,7 +360,7 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
         match &self.inner {
             Inner::Inline(map) => map.get(key.encode_word()).map(V::decode_word),
             Inner::Alloc(map) => {
-                let kb = Self::key_bytes(key);
+                let kb = Self::bytes_of(key);
                 let mut s = map.session();
                 s.get_with(0, &kb, V::decode_bytes)
             }
@@ -372,7 +372,7 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
         match &self.inner {
             Inner::Inline(map) => map.contains(key.encode_word()),
             Inner::Alloc(map) => {
-                let kb = Self::key_bytes(key);
+                let kb = Self::bytes_of(key);
                 map.session().contains(0, &kb)
             }
         }
@@ -387,9 +387,8 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
                 .insert(key.encode_word(), value.encode_word())?
                 .inserted()),
             Inner::Alloc(map) => {
-                let kb = Self::key_bytes(key);
-                let mut vb = Vec::new();
-                value.encode_bytes(&mut vb);
+                let kb = Self::bytes_of(key);
+                let vb = Self::bytes_of(value);
                 let mut s = map.session();
                 let r = s.insert(0, &kb, &vb);
                 s.quiesce();
@@ -399,49 +398,21 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
     }
 
     /// Update an existing key; returns the previous value, or `None` when the
-    /// key is absent. On the Allocator path the paper offers no Put (§3.2.4),
-    /// so the update is expressed as delete + insert of the record; the key is
-    /// therefore transiently absent to concurrent readers mid-update. A
-    /// concurrent writer re-claiming the key between the two steps is retried,
-    /// and an insert failure triggers a best-effort restore of the previous
-    /// record (under concurrent insert pressure on a full, non-resizing table
-    /// the restore itself can fail, in which case the `Err` stands and the key
-    /// may be lost — the price of the paper's Put-less Allocator mode).
+    /// key is absent. On the Allocator path the new record is published with
+    /// one pointer swap ([`crate::AllocSession::replace_with`]), so concurrent
+    /// readers see the old or the new value, never a missing key.
     pub fn put(&self, key: &K, value: &V) -> Result<Option<V>, DlhtError> {
         match &self.inner {
             Inner::Inline(map) => Ok(map
                 .put(key.encode_word(), value.encode_word())
                 .map(V::decode_word)),
             Inner::Alloc(map) => {
-                let kb = Self::key_bytes(key);
-                let mut vb = Vec::new();
-                value.encode_bytes(&mut vb);
+                let kb = Self::bytes_of(key);
+                let vb = Self::bytes_of(value);
                 let mut s = map.session();
-                loop {
-                    let Some(prev) = s.get_with(0, &kb, V::decode_bytes) else {
-                        return Ok(None);
-                    };
-                    s.delete(0, &kb);
-                    match s.insert(0, &kb, &vb) {
-                        Ok(true) => {
-                            s.quiesce();
-                            return Ok(Some(prev));
-                        }
-                        // A concurrent writer re-inserted the key between our
-                        // delete and insert; treat it as the now-existing value
-                        // and retry the update against it.
-                        Ok(false) => continue,
-                        Err(e) => {
-                            // Restore the record we removed: a failed update
-                            // must leave the key present.
-                            let mut old = Vec::new();
-                            prev.encode_bytes(&mut old);
-                            let _ = s.insert(0, &kb, &old);
-                            s.quiesce();
-                            return Err(e);
-                        }
-                    }
-                }
+                let r = s.replace_with(0, &kb, &vb, V::decode_bytes);
+                s.quiesce();
+                r
             }
         }
     }
@@ -455,35 +426,24 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
                 .upsert(key.encode_word(), value.encode_word())?
                 .map(V::decode_word)),
             Inner::Alloc(map) => {
-                let kb = Self::key_bytes(key);
-                let mut vb = Vec::new();
-                value.encode_bytes(&mut vb);
+                let kb = Self::bytes_of(key);
+                let vb = Self::bytes_of(value);
                 let mut s = map.session();
-                loop {
-                    let prev = s.get_with(0, &kb, V::decode_bytes);
-                    if prev.is_some() {
-                        s.delete(0, &kb);
+                let r = loop {
+                    match s.replace_with(0, &kb, &vb, V::decode_bytes) {
+                        Ok(None) => {}
+                        updated => break updated,
                     }
                     match s.insert(0, &kb, &vb) {
-                        Ok(true) => {
-                            s.quiesce();
-                            return Ok(prev);
-                        }
-                        // Lost a race with a concurrent inserter: the key
-                        // exists again with their value — retry the update.
+                        Ok(true) => break Ok(None),
+                        // A concurrent writer inserted the key first: update
+                        // their value instead.
                         Ok(false) => continue,
-                        Err(e) => {
-                            if let Some(prev) = prev {
-                                // Restore the record we removed.
-                                let mut old = Vec::new();
-                                prev.encode_bytes(&mut old);
-                                let _ = s.insert(0, &kb, &old);
-                            }
-                            s.quiesce();
-                            return Err(e);
-                        }
+                        Err(e) => break Err(e),
                     }
-                }
+                };
+                s.quiesce();
+                r
             }
         }
     }
@@ -495,7 +455,7 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
         match &self.inner {
             Inner::Inline(map) => map.delete(key.encode_word()).map(V::decode_word),
             Inner::Alloc(map) => {
-                let kb = Self::key_bytes(key);
+                let kb = Self::bytes_of(key);
                 let mut s = map.session();
                 let prev = s.get_with(0, &kb, V::decode_bytes)?;
                 let deleted = s.delete(0, &kb);

@@ -2,8 +2,8 @@
 //! under mixed workloads, resizes, and batching.
 
 use dlht::hash::HashKind;
-use dlht::{Batch, BatchPolicy, DlhtConfig, DlhtMap, Pipeline, Request, Response};
-use std::sync::atomic::{AtomicU64, Ordering};
+use dlht::{Batch, BatchPolicy, Dlht, DlhtConfig, DlhtMap, Pipeline, Request, Response};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 #[test]
 fn mixed_readers_writers_and_resizes_preserve_disjoint_key_ranges() {
@@ -226,4 +226,51 @@ fn shadow_inserts_act_as_record_locks_across_threads() {
     });
     assert!(map.commit_shadow(77, true));
     assert_eq!(map.get(77), Some(770));
+}
+
+#[test]
+fn allocator_mode_overwrites_never_hide_the_key() {
+    // An Allocator-mode `put`/`upsert` publishes the new record with one
+    // pointer swap, so a reader racing the writer sees the old or the new
+    // value — never a missing key, never a torn one.
+    const WRITES: u64 = 20_000;
+    let encode = |i: u64| i.to_le_bytes().repeat(3);
+    let map: Dlht<String, Vec<u8>> = Dlht::with_capacity(64);
+    let key = "hot-key".to_string();
+    assert!(map.insert(&key, &encode(0)).unwrap());
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            let (map, key, done) = (&map, &key, &done);
+            s.spawn(move || {
+                let mut reads = 0u64;
+                while !done.load(Ordering::Acquire) || reads < 1_000 {
+                    let value = map.get(key).expect("an overwrite hid the key");
+                    let (first, rest) = value.split_at(8);
+                    assert_eq!(rest, first.repeat(2), "torn value {value:?}");
+                    let i = u64::from_le_bytes(first.try_into().unwrap());
+                    assert!(i <= WRITES, "value {i} was never written");
+                    reads += 1;
+                }
+            });
+        }
+        let (map, key, done) = (&map, &key, &done);
+        s.spawn(move || {
+            for i in 1..=WRITES {
+                let prev = if i % 2 == 0 {
+                    map.put(key, &encode(i)).unwrap()
+                } else {
+                    map.upsert(key, &encode(i)).unwrap()
+                };
+                assert_eq!(
+                    prev,
+                    Some(encode(i - 1)),
+                    "single writer sees its last write"
+                );
+            }
+            done.store(true, Ordering::Release);
+        });
+    });
+    assert_eq!(map.get(&key), Some(encode(WRITES)));
+    assert_eq!(map.len(), 1);
 }

@@ -1,13 +1,23 @@
 //! Steady-state allocation accounting for the submission API: once a
 //! reusable [`Batch`] (or [`Pipeline`]) is warm, re-executing it must not
 //! touch the heap at all. Verified with a counting global allocator, which is
-//! why this lives in its own integration-test binary.
+//! why this lives in its own integration-test binary. The count is per
+//! thread, so tests running in parallel do not see each other's allocations.
 
 use dlht::{Batch, BatchPolicy, DlhtMap, Request, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` init and a `Copy` payload: no lazy setup and no destructor,
+    // so the allocator can touch it without allocating or re-entering.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only during thread teardown, which no test measures.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
@@ -16,7 +26,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout to the system allocator unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: caller upholds the GlobalAlloc contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -27,7 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     // SAFETY: forwards to the system allocator `ptr` came from.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: caller upholds the GlobalAlloc contract for the arguments.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -36,8 +46,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]
