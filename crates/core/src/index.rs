@@ -1,11 +1,18 @@
 //! The index: an array of bins plus the shared link-bucket array and the
 //! per-index resize bookkeeping (§3.1, §3.2.5).
+//!
+//! Both arrays live in a `Slab`: one allocation that, from 2 MiB up, is
+//! aligned to a transparent huge page and advised `MADV_HUGEPAGE` before its
+//! first write (see `docs/ARCHITECTURE.md`, "Index memory").
 
 use crate::bucket::{LinkBucket, LinkMeta, PrimaryBucket, NO_LINK};
 use crate::config::DlhtConfig;
 use crate::header::BinHeader;
 use crate::prefetch::prefetch_read;
 use dlht_hash::HashKind;
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use std::ops::Deref;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 
 /// One generation of the table: bins, link buckets, and resize state.
@@ -15,8 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering}
 /// the head (oldest first), which is what makes announcing the entered index
 /// sufficient to protect a whole traversal (see `registry.rs`).
 pub struct Index {
-    bins: Box<[PrimaryBucket]>,
-    links: Box<[LinkBucket]>,
+    bins: Slab<PrimaryBucket>,
+    links: Slab<LinkBucket>,
     /// Bump cursor into `links`; link buckets are never individually freed.
     link_cursor: AtomicU32,
     num_bins: usize,
@@ -37,16 +44,14 @@ pub struct Index {
 }
 
 impl Index {
-    /// Allocate a zeroed index with `num_bins` bins.
+    /// Allocate an empty index with `num_bins` bins.
     pub fn new(num_bins: usize, config: &DlhtConfig, generation: u32) -> Self {
         let num_bins = num_bins.max(2);
         let num_links = config.link_buckets_for(num_bins);
         let chunk_bins = config.chunk_bins.max(1);
-        let bins: Box<[PrimaryBucket]> = (0..num_bins).map(|_| PrimaryBucket::new()).collect();
-        let links: Box<[LinkBucket]> = (0..num_links).map(|_| LinkBucket::new()).collect();
         Index {
-            bins,
-            links,
+            bins: Slab::new(num_bins, PrimaryBucket::new),
+            links: Slab::new(num_links, LinkBucket::new),
             link_cursor: AtomicU32::new(0),
             num_bins,
             hash: config.hash,
@@ -261,11 +266,125 @@ impl Index {
         self.num_bins * crate::header::PRIMARY_SLOTS + self.links.len() * crate::header::LINK_SLOTS
     }
 
-    /// Approximate memory footprint of the index structures in bytes.
+    /// Memory footprint of the index's buckets in bytes (the alignment slack
+    /// of a huge-page-aligned array is not counted).
     pub fn memory_bytes(&self) -> usize {
         self.bins.len() * std::mem::size_of::<PrimaryBucket>()
             + self.links.len() * std::mem::size_of::<LinkBucket>()
     }
+}
+
+/// Transparent-huge-page size: the alignment of every [`Slab`] this large.
+const HUGE_PAGE: usize = 2 << 20;
+
+/// A fixed-length bucket array in one heap allocation: the storage of an
+/// index's bins and of its link buckets.
+///
+/// An array of [`HUGE_PAGE`] bytes or more is aligned to a huge page and
+/// advised `MADV_HUGEPAGE` *before* any bucket is written. The order
+/// matters: the first write faults the pages in, and pages faulted in before
+/// the advice are 4 KiB pages (memory zeroed by the allocator gets none).
+/// Backed by huge pages, one TLB entry covers 32768 buckets instead of 64,
+/// so a random probe of an index far larger than the cache costs a data
+/// miss and not a data miss plus a page walk. Smaller arrays, non-Linux
+/// targets, Miri, and a refused `madvise` take the layout a `Box<[T]>` of
+/// the same length has.
+struct Slab<T> {
+    ptr: NonNull<T>,
+    len: usize,
+    /// The layout `ptr` was allocated with.
+    layout: Layout,
+}
+
+// SAFETY: `ptr` uniquely owns the `len` elements (no other handle to the
+// allocation exists), exactly as a `Box<[T]>` does; `len` and `layout` are
+// plain data. Sending the slab sends the elements, hence `T: Send`.
+unsafe impl<T: Send> Send for Slab<T> {}
+// SAFETY: through `&Slab<T>` only `&[T]` is reachable (`Deref`), as through
+// `&Box<[T]>`, hence `T: Sync`.
+unsafe impl<T: Sync> Sync for Slab<T> {}
+
+impl<T> Slab<T> {
+    /// `len` (at least one) elements, each written by `init`.
+    fn new(len: usize, init: fn() -> T) -> Self {
+        let plain = Layout::array::<T>(len).expect("index size overflows the address space");
+        assert!(plain.size() > 0, "index arrays are never empty");
+        let huge = if plain.size() >= HUGE_PAGE {
+            alloc_huge(plain)
+        } else {
+            None
+        };
+        // SAFETY: `plain` has a non-zero size (asserted above).
+        let (raw, layout) = huge.unwrap_or_else(|| (unsafe { alloc(plain) }, plain));
+        let ptr = NonNull::new(raw.cast::<T>()).unwrap_or_else(|| handle_alloc_error(layout));
+        for i in 0..len {
+            // SAFETY: `i < len`, and the allocation holds `len` elements of `T`.
+            unsafe { ptr.as_ptr().add(i).write(init()) };
+        }
+        Slab { ptr, len, layout }
+    }
+}
+
+impl<T> Deref for Slab<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr` holds `len` initialised elements until `drop`.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<T> Drop for Slab<T> {
+    fn drop(&mut self) {
+        let elems = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len);
+        // SAFETY: the `len` elements were initialised in `new` and are dropped
+        // only here; `layout` is the layout `ptr` was allocated with.
+        unsafe {
+            std::ptr::drop_in_place(elems);
+            dealloc(self.ptr.as_ptr().cast(), self.layout);
+        }
+    }
+}
+
+/// `plain`'s size allocated on a [`HUGE_PAGE`] boundary, with its whole
+/// huge pages advised `MADV_HUGEPAGE`; `None` (nothing allocated) if the
+/// allocator or the kernel refuses. `madvise` is declared by hand (no libc
+/// crate), as `dlht-net`'s `poll(2)` binding is.
+#[cfg(all(target_os = "linux", not(miri)))]
+fn alloc_huge(plain: Layout) -> Option<(*mut u8, Layout)> {
+    use std::os::raw::{c_int, c_void};
+    /// `MADV_HUGEPAGE` from `<asm-generic/mman-common.h>`.
+    const MADV_HUGEPAGE: c_int = 14;
+    extern "C" {
+        /// `int madvise(void *addr, size_t length, int advice)` — Linux.
+        fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
+    }
+    let huge = plain.align_to(HUGE_PAGE).ok()?;
+    // SAFETY: `huge` has `plain`'s non-zero size.
+    let raw = unsafe { alloc(huge) };
+    if raw.is_null() {
+        return None;
+    }
+    // Whole huge pages only: a huge page under the partial tail would grow
+    // RSS past the end of the array.
+    let advised = plain.size() & !(HUGE_PAGE - 1);
+    // SAFETY: `[raw, raw + advised)` lies inside the allocation just made,
+    // `raw` is page aligned, and MADV_HUGEPAGE changes only how the kernel
+    // backs the range, never its contents.
+    if unsafe { madvise(raw.cast(), advised, MADV_HUGEPAGE) } == 0 {
+        return Some((raw, huge));
+    }
+    // SAFETY: `raw` was allocated above with `huge` and is not used again.
+    unsafe { dealloc(raw, huge) };
+    None
+}
+
+/// Huge pages need Linux's `madvise`, and Miri cannot call foreign code:
+/// elsewhere every slab takes the plain layout.
+#[cfg(not(all(target_os = "linux", not(miri))))]
+fn alloc_huge(_plain: Layout) -> Option<(*mut u8, Layout)> {
+    None
 }
 
 #[cfg(test)]
@@ -340,6 +459,86 @@ mod tests {
         assert!(idx.claim_resize());
         assert!(!idx.claim_resize());
         assert!(idx.resize_in_progress());
+    }
+
+    /// Bins of one huge page: the smallest index whose bins take the
+    /// huge-page path.
+    const HUGE_BINS: usize = HUGE_PAGE / std::mem::size_of::<PrimaryBucket>();
+
+    #[test]
+    #[cfg(all(target_os = "linux", not(miri)))]
+    fn huge_page_sized_bins_start_on_a_huge_page_boundary() {
+        if std::fs::metadata("/sys/kernel/mm/transparent_hugepage/enabled").is_err() {
+            eprintln!("skipped: kernel without transparent huge pages refuses MADV_HUGEPAGE");
+            return;
+        }
+        for bins in [HUGE_BINS, 3 * HUGE_BINS + 5] {
+            let idx = Index::new(bins, &small_config(), 0);
+            assert!(idx.memory_bytes() >= HUGE_PAGE);
+            let addr = idx.bin(0) as *const PrimaryBucket as usize;
+            assert_eq!(addr % HUGE_PAGE, 0, "{bins} bins at {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn fresh_small_and_large_indexes_are_empty() {
+        // Miri interprets every store: it builds the small index only (both
+        // take the same plain layout there).
+        let sizes: &[usize] = if cfg!(miri) {
+            &[16]
+        } else {
+            &[16, HUGE_BINS + 1]
+        };
+        for &bins in sizes {
+            let idx = Index::new(bins, &DlhtConfig::new(bins).with_link_ratio(2), 0);
+            for b in 0..idx.num_bins() {
+                let bin = idx.bin(b);
+                assert_eq!(
+                    BinHeader(bin.header.load(Ordering::Relaxed)),
+                    BinHeader::EMPTY
+                );
+                assert_eq!(LinkMeta(bin.link.load(Ordering::Relaxed)), LinkMeta::EMPTY);
+                assert!(
+                    bin.slots
+                        .iter()
+                        .all(|s| s.load(Ordering::Relaxed) == (0, 0)),
+                    "bin {b}"
+                );
+            }
+            for l in 0..idx.num_links() {
+                let link = idx.link(l as u32);
+                assert!(
+                    link.slots
+                        .iter()
+                        .all(|s| s.load(Ordering::Relaxed) == (0, 0)),
+                    "link {l}"
+                );
+            }
+            assert_eq!(idx.occupied_slots(), 0, "{bins} bins");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "tens of thousands of inserts are too slow under Miri")]
+    fn growing_from_a_small_to_a_huge_page_index_keeps_every_key() {
+        use crate::table::RawTable;
+        // 8 Ki bins (512 KiB) grow 4x to 32 Ki bins, exactly one huge page.
+        let table = RawTable::new(HUGE_BINS / 4);
+        assert!(table.stats().index_bytes < HUGE_PAGE);
+        let mut rng = 0x5EED_u64;
+        let keys: Vec<u64> = (0..30_000)
+            .map(|_| dlht_util::splitmix64(&mut rng) >> 2)
+            .collect();
+        for &k in &keys {
+            assert!(table.insert(k, !k).unwrap().inserted(), "key {k}");
+        }
+        let stats = table.stats();
+        assert!(stats.resizes > 0, "30000 keys overflow 8 Ki bins");
+        assert!(stats.bins * std::mem::size_of::<PrimaryBucket>() >= HUGE_PAGE);
+        for &k in &keys {
+            assert_eq!(table.get(k), Some(!k), "key {k}");
+        }
+        assert_eq!(table.len(), keys.len());
     }
 
     #[test]

@@ -340,6 +340,9 @@ impl KvBackend for RawTable {
     fn delete(&self, key: u64) -> Option<u64> {
         RawTable::delete(self, key)
     }
+    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
+        RawTable::upsert(self, key, value)
+    }
     fn len(&self) -> usize {
         RawTable::len(self)
     }

@@ -75,27 +75,12 @@ impl DlhtMap {
         self.table.put(key, value)
     }
 
-    /// Insert if absent, otherwise update — a convenience composition of
-    /// [`DlhtMap::insert`] and [`DlhtMap::put`]. Returns the previous value on
-    /// update, `Ok(None)` on a fresh insert.
-    ///
-    /// Insert failures (reserved key, table full with resizing disabled) are
-    /// propagated; earlier versions silently reported them as "no previous
-    /// value", which made a full table indistinguishable from a successful
-    /// first insert.
+    /// Insert if absent, otherwise update; returns the previous value on
+    /// update, `Ok(None)` on a fresh insert, and propagates insert failures
+    /// (see [`RawTable::upsert`]).
+    #[inline]
     pub fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        loop {
-            match self.table.insert(key, value)? {
-                o if o.inserted() => return Ok(None),
-                _ => {
-                    // Key existed; try to overwrite. A concurrent delete may
-                    // remove it between the two calls — retry the insert then.
-                    if let Some(prev) = self.table.put(key, value) {
-                        return Ok(Some(prev));
-                    }
-                }
-            }
-        }
+        self.table.upsert(key, value)
     }
 
     /// Delete `key`, returning its value. The slot is immediately reusable.

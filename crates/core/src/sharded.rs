@@ -194,20 +194,10 @@ impl ShardedTable {
     }
 
     /// Insert if absent, otherwise update; returns the previous value on
-    /// update and propagates insert errors (same contract as
-    /// [`crate::DlhtMap::upsert`]).
+    /// update and propagates insert errors (see [`RawTable::upsert`]).
+    #[inline]
     pub fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        let shard = self.route(key);
-        loop {
-            match shard.insert(key, value)? {
-                o if o.inserted() => return Ok(None),
-                _ => {
-                    if let Some(prev) = shard.put(key, value) {
-                        return Ok(Some(prev));
-                    }
-                }
-            }
-        }
+        self.route(key).upsert(key, value)
     }
 
     /// Shadow-insert (transactional lock, §3.2.2) on the key's shard.

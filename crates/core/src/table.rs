@@ -214,6 +214,24 @@ impl RawTable {
         self.run_mutating(start, |idx| self.put_in(idx, key, value))
     }
 
+    /// Insert if absent, otherwise update. Returns the previous value on
+    /// update, `Ok(None)` on a fresh insert, and propagates insert errors
+    /// (reserved key, table full with resizing disabled).
+    ///
+    /// Every `Some(prev)` comes from the `put` that wrote `value`: when a
+    /// concurrent delete empties the key between the insert and the put, the
+    /// loop retries the insert rather than report a value it never replaced.
+    pub fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
+        loop {
+            if self.insert(key, value)?.inserted() {
+                return Ok(None);
+            }
+            if let Some(prev) = self.put(key, value) {
+                return Ok(Some(prev));
+            }
+        }
+    }
+
     /// Delete `key`, immediately reclaiming its slot (§3.2.3). Returns the
     /// deleted value word.
     pub fn delete(&self, key: u64) -> Option<u64> {

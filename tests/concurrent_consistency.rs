@@ -2,7 +2,10 @@
 //! under mixed workloads, resizes, and batching.
 
 use dlht::hash::HashKind;
-use dlht::{Batch, BatchPolicy, Dlht, DlhtConfig, DlhtMap, Pipeline, Request, Response};
+use dlht::{
+    Batch, BatchPolicy, Dlht, DlhtConfig, DlhtMap, KvBackend, Pipeline, RawTable, Request,
+    Response, ShardedTable,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 #[test]
@@ -273,4 +276,67 @@ fn allocator_mode_overwrites_never_hide_the_key() {
     });
     assert_eq!(map.get(&key), Some(encode(WRITES)));
     assert_eq!(map.len(), 1);
+}
+
+/// One thread upserts the distinct values `1..=UPSERTS` into one key while
+/// another deletes it and re-inserts values of its own. Every `Some(prev)` an
+/// upsert returns must be a value some thread wrote, and an upsert that ran
+/// while no one else wrote must leave its own value readable.
+fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
+    const KEY: u64 = 0xD1_47;
+    const UPSERTS: u64 = 20_000;
+    const CHURN: u64 = 1 << 40; // the churner's n-th value is CHURN | n
+    let name = table.name();
+    // Even while the churner is idle, odd while one of its writes runs.
+    let clock = AtomicU64::new(0);
+    // The churner's values written so far are CHURN | 1 ..= CHURN | churned.
+    let churned = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    let mut quiet_upserts = 0u64;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut n = 0u64;
+            while !done.load(Ordering::Acquire) {
+                clock.fetch_add(1, Ordering::SeqCst);
+                table.delete(KEY);
+                n += 1;
+                churned.store(n, Ordering::SeqCst);
+                let _ = table.insert(KEY, CHURN | n).unwrap();
+                clock.fetch_add(1, Ordering::SeqCst);
+                // Idle gaps of varying length, so upserts meet both racing
+                // and quiet windows.
+                for _ in 0..n % 512 {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        for i in 1..=UPSERTS {
+            let before = clock.load(Ordering::SeqCst);
+            if let Some(prev) = table.upsert(KEY, i).unwrap() {
+                let written = if prev & CHURN != 0 {
+                    prev & !CHURN <= churned.load(Ordering::SeqCst)
+                } else {
+                    prev < i
+                };
+                assert!(
+                    written,
+                    "{name}: upsert {i} reported {prev:#x}, never written"
+                );
+            }
+            let now = table.get(KEY);
+            if before.is_multiple_of(2) && clock.load(Ordering::SeqCst) == before {
+                assert_eq!(now, Some(i), "{name}: quiet upsert {i} not readable");
+                quiet_upserts += 1;
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+    assert!(quiet_upserts > 0, "{name}: no upsert ran in a quiet window");
+}
+
+#[test]
+fn upserts_racing_delete_and_reinsert_write_what_they_report() {
+    upserts_race_delete_and_reinsert(&RawTable::new(64));
+    upserts_race_delete_and_reinsert(&DlhtMap::new(64));
+    upserts_race_delete_and_reinsert(&ShardedTable::new(4, 64));
 }

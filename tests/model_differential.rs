@@ -700,7 +700,9 @@ fn differential_typed_facades_inline_and_sharded() {
 fn differential_alloc_mode_facade() {
     use dlht::Dlht;
     // The Allocator mode (mixed inline/bytes pair) under the same random
-    // sequences; `put` is delete+insert there, so it returns a Result.
+    // sequences; `put` there builds a new record and publishes it with one
+    // pointer swap (`AllocSession::replace_with`). Building the record can
+    // fail, so it returns a Result.
     let seeds = 2 * stress();
     for seed in 0..seeds {
         let map: Dlht<u64, Vec<u8>> = Dlht::with_capacity(256);
