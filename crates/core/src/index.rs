@@ -15,6 +15,46 @@ use std::ops::Deref;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 
+/// `key`'s bin among `num_bins` bins under `hash` — [`Index::bin_of`] and
+/// [`BinGeometry::prefetch`] share it.
+#[inline]
+fn bin_for(hash: HashKind, num_bins: usize, key: u64) -> usize {
+    (hash.hash_u64(key) % num_bins as u64) as usize
+}
+
+/// What a prefetch needs from an index: where its bins start, how many there
+/// are, and the hash that picks one. A plain copy that may outlive the index
+/// it was read from, so neither pointer is ever dereferenced: a stale
+/// geometry (the index was replaced, freed, or its address reused) costs at
+/// most one wasted prefetch of an address `prefetch_read` may be given
+/// (it never faults).
+#[derive(Clone, Copy)]
+pub(crate) struct BinGeometry {
+    /// The index this was read from; compared, never dereferenced.
+    pub(crate) index: *const Index,
+    bins: *const PrimaryBucket,
+    num_bins: usize,
+    hash: HashKind,
+}
+
+impl BinGeometry {
+    /// Matches no index: a table's current index is never null.
+    pub(crate) const NONE: Self = BinGeometry {
+        index: std::ptr::null(),
+        bins: std::ptr::null(),
+        num_bins: 1,
+        hash: HashKind::Modulo,
+    };
+
+    /// Prefetch the primary bucket `key` hashes to (§3.3). The address is
+    /// computed with wrapping arithmetic and only prefetched.
+    #[inline]
+    pub(crate) fn prefetch(&self, key: u64) {
+        let bin = bin_for(self.hash, self.num_bins, key);
+        prefetch_read(self.bins.wrapping_add(bin));
+    }
+}
+
 /// One generation of the table: bins, link buckets, and resize state.
 ///
 /// Indexes are linked into a forward chain through `Index::next` by the
@@ -98,7 +138,7 @@ impl Index {
     /// Map a key to its bin.
     #[inline]
     pub fn bin_of(&self, key: u64) -> usize {
-        (self.hash.hash_u64(key) % self.num_bins as u64) as usize
+        bin_for(self.hash, self.num_bins, key)
     }
 
     /// The primary bucket of bin `b`.
@@ -117,6 +157,22 @@ impl Index {
     #[inline]
     pub fn prefetch_bin(&self, b: usize) {
         prefetch_read(&self.bins[b] as *const PrimaryBucket);
+    }
+
+    /// This index's [`BinGeometry`], kept by a [`crate::Session`] as its
+    /// prefetch hint.
+    // ESCAPE: the copied `bins` and `self` pointers outlive the guard that
+    // made `&self` reachable, but nothing dereferences them: the index
+    // pointer is only compared and the bins pointer only offset (wrapping)
+    // and prefetched, which never faults (see `BinGeometry`).
+    #[inline]
+    pub(crate) fn bin_geometry(&self) -> BinGeometry {
+        BinGeometry {
+            index: self,
+            bins: self.bins.as_ptr(),
+            num_bins: self.num_bins,
+            hash: self.hash,
+        }
     }
 
     /// Allocate `n` consecutive link buckets (n is 1 or 2). Returns the index

@@ -324,110 +324,67 @@ impl KvBackend for DlhtMap {
     }
 }
 
-impl KvBackend for RawTable {
-    fn get(&self, key: u64) -> Option<u64> {
-        RawTable::get(self, key)
-    }
-    fn contains(&self, key: u64) -> bool {
-        RawTable::contains(self, key)
-    }
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        RawTable::insert(self, key, value)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        RawTable::put(self, key, value)
-    }
-    fn delete(&self, key: u64) -> Option<u64> {
-        RawTable::delete(self, key)
-    }
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        RawTable::upsert(self, key, value)
-    }
-    fn len(&self) -> usize {
-        RawTable::len(self)
-    }
-    fn name(&self) -> &'static str {
-        "DLHT-raw"
-    }
-    fn features(&self) -> MapFeatures {
-        MapFeatures::dlht()
-    }
-    fn stats(&self) -> TableStats {
-        RawTable::stats(self)
-    }
-    fn retired_indexes(&self) -> usize {
-        RawTable::retired_indexes(self)
-    }
-    fn supports_batching(&self) -> bool {
-        true
-    }
-    fn prefetch_key(&self, key: u64) {
-        RawTable::prefetch(self, key)
-    }
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        RawTable::execute(self, batch, policy)
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        RawTable::execute_prefetched(self, batch, policy)
-    }
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        RawTable::execute_batch(self, requests, policy)
-    }
+/// `RawTable` and `ShardedTable` through the unified API: every method
+/// calls the table's inherent method of the same name, and batches go to
+/// the table's own prefetched batch engine.
+macro_rules! native_kv_backend {
+    ($($table:ident => $name:literal),+) => {$(
+        impl KvBackend for $table {
+            fn get(&self, key: u64) -> Option<u64> {
+                $table::get(self, key)
+            }
+            fn contains(&self, key: u64) -> bool {
+                $table::contains(self, key)
+            }
+            fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
+                $table::insert(self, key, value)
+            }
+            fn put(&self, key: u64, value: u64) -> Option<u64> {
+                $table::put(self, key, value)
+            }
+            fn delete(&self, key: u64) -> Option<u64> {
+                $table::delete(self, key)
+            }
+            fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
+                $table::upsert(self, key, value)
+            }
+            fn len(&self) -> usize {
+                $table::len(self)
+            }
+            fn name(&self) -> &'static str {
+                $name
+            }
+            fn features(&self) -> MapFeatures {
+                MapFeatures::dlht()
+            }
+            fn stats(&self) -> TableStats {
+                $table::stats(self)
+            }
+            fn retired_indexes(&self) -> usize {
+                $table::retired_indexes(self)
+            }
+            fn supports_batching(&self) -> bool {
+                true
+            }
+            fn prefetch_key(&self, key: u64) {
+                $table::prefetch(self, key)
+            }
+            fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+                $table::execute(self, batch, policy)
+            }
+            fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+                $table::execute_prefetched(self, batch, policy)
+            }
+            fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
+                $table::execute_batch(self, requests, policy)
+            }
+        }
+    )+};
 }
 
-/// The sharded front through the unified API: same per-key semantics as
-/// [`DlhtMap`], with shard-local (independent) resizes and per-shard-run
-/// batch execution — see [`ShardedTable`].
-impl KvBackend for ShardedTable {
-    fn get(&self, key: u64) -> Option<u64> {
-        ShardedTable::get(self, key)
-    }
-    fn contains(&self, key: u64) -> bool {
-        ShardedTable::contains(self, key)
-    }
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        ShardedTable::insert(self, key, value)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        ShardedTable::put(self, key, value)
-    }
-    fn delete(&self, key: u64) -> Option<u64> {
-        ShardedTable::delete(self, key)
-    }
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        ShardedTable::upsert(self, key, value)
-    }
-    fn len(&self) -> usize {
-        ShardedTable::len(self)
-    }
-    fn name(&self) -> &'static str {
-        "DLHT-Sharded"
-    }
-    fn features(&self) -> MapFeatures {
-        MapFeatures::dlht()
-    }
-    fn stats(&self) -> TableStats {
-        ShardedTable::stats(self)
-    }
-    fn retired_indexes(&self) -> usize {
-        ShardedTable::retired_indexes(self)
-    }
-    fn supports_batching(&self) -> bool {
-        true
-    }
-    fn prefetch_key(&self, key: u64) {
-        ShardedTable::prefetch(self, key)
-    }
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        ShardedTable::execute(self, batch, policy)
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        ShardedTable::execute_prefetched(self, batch, policy)
-    }
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        ShardedTable::execute_batch(self, requests, policy)
-    }
-}
+// The sharded front has the same per-key semantics as `DlhtMap`, with
+// shard-local (independent) resizes and per-shard-run batch execution.
+native_kv_backend!(RawTable => "DLHT-raw", ShardedTable => "DLHT-Sharded");
 
 /// The HashSet mode through the unified API: values are ignored on insert
 /// (stored as the given word) and a member key reads back its stored word.

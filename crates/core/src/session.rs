@@ -3,9 +3,16 @@
 //! Every DLHT request must announce itself to the [`crate::registry::ThreadRegistry`]
 //! so retired indexes can be garbage-collected after a resize. The plain
 //! operations look the announcement slot up through a thread-local on every
-//! call; a [`Session`] claims the slot **once** and reuses it, making the
-//! per-request overhead exactly the two stores the paper describes — and it
-//! is the factory for the [`Pipeline`] submission interface.
+//! call; a [`Session`] claims the slot **once** and reuses it, so each
+//! single operation and each executed batch pays one enter/leave pair (the
+//! two stores the paper describes) — and it is the factory for the
+//! [`Pipeline`] submission interface.
+//!
+//! Prefetch hints take no announcement at all. A session keeps the geometry
+//! of the index it last entered (bins address, bin count, hash) and
+//! [`Session::prefetch`] works from that copy after one relaxed load of the
+//! table's current index; it enters only when that index has changed. The
+//! copy is never dereferenced, so a stale one only wastes a prefetch.
 //!
 //! ```
 //! use dlht_core::{Batch, BatchPolicy, DlhtMap, Request, Response};
@@ -33,8 +40,10 @@
 use crate::batch::{Batch, BatchPolicy};
 use crate::error::{DlhtError, InsertOutcome};
 use crate::header::SlotState;
+use crate::index::BinGeometry;
 use crate::pipeline::{BatchExecutor, Pipeline};
 use crate::table::{EnterGuard, RawTable};
+use std::cell::Cell;
 use std::marker::PhantomData;
 
 /// A per-thread handle over a [`RawTable`] (or any mode wrapping one) with a
@@ -48,6 +57,9 @@ pub struct Session<'t> {
     /// The claimed announcement slot; `None` when resizing is disabled and
     /// the enter/leave protocol is skipped entirely (§3.4.5).
     slot: Option<usize>,
+    /// Geometry of the index this session last entered: the hint
+    /// [`Session::prefetch`] works from without entering.
+    hint: Cell<BinGeometry>,
     /// Pins the session to its creating thread.
     _not_send: PhantomData<*mut ()>,
 }
@@ -61,16 +73,27 @@ impl<'t> Session<'t> {
         Session {
             table,
             slot,
+            hint: Cell::new(BinGeometry::NONE),
             _not_send: PhantomData,
         }
     }
 
+    /// Enter the table, refreshing the prefetch hint from the entered index.
     #[inline]
     pub(crate) fn enter(&self) -> EnterGuard<'t> {
-        match self.slot {
+        let guard = match self.slot {
             Some(slot) => self.table.enter_with_slot(slot),
             None => self.table.enter(),
-        }
+        };
+        // SAFETY: the guard protects the index it entered.
+        self.hint.set(unsafe { &*guard.index_ptr() }.bin_geometry());
+        guard
+    }
+
+    /// The index the prefetch hint was read from (never dereferenced).
+    #[cfg(test)]
+    fn hint_index(&self) -> *const crate::index::Index {
+        self.hint.get().index
     }
 
     /// The table this session operates on.
@@ -118,12 +141,18 @@ impl<'t> Session<'t> {
     }
 
     /// Issue a software prefetch for the bin `key` hashes to.
+    ///
+    /// A prefetch is a hint, so this takes no announcement: it computes the
+    /// bin from the geometry of the index the session last entered, and
+    /// enters (refreshing that geometry) only when the table's current index
+    /// is a different one. Racing a resize costs at most one wasted
+    /// prefetch; the operation that follows enters and finds the key.
+    #[inline]
     pub fn prefetch(&self, key: u64) {
-        let guard = self.enter();
-        // SAFETY: protected by the guard.
-        let idx = unsafe { &*guard.index_ptr() };
-        idx.prefetch_bin(idx.bin_of(key));
-        drop(guard);
+        if self.hint.get().index != self.table.current_unpinned() {
+            drop(self.enter());
+        }
+        self.hint.get().prefetch(key);
     }
 
     /// Execute `batch` in order with the prefetch sweep, reusing the batch's
@@ -173,6 +202,7 @@ mod tests {
     use crate::batch::{Request, Response};
     use crate::config::DlhtConfig;
     use crate::map::DlhtMap;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn session_single_ops_roundtrip() {
@@ -219,6 +249,107 @@ mod tests {
             }
         }
         assert_eq!(hits, 32);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "thousands of spinning batches are too slow under Miri")]
+    fn prefetch_hints_follow_resizes_and_reclaim() {
+        const KEYS: u64 = 512;
+        const GROWS: u64 = 3;
+        let value = |k: u64| k * 7 + 1;
+        let map = DlhtMap::with_config(DlhtConfig::new(64).with_chunk_bins(8));
+        for k in 0..KEYS {
+            assert!(map.insert(k, value(k)).unwrap().inserted());
+        }
+        let resizes_before = map.resizes();
+        // Grows the grower has finished (and reclaimed the old index of);
+        // grows after which the reader has checked its hint.
+        let grown = AtomicU64::new(0);
+        let checked = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let session = map.session();
+                let mut batch = Batch::with_capacity(16);
+                let mut keys = [0u64; 16];
+                let mut next = 0u64;
+                let mut last_hint = std::ptr::null();
+                while checked.load(Ordering::Acquire) < GROWS {
+                    let g = grown.load(Ordering::Acquire);
+                    if g > checked.load(Ordering::Relaxed) {
+                        // The grower waits for this check, so `current` is
+                        // stable while it runs.
+                        session.prefetch(next % KEYS);
+                        let current = map.raw().current_unpinned();
+                        assert_eq!(session.hint_index(), current, "hint stale after grow {g}");
+                        assert_ne!(current, last_hint, "grow {g} left the index in place");
+                        last_hint = current;
+                        checked.store(g, Ordering::Release);
+                    }
+                    batch.clear();
+                    for k in keys.iter_mut() {
+                        *k = next % KEYS;
+                        next += 1;
+                        session.prefetch(*k);
+                        batch.push_get(*k);
+                    }
+                    session.execute_prefetched(&mut batch, BatchPolicy::RunAll);
+                    for (k, r) in keys.iter().zip(batch.responses()) {
+                        assert_eq!(*r, Response::Value(Some(value(*k))), "key {k}");
+                    }
+                }
+            });
+            let mut fresh = 1 << 32;
+            // A reader that stopped early failed an assertion: stop growing so
+            // the scope joins it and reports the panic.
+            for g in 1..=GROWS {
+                if reader.is_finished() {
+                    break;
+                }
+                let before = map.resizes();
+                while map.resizes() == before {
+                    assert!(map.insert(fresh, 0).unwrap().inserted());
+                    fresh += 1;
+                }
+                while map.raw().retired_indexes() > 0 {
+                    map.raw().collect_retired();
+                    std::thread::yield_now();
+                }
+                grown.store(g, Ordering::Release);
+                while checked.load(Ordering::Acquire) < g && !reader.is_finished() {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        assert!(map.resizes() - resizes_before >= GROWS);
+    }
+
+    #[test]
+    fn a_stale_hint_to_a_freed_index_is_only_compared() {
+        let map = DlhtMap::with_config(DlhtConfig::new(4).with_chunk_bins(2));
+        let s = map.session();
+        assert!(s.insert(1, 10).unwrap().inserted());
+        s.prefetch(1);
+        let stale = s.hint_index();
+        let mut k = 2u64;
+        while map.resizes() < 2 {
+            assert!(map.insert(k, k).unwrap().inserted());
+            k += 1;
+        }
+        map.raw().collect_retired();
+        assert_eq!(
+            map.raw().retired_indexes(),
+            0,
+            "both old indexes must be freed"
+        );
+        assert_eq!(s.hint_index(), stale, "only an enter refreshes the hint");
+        assert_ne!(stale, map.raw().current_unpinned());
+        // The hint now points at a freed index: prefetch may only compare it.
+        s.prefetch(1);
+        assert_eq!(s.hint_index(), map.raw().current_unpinned());
+        assert_eq!(s.get(1), Some(10));
+        for key in 2..k {
+            assert_eq!(s.get(key), Some(key));
+        }
     }
 
     #[test]

@@ -145,6 +145,17 @@ impl RawTable {
         }
     }
 
+    /// The current index, for comparison only: nothing pins it, so it must
+    /// never be dereferenced. [`crate::Session::prefetch`] checks its hint
+    /// against it.
+    #[inline]
+    pub(crate) fn current_unpinned(&self) -> *const Index {
+        // ORDERING: Relaxed — the pointer is only compared with a session's
+        // prefetch hint. A stale value costs one wasted prefetch or one extra
+        // enter; every access that dereferences the index enters first.
+        self.current.load(Ordering::Relaxed)
+    }
+
     /// The per-table thread registry (used by [`crate::Session`] to claim its
     /// announcement slot once).
     pub(crate) fn registry(&self) -> &ThreadRegistry {
@@ -954,6 +965,11 @@ impl RawTable {
 
     /// Issue a software prefetch for the bin that `key` hashes to in the
     /// current index (coroutine interoperation, §3.3).
+    ///
+    /// This enters and leaves the table for every key. A per-thread
+    /// [`crate::Session`] keeps the current index's geometry as a hint, and
+    /// its [`Session::prefetch`](crate::Session::prefetch) is the fast path:
+    /// no announcement unless the index changed.
     pub fn prefetch(&self, key: u64) {
         let guard = self.enter();
         // SAFETY: protected by the guard.
