@@ -22,8 +22,9 @@
 //! }
 //! ```
 
-use crate::json::{self, Json};
+use crate::json;
 use crate::rules::Finding;
+use dlht_obs::json::Json;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -57,24 +58,15 @@ impl Baseline {
 
     /// Parse a baseline document.
     pub fn from_json(text: &str) -> Result<Baseline, String> {
-        let doc = json::parse(text)?;
-        let obj = doc.as_obj().ok_or("top level is not an object")?;
-        let schema = json::get(obj, "schema")
-            .and_then(Json::as_str)
-            .ok_or("missing \"schema\"")?;
-        if schema != SCHEMA {
-            return Err(format!(
-                "unsupported schema {schema:?} (expected {SCHEMA:?})"
-            ));
-        }
-        let arr = json::get(obj, "entries")
-            .and_then(Json::as_arr)
+        let doc = json::parse_schema(text, SCHEMA)?;
+        let arr = doc
+            .get("entries")
+            .and_then(Json::as_array)
             .ok_or("missing \"entries\" array")?;
         let mut entries = Vec::with_capacity(arr.len());
         for item in arr {
-            let o = item.as_obj().ok_or("entry is not an object")?;
             let field = |k: &str| {
-                json::get(o, k)
+                item.get(k)
                     .and_then(Json::as_str)
                     .map(str::to_string)
                     .ok_or(format!("entry missing {k:?}"))

@@ -1,7 +1,8 @@
-//! Minimal dependency-free JSON: enough to emit schema-versioned diagnostics
-//! and to round-trip the baseline file. The repository builds fully offline,
-//! so `serde` is not an option; the subset implemented here is exactly what
-//! the two schemas use (objects, arrays, strings, unsigned integers, bools).
+//! The diagnostics document: a deterministic writer (fixed key order and
+//! layout, so `--format json` output and `audit.baseline.json` stay
+//! byte-stable) plus readers built on the workspace's one JSON codec,
+//! [`dlht_obs::json`]. The repository builds fully offline, so `serde` is not
+//! an option.
 //!
 //! # Diagnostics schema (`dlht-audit/v2`)
 //!
@@ -20,6 +21,7 @@
 //! reported but do not gate (see [`crate::baseline`]).
 
 use crate::rules::{Finding, Rule};
+use dlht_obs::json::Json;
 use std::fmt::Write as _;
 
 /// The diagnostics schema identifier.
@@ -75,295 +77,61 @@ pub fn findings_to_json(findings: &[(&Finding, bool)]) -> String {
 /// Parse a `dlht-audit/v2` document back into findings + baselined flags
 /// (the golden-file round-trip and any downstream tooling).
 pub fn findings_from_json(text: &str) -> Result<Vec<(Finding, bool)>, String> {
-    let doc = parse(text)?;
-    let obj = doc.as_obj().ok_or("top level is not an object")?;
-    let schema = get(obj, "schema")
-        .and_then(Json::as_str)
-        .ok_or("missing \"schema\"")?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unsupported schema {schema:?} (expected {SCHEMA:?})"
-        ));
-    }
-    let arr = get(obj, "findings")
-        .and_then(Json::as_arr)
+    let doc = parse_schema(text, SCHEMA)?;
+    let arr = doc
+        .get("findings")
+        .and_then(Json::as_array)
         .ok_or("missing \"findings\" array")?;
     let mut out = Vec::with_capacity(arr.len());
     for item in arr {
-        let o = item.as_obj().ok_or("finding is not an object")?;
-        let rule_name = get(o, "rule")
-            .and_then(Json::as_str)
-            .ok_or("missing rule")?;
+        let field = |k: &str| {
+            item.get(k)
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("finding missing {k:?}"))
+        };
+        let rule_name = field("rule")?;
         let rule =
             Rule::from_name(rule_name).ok_or_else(|| format!("unknown rule {rule_name:?}"))?;
-        let f = Finding::new(
-            get(o, "file")
-                .and_then(Json::as_str)
-                .ok_or("missing file")?,
-            get(o, "line")
-                .and_then(Json::as_usize)
-                .ok_or("missing line")?,
-            rule,
-            get(o, "message")
-                .and_then(Json::as_str)
-                .ok_or("missing message")?,
-        );
-        let severity = get(o, "severity")
-            .and_then(Json::as_str)
-            .ok_or("missing severity")?;
+        let line = item
+            .get("line")
+            .and_then(Json::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or("missing line")?;
+        let f = Finding::new(field("file")?, line, rule, field("message")?);
+        let severity = field("severity")?;
         if severity != f.severity.name() {
             return Err(format!(
                 "severity {severity:?} does not match rule {rule_name:?}"
             ));
         }
-        let baselined = get(o, "baselined").and_then(Json::as_bool).unwrap_or(false);
+        let baselined = item
+            .get("baselined")
+            .and_then(Json::as_bool)
+            .unwrap_or(false);
         out.push((f, baselined));
     }
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// A tiny JSON value + recursive-descent parser
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value (numbers are kept as `u64`: both schemas only use
-/// line numbers).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+/// Parse `text` and check that its `"schema"` member is `schema`.
+pub(crate) fn parse_schema(text: &str, schema: &str) -> Result<Json, String> {
+    let doc = Json::parse(text).map_err(|e| e.to_string())?;
+    let found = doc
+        .get("schema")
+        .and_then(Json::as_str)
+        .ok_or("missing \"schema\"")?;
+    if found != schema {
+        return Err(format!(
+            "unsupported schema {found:?} (expected {schema:?})"
+        ));
     }
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Json::Num(n) => usize::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-/// First value for `key` in an object body.
-pub fn get<'a>(obj: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Parse one JSON document (trailing whitespace allowed, nothing else).
-pub fn parse(text: &str) -> Result<Json, String> {
-    let chars: Vec<char> = text.chars().collect();
-    let mut p = P { c: &chars, i: 0 };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.c.len() {
-        return Err(format!("trailing garbage at offset {}", p.i));
-    }
-    Ok(v)
-}
-
-struct P<'a> {
-    c: &'a [char],
-    i: usize,
-}
-
-impl P<'_> {
-    fn ws(&mut self) {
-        while self.i < self.c.len() && self.c[self.i].is_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.c.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: char) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at offset {}", self.i))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        for c in word.chars() {
-            self.eat(c)?;
-        }
-        Ok(v)
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some('n') => self.lit("null", Json::Null),
-            Some('t') => self.lit("true", Json::Bool(true)),
-            Some('f') => self.lit("false", Json::Bool(false)),
-            Some('"') => self.string().map(Json::Str),
-            Some('[') => self.array(),
-            Some('{') => self.object(),
-            Some(c) if c.is_ascii_digit() => self.number(),
-            other => Err(format!("unexpected {other:?} at offset {}", self.i)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.i;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        let s: String = self.c[start..self.i].iter().collect();
-        s.parse::<u64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {s:?}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat('"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some('"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('/') => out.push('/'),
-                        Some('n') => out.push('\n'),
-                        Some('r') => out.push('\r'),
-                        Some('t') => out.push('\t'),
-                        Some('b') => out.push('\u{0008}'),
-                        Some('f') => out.push('\u{000C}'),
-                        Some('u') => {
-                            let hex: String = self
-                                .c
-                                .get(self.i + 1..self.i + 5)
-                                .unwrap_or(&[])
-                                .iter()
-                                .collect();
-                            let n = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            out.push(char::from_u32(n).unwrap_or('\u{FFFD}'));
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(c) => {
-                    out.push(c);
-                    self.i += 1;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat('[')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.peek() == Some(']') {
-            self.i += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.ws();
-            out.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(',') => self.i += 1,
-                Some(']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(out));
-                }
-                other => return Err(format!("expected , or ] got {other:?}")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat('{')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.peek() == Some('}') {
-            self.i += 1;
-            return Ok(Json::Obj(out));
-        }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.ws();
-            self.eat(':')?;
-            self.ws();
-            let v = self.value()?;
-            out.push((k, v));
-            self.ws();
-            match self.peek() {
-                Some(',') => self.i += 1,
-                Some('}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(out));
-                }
-                other => return Err(format!("expected , or }} got {other:?}")),
-            }
-        }
-    }
+    Ok(doc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::Severity;
-
-    #[test]
-    fn value_parser_handles_the_subset() {
-        let v = parse(r#"{"a": [1, 2], "b": "x\n\"y\"", "c": true, "d": null}"#).unwrap();
-        let o = v.as_obj().unwrap();
-        assert_eq!(get(o, "a").unwrap().as_arr().unwrap().len(), 2);
-        assert_eq!(get(o, "b").unwrap().as_str(), Some("x\n\"y\""));
-        assert_eq!(get(o, "c").unwrap().as_bool(), Some(true));
-        assert_eq!(get(o, "d"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{} extra").is_err());
-        assert!(parse("\"unterminated").is_err());
-    }
 
     #[test]
     fn findings_round_trip() {

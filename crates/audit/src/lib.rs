@@ -1,7 +1,8 @@
 //! # dlht-audit
 //!
-//! A dependency-free, source-level static analyzer that machine-checks the
-//! repository's `unsafe`/atomics discipline (see `docs/CORRECTNESS.md`).
+//! A source-level static analyzer that machine-checks the repository's
+//! `unsafe`/atomics discipline (see `docs/CORRECTNESS.md`). Its only
+//! dependency is `dlht-obs`, for the workspace's one JSON codec.
 //!
 //! **Per-file rules** (pass over each file independently):
 //!

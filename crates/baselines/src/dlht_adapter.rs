@@ -1,129 +1,33 @@
-//! Adapters exposing DLHT itself through the common [`KvBackend`] interface,
-//! in two flavours matching Table 3: `DLHT` (with batching / software
-//! prefetching) and `DLHT-NoBatch`.
+//! `DLHT-NoBatch` (Table 3) through the common [`KvBackend`] interface.
 //!
-//! `DlhtMap` implements [`KvBackend`] directly; these wrappers exist to pin
-//! the Table 3 display names and, for the NoBatch variant, to turn the batch
-//! entry point into a plain per-request loop so memory latencies are not
-//! overlapped.
+//! `DlhtMap` and `ShardedTable` implement [`KvBackend`] directly (as `DLHT`
+//! and `DLHT-<n>shards`). This wrapper exists because the NoBatch variant
+//! really does behave differently: its batch entry point is a plain
+//! per-request loop, so memory latencies are not overlapped.
 
 use dlht_core::{
-    Batch, BatchPolicy, DlhtConfig, DlhtError, DlhtMap, InsertOutcome, KvBackend, MapFeatures,
-    Request, Response, ShardedTable, TableStats,
+    DlhtConfig, DlhtError, DlhtMap, InsertOutcome, KvBackend, MapFeatures, TableStats,
 };
-use std::sync::Arc;
-
-/// DLHT with its batching (software prefetching) API.
-pub struct DlhtAdapter {
-    map: Arc<DlhtMap>,
-}
-
-impl DlhtAdapter {
-    /// Wrap a DLHT instance sized for `capacity` keys.
-    pub fn with_capacity(capacity: usize) -> Self {
-        DlhtAdapter {
-            map: Arc::new(DlhtMap::with_capacity(capacity)),
-        }
-    }
-
-    /// Wrap an explicit configuration.
-    pub fn with_config(config: DlhtConfig) -> Self {
-        DlhtAdapter {
-            map: Arc::new(DlhtMap::with_config(config)),
-        }
-    }
-
-    /// Access the wrapped map.
-    pub fn inner(&self) -> &DlhtMap {
-        &self.map
-    }
-}
-
-impl KvBackend for DlhtAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.map.get(key)
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.map.contains(key)
-    }
-
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        self.map.insert(key, value)
-    }
-
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        self.map.put(key, value)
-    }
-
-    fn delete(&self, key: u64) -> Option<u64> {
-        self.map.delete(key)
-    }
-
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        self.map.upsert(key, value)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "DLHT"
-    }
-
-    fn features(&self) -> MapFeatures {
-        MapFeatures::dlht()
-    }
-
-    fn stats(&self) -> TableStats {
-        self.map.stats()
-    }
-
-    fn retired_indexes(&self) -> usize {
-        self.map.raw().retired_indexes()
-    }
-
-    fn supports_batching(&self) -> bool {
-        true
-    }
-
-    fn prefetch_key(&self, key: u64) {
-        self.map.prefetch(key)
-    }
-
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.map.execute(batch, policy)
-    }
-
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.map.execute_prefetched(batch, policy)
-    }
-
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        self.map.execute_batch(requests, policy)
-    }
-}
 
 /// DLHT without the batching API (`DLHT-NoBatch` in Table 3): identical
 /// algorithms, but requests are issued one at a time so memory latencies are
 /// not overlapped.
 pub struct DlhtNoBatchAdapter {
-    map: Arc<DlhtMap>,
+    map: DlhtMap,
 }
 
 impl DlhtNoBatchAdapter {
     /// Wrap a DLHT instance sized for `capacity` keys.
     pub fn with_capacity(capacity: usize) -> Self {
         DlhtNoBatchAdapter {
-            map: Arc::new(DlhtMap::with_capacity(capacity)),
+            map: DlhtMap::with_capacity(capacity),
         }
     }
 
     /// Wrap an explicit configuration.
     pub fn with_config(config: DlhtConfig) -> Self {
         DlhtNoBatchAdapter {
-            map: Arc::new(DlhtMap::with_config(config)),
+            map: DlhtMap::with_config(config),
         }
     }
 }
@@ -173,7 +77,7 @@ impl KvBackend for DlhtNoBatchAdapter {
     }
 
     fn retired_indexes(&self) -> usize {
-        self.map.raw().retired_indexes()
+        self.map.retired_indexes()
     }
 
     // supports_batching stays false and execute stays the default per-request
@@ -181,129 +85,26 @@ impl KvBackend for DlhtNoBatchAdapter {
     // enter/leave amortization.
 }
 
-/// Display name for a sharded-DLHT front of `shards` shards. Applies the
-/// same power-of-two rounding as `ShardedTable` itself, so the label always
-/// matches the table actually built — the single source of truth shared by
-/// [`ShardedDlhtAdapter`] and `MapKind::name`.
-pub(crate) fn sharded_display_name(shards: usize) -> &'static str {
-    match shards.max(1).next_power_of_two() {
-        1 => "DLHT-1shard",
-        2 => "DLHT-2shards",
-        4 => "DLHT-4shards",
-        8 => "DLHT-8shards",
-        16 => "DLHT-16shards",
-        _ => "DLHT-Sharded",
-    }
-}
-
-/// The shard-partitioned DLHT front (`ShardedTable`) with a display name
-/// that spells out its fan-out, so sweep tables comparing several shard
-/// counts stay readable.
-pub struct ShardedDlhtAdapter {
-    table: ShardedTable,
-    name: &'static str,
-}
-
-impl ShardedDlhtAdapter {
-    /// Wrap a sharded table of `shards` shards sized for `capacity` keys in
-    /// total.
-    pub fn with_capacity(shards: usize, capacity: usize) -> Self {
-        let table = ShardedTable::with_capacity(shards, capacity);
-        let name = sharded_display_name(table.num_shards());
-        ShardedDlhtAdapter { table, name }
-    }
-
-    /// Access the wrapped sharded table (per-shard stats, sessions).
-    pub fn inner(&self) -> &ShardedTable {
-        &self.table
-    }
-}
-
-impl KvBackend for ShardedDlhtAdapter {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.table.get(key)
-    }
-
-    fn contains(&self, key: u64) -> bool {
-        self.table.contains(key)
-    }
-
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        self.table.insert(key, value)
-    }
-
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        self.table.put(key, value)
-    }
-
-    fn delete(&self, key: u64) -> Option<u64> {
-        self.table.delete(key)
-    }
-
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        self.table.upsert(key, value)
-    }
-
-    fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn features(&self) -> MapFeatures {
-        MapFeatures::dlht()
-    }
-
-    fn stats(&self) -> TableStats {
-        self.table.stats()
-    }
-
-    fn retired_indexes(&self) -> usize {
-        self.table.retired_indexes()
-    }
-
-    fn supports_batching(&self) -> bool {
-        true
-    }
-
-    fn prefetch_key(&self, key: u64) {
-        self.table.prefetch(key)
-    }
-
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.table.execute(batch, policy)
-    }
-
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.table.execute_prefetched(batch, policy)
-    }
-
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        self.table.execute_batch(requests, policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conformance;
+    use dlht_core::{Batch, BatchPolicy, Request, Response};
 
     #[test]
     fn adapter_basic_semantics() {
-        conformance::basic_semantics(&DlhtAdapter::with_capacity(1024));
+        conformance::basic_semantics(&DlhtMap::with_capacity(1024));
         conformance::basic_semantics(&DlhtNoBatchAdapter::with_capacity(1024));
     }
 
     #[test]
     fn adapter_concurrent_inserts() {
-        conformance::concurrent_inserts(&DlhtAdapter::with_capacity(50_000), 2_000);
+        conformance::concurrent_inserts(&DlhtMap::with_capacity(50_000), 2_000);
     }
 
     #[test]
     fn batched_requests_resolve_in_order() {
-        let m = DlhtAdapter::with_capacity(256);
+        let m = DlhtMap::with_capacity(256);
         let reqs = vec![
             Request::Insert(1, 10),
             Request::Get(1),
@@ -333,7 +134,7 @@ mod tests {
 
     #[test]
     fn adapter_reuses_batch_storage() {
-        let m = DlhtAdapter::with_capacity(256);
+        let m = DlhtMap::with_capacity(256);
         let mut batch = Batch::with_capacity(2);
         for round in 0..4u64 {
             batch.clear();

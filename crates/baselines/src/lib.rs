@@ -14,7 +14,7 @@
 //! | [`CuckooMap`] | libcuckoo | bucketized cuckoo hashing with striped locks |
 //! | [`LeapfrogLikeMap`] | Junction Leapfrog | quadratic probing, non-resizable, tombstones |
 //! | [`ShardedStdMap`] | Intel TBB concurrent_hash_map | RwLock-sharded general-purpose map |
-//! | [`DlhtAdapter`] / [`DlhtNoBatchAdapter`] | DLHT / DLHT-NoBatch | the paper's system, with and without batching |
+//! | `dlht_core::DlhtMap` / [`DlhtNoBatchAdapter`] | DLHT / DLHT-NoBatch | the paper's system, with and without batching |
 //!
 //! These are *algorithmic* stand-ins, not line-by-line ports: each reproduces
 //! the collision handling, delete semantics, resize behaviour, inlining, and
@@ -36,7 +36,7 @@ mod tbb_like;
 
 pub use clht::ClhtMap;
 pub use cuckoo::CuckooMap;
-pub use dlht_adapter::{DlhtAdapter, DlhtNoBatchAdapter, ShardedDlhtAdapter};
+pub use dlht_adapter::DlhtNoBatchAdapter;
 pub use dramhit_like::DramhitLikeMap;
 pub use folly_like::FollyLikeMap;
 pub use growt_like::GrowtLikeMap;
@@ -44,6 +44,9 @@ pub use leapfrog_like::LeapfrogLikeMap;
 pub use mica_like::MicaLikeMap;
 pub use open_addr::CellArray;
 pub use tbb_like::ShardedStdMap;
+
+use dlht_core::sharded::sharded_display_name;
+use dlht_core::{DlhtMap, ShardedTable};
 
 // The one operations API everything here implements (re-exported so
 // downstream crates need only this dependency to drive any table).
@@ -129,7 +132,7 @@ impl MapKind {
         match self {
             MapKind::Dlht => "DLHT",
             MapKind::DlhtNoBatch => "DLHT-NoBatch",
-            MapKind::DlhtSharded(n) => dlht_adapter::sharded_display_name(n as usize),
+            MapKind::DlhtSharded(n) => sharded_display_name(n as usize),
             MapKind::Clht => "CLHT",
             MapKind::Growt => "GrowT-like",
             MapKind::Folly => "Folly-like",
@@ -145,9 +148,9 @@ impl MapKind {
     /// unified operations trait.
     pub fn build(self, capacity: usize) -> Box<dyn KvBackend> {
         match self {
-            MapKind::Dlht => Box::new(DlhtAdapter::with_capacity(capacity)),
+            MapKind::Dlht => Box::new(DlhtMap::with_capacity(capacity)),
             MapKind::DlhtNoBatch => Box::new(DlhtNoBatchAdapter::with_capacity(capacity)),
-            MapKind::DlhtSharded(shards) => Box::new(ShardedDlhtAdapter::with_capacity(
+            MapKind::DlhtSharded(shards) => Box::new(ShardedTable::with_capacity(
                 (shards as usize).max(1),
                 capacity,
             )),

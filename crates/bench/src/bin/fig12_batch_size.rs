@@ -2,9 +2,8 @@
 //! Get-Resizing (resizing compiled in but not exercised), plus the
 //! pipelined submission interface (depth = batch size) for comparison.
 
-use dlht_baselines::DlhtAdapter;
 use dlht_bench::run_scenario;
-use dlht_core::DlhtConfig;
+use dlht_core::{DlhtConfig, DlhtMap};
 use dlht_workloads::{fmt_mops, prepopulate, Table, WorkloadSpec};
 
 fn main() {
@@ -15,12 +14,10 @@ fn main() {
         let keys = scale.keys;
 
         // Get / Get-Resizing / InsDel maps: resizing disabled vs enabled.
-        let no_resize = DlhtAdapter::with_config(
-            DlhtConfig::for_capacity(keys as usize * 2).with_resizing(false),
-        );
-        let with_resize = DlhtAdapter::with_config(
-            DlhtConfig::for_capacity(keys as usize * 2).with_resizing(true),
-        );
+        let no_resize =
+            DlhtMap::with_config(DlhtConfig::for_capacity(keys as usize * 2).with_resizing(false));
+        let with_resize =
+            DlhtMap::with_config(DlhtConfig::for_capacity(keys as usize * 2).with_resizing(true));
         prepopulate(&no_resize, keys);
         prepopulate(&with_resize, keys);
 

@@ -2,10 +2,8 @@
 //! variable value/key sizes, namespaces, switching off the pooled allocator),
 //! stacked and one-at-a-time, for the Get and InsDel workloads.
 
-use dlht_baselines::DlhtAdapter;
 use dlht_bench::{run_scenario, timed_mops, ScenarioCtx};
-use dlht_core::DlhtAllocMap;
-use dlht_core::DlhtConfig;
+use dlht_core::{DlhtAllocMap, DlhtConfig, DlhtMap};
 use dlht_hash::HashKind;
 use dlht_workloads::{fmt_mops, prepopulate, Table, WorkloadSpec};
 
@@ -13,7 +11,7 @@ use dlht_workloads::{fmt_mops, prepopulate, Table, WorkloadSpec};
 fn measure_inlined(ctx: &ScenarioCtx, config: DlhtConfig) -> (f64, f64) {
     let scale = &ctx.scale;
     let threads = *scale.threads.iter().max().unwrap_or(&1);
-    let map = DlhtAdapter::with_config(config);
+    let map = DlhtMap::with_config(config);
     prepopulate(&map, scale.keys);
     let get = ctx.measure(
         &map,

@@ -1,9 +1,9 @@
 //! Table 1: the feature matrix (collision handling, non-blocking operations,
 //! memory-access awareness) plus the occupancy-until-resize study of §5.1.5.
 
-use dlht_baselines::{DlhtAdapter, KvBackend, MapKind};
+use dlht_baselines::{KvBackend, MapKind};
 use dlht_bench::run_scenario;
-use dlht_core::DlhtConfig;
+use dlht_core::{DlhtConfig, DlhtMap};
 use dlht_hash::HashKind;
 use dlht_workloads::Table;
 
@@ -11,7 +11,7 @@ use dlht_workloads::Table;
 /// resize (wyhash, link buckets limited to one-fifth of the bins as in
 /// §5.1.5).
 fn dlht_occupancy_until_resize(bins: usize) -> f64 {
-    let map = DlhtAdapter::with_config(
+    let map = DlhtMap::with_config(
         DlhtConfig::new(bins)
             .with_hash(HashKind::WyHash)
             .with_link_ratio(5),
@@ -20,7 +20,7 @@ fn dlht_occupancy_until_resize(bins: usize) -> f64 {
     loop {
         let _ = map.insert(k, k);
         k += 1;
-        if map.inner().resizes() > 0 {
+        if map.resizes() > 0 {
             break;
         }
     }

@@ -24,7 +24,7 @@ use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::record::{key_word, Records};
 use crate::stats::TableStats;
-use crate::table::RawTable;
+use crate::table::DlhtMap;
 use crate::tagged_ptr::TaggedPtr;
 use dlht_alloc::ValueAllocator;
 use dlht_epoch::{Collector, LocalHandle};
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 /// Concurrent map for out-of-line (≥ 8 B) keys and values.
 pub struct DlhtAllocMap {
-    table: RawTable,
+    table: DlhtMap,
     records: Records<()>,
     collector: Arc<Collector>,
 }
@@ -51,7 +51,7 @@ impl DlhtAllocMap {
     ) -> Self {
         let fixed = (!config.variable_size).then_some((fixed_key_len, fixed_val_len));
         DlhtAllocMap {
-            table: RawTable::with_config(config),
+            table: DlhtMap::with_config(config),
             records: Records::new(allocator, fixed),
             collector: Arc::new(Collector::new()),
         }

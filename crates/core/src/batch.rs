@@ -35,7 +35,7 @@
 //! ```
 
 use crate::error::{DlhtError, InsertOutcome};
-use crate::table::RawTable;
+use crate::table::DlhtMap;
 
 /// One request in a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,7 +293,7 @@ impl Extend<Request> for Batch {
     }
 }
 
-impl RawTable {
+impl DlhtMap {
     /// Execute the queued requests of `batch` in order, writing one
     /// [`Response`] per request into the batch's own response storage.
     ///
@@ -301,16 +301,18 @@ impl RawTable {
     /// request's bin up front, and the enter/leave index-GC announcement is
     /// paid once for the whole batch (§3.3). A warm (reused) batch executes
     /// with zero heap allocations.
+    #[inline]
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
         let guard = self.enter();
         self.execute_entered(guard.index_ptr(), batch, policy, true);
         drop(guard);
     }
 
-    /// [`RawTable::execute`] without the up-front prefetch sweep, for callers
+    /// [`DlhtMap::execute`] without the up-front prefetch sweep, for callers
     /// (the [`crate::Pipeline`]) that already prefetched every request's bin
     /// at submit time — sweeping again here would add no latency-hiding
     /// distance.
+    #[inline]
     // HOT: per-batch path under Pipeline::flush — must not panic.
     pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         let guard = self.enter();
@@ -319,7 +321,7 @@ impl RawTable {
     }
 
     /// Batch execution body, starting from an already-announced index
-    /// generation (shared by [`RawTable::execute`] and [`crate::Session`]).
+    /// generation (shared by [`DlhtMap::execute`] and [`crate::Session`]).
     ///
     /// The caller must hold the `EnterGuard` that produced `start` for the
     /// whole call.
@@ -369,9 +371,10 @@ impl RawTable {
         }
     }
 
-    /// One-shot convenience over [`RawTable::execute`]: builds a temporary
+    /// One-shot convenience over [`DlhtMap::execute`]: builds a temporary
     /// [`Batch`] from `requests` and returns the responses. Allocates per
     /// call; hot loops should hold a reusable [`Batch`] instead.
+    #[inline]
     pub fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
         let mut batch = Batch::from(requests);
         self.execute(&mut batch, policy);
@@ -384,8 +387,8 @@ mod tests {
     use super::*;
     use crate::config::DlhtConfig;
 
-    fn table() -> RawTable {
-        RawTable::with_config(DlhtConfig::new(256))
+    fn table() -> DlhtMap {
+        DlhtMap::with_config(DlhtConfig::new(256))
     }
 
     #[test]

@@ -21,7 +21,9 @@ pub struct DlhtConfig {
     pub num_bins: usize,
     /// `num_bins / link_ratio` link buckets are allocated per index.
     pub link_ratio: usize,
-    /// Hash function mapping keys to bins.
+    /// Hash function mapping keys to bins. The default,
+    /// [`HashKind::Modulo`], assumes keys spread evenly modulo the bin
+    /// count.
     pub hash: HashKind,
     /// Whether the index may grow. When disabled, a full bin makes inserts
     /// fail with [`crate::DlhtError::TableFull`], and the per-request
@@ -62,9 +64,22 @@ impl DlhtConfig {
         }
     }
 
-    /// Configuration sized to comfortably hold `keys` keys without resizing
-    /// (targets ~55% slot occupancy, below the 61-72% the paper reports as the
-    /// resize trigger point with wyhash).
+    /// Configuration sized for about `keys` keys: enough bins that `keys`
+    /// would fill ~55% of the primary slots plus the link budget.
+    ///
+    /// It does **not** hold `keys` keys without resizing. With the default
+    /// link ratio the link-bucket pool runs out first, at about 1.9 keys per
+    /// bin, so a table filled with uniformly random keys resizes once at
+    /// roughly 98% of `keys` (measured: key 257,451 of 262,144 and key
+    /// 1,027,811 of 1,048,576). The 4× growth then leaves it at 13.75%
+    /// occupancy and about 150 bytes of index per key. Sizing from the
+    /// measured exhaustion point is ROADMAP item 2.
+    ///
+    /// The default hash is [`HashKind::Modulo`], which assumes the keys
+    /// spread evenly modulo the bin count. Keys with a common stride (all
+    /// odd keys on an even bin count, say) fill some bins and leave others
+    /// empty, and resize sooner; use [`DlhtConfig::with_hash`] with a mixing
+    /// hash for such keys.
     pub fn for_capacity(keys: usize) -> Self {
         // slots ≈ bins * (3 + 4/link_ratio·…); conservatively count the
         // primary slots plus the shared link budget.

@@ -577,9 +577,9 @@ mod tests {
     #[test]
     #[cfg_attr(miri, ignore = "tens of thousands of inserts are too slow under Miri")]
     fn growing_from_a_small_to_a_huge_page_index_keeps_every_key() {
-        use crate::table::RawTable;
+        use crate::table::DlhtMap;
         // 8 Ki bins (512 KiB) grow 4x to 32 Ki bins, exactly one huge page.
-        let table = RawTable::new(HUGE_BINS / 4);
+        let table = DlhtMap::new(HUGE_BINS / 4);
         assert!(table.stats().index_bytes < HUGE_PAGE);
         let mut rng = 0x5EED_u64;
         let keys: Vec<u64> = (0..30_000)

@@ -8,7 +8,7 @@
 //! point during the iteration, but pairs inserted or deleted concurrently may
 //! or may not be observed.
 
-use crate::table::RawTable;
+use crate::table::DlhtMap;
 
 /// Weakly-consistent iterator over the live key-value pairs of a table.
 ///
@@ -16,13 +16,13 @@ use crate::table::RawTable;
 /// the iterator itself does not hold the table pinned while the caller
 /// processes items.
 pub struct Iter<'a> {
-    _table: &'a RawTable,
+    _table: &'a DlhtMap,
     items: std::vec::IntoIter<(u64, u64)>,
 }
 
 impl<'a> Iter<'a> {
     /// Capture a weak snapshot of `table`.
-    pub(crate) fn new(table: &'a RawTable) -> Self {
+    pub(crate) fn new(table: &'a DlhtMap) -> Self {
         let mut items = Vec::new();
         table.for_each(|k, v| items.push((k, v)));
         Iter {
@@ -54,11 +54,11 @@ impl ExactSizeIterator for Iter<'_> {}
 #[cfg(test)]
 mod tests {
     use crate::config::DlhtConfig;
-    use crate::table::RawTable;
+    use crate::table::DlhtMap;
 
     #[test]
     fn iterates_all_pairs_exactly_once() {
-        let t = RawTable::with_config(DlhtConfig::new(128));
+        let t = DlhtMap::with_config(DlhtConfig::new(128));
         for k in 0..64u64 {
             let _ = t.insert(k, k + 1).unwrap();
         }
@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_unaffected_by_later_mutations() {
-        let t = RawTable::with_config(DlhtConfig::new(128));
+        let t = DlhtMap::with_config(DlhtConfig::new(128));
         for k in 0..10u64 {
             let _ = t.insert(k, k).unwrap();
         }
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn concurrent_iteration_sees_stable_keys() {
-        let t = std::sync::Arc::new(RawTable::with_config(DlhtConfig::new(512)));
+        let t = std::sync::Arc::new(DlhtMap::with_config(DlhtConfig::new(512)));
         for k in 0..100u64 {
             let _ = t.insert(k, 1).unwrap();
         }

@@ -11,11 +11,10 @@
 
 use crate::batch::{Batch, BatchPolicy, Request, Response};
 use crate::error::{DlhtError, InsertOutcome};
-use crate::map::DlhtMap;
 use crate::set::DlhtSet;
-use crate::sharded::ShardedTable;
+use crate::sharded::{sharded_display_name, ShardedTable};
 use crate::stats::TableStats;
-use crate::table::RawTable;
+use crate::table::DlhtMap;
 use std::sync::Arc;
 
 /// Feature matrix entries (Table 1 of the paper).
@@ -273,62 +272,12 @@ macro_rules! forward_kv_backend {
 
 forward_kv_backend!(Arc, Box);
 
-impl KvBackend for DlhtMap {
-    fn get(&self, key: u64) -> Option<u64> {
-        DlhtMap::get(self, key)
-    }
-    fn contains(&self, key: u64) -> bool {
-        DlhtMap::contains(self, key)
-    }
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        DlhtMap::insert(self, key, value)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        DlhtMap::put(self, key, value)
-    }
-    fn delete(&self, key: u64) -> Option<u64> {
-        DlhtMap::delete(self, key)
-    }
-    fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
-        DlhtMap::upsert(self, key, value)
-    }
-    fn len(&self) -> usize {
-        DlhtMap::len(self)
-    }
-    fn name(&self) -> &'static str {
-        "DLHT"
-    }
-    fn features(&self) -> MapFeatures {
-        MapFeatures::dlht()
-    }
-    fn stats(&self) -> TableStats {
-        DlhtMap::stats(self)
-    }
-    fn retired_indexes(&self) -> usize {
-        self.raw().retired_indexes()
-    }
-    fn supports_batching(&self) -> bool {
-        true
-    }
-    fn prefetch_key(&self, key: u64) {
-        DlhtMap::prefetch(self, key)
-    }
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        DlhtMap::execute(self, batch, policy)
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.raw().execute_prefetched(batch, policy)
-    }
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        DlhtMap::execute_batch(self, requests, policy)
-    }
-}
-
-/// `RawTable` and `ShardedTable` through the unified API: every method
+/// `DlhtMap` and `ShardedTable` through the unified API: every method
 /// calls the table's inherent method of the same name, and batches go to
-/// the table's own prefetched batch engine.
+/// the table's own prefetched batch engine. `name` is computed from the
+/// table bound to `$this`.
 macro_rules! native_kv_backend {
-    ($($table:ident => $name:literal),+) => {$(
+    ($($table:ident, |$this:ident| $name:expr);+) => {$(
         impl KvBackend for $table {
             fn get(&self, key: u64) -> Option<u64> {
                 $table::get(self, key)
@@ -352,6 +301,7 @@ macro_rules! native_kv_backend {
                 $table::len(self)
             }
             fn name(&self) -> &'static str {
+                let $this = self;
                 $name
             }
             fn features(&self) -> MapFeatures {
@@ -384,7 +334,10 @@ macro_rules! native_kv_backend {
 
 // The sharded front has the same per-key semantics as `DlhtMap`, with
 // shard-local (independent) resizes and per-shard-run batch execution.
-native_kv_backend!(RawTable => "DLHT-raw", ShardedTable => "DLHT-Sharded");
+native_kv_backend!(
+    DlhtMap, |_map| "DLHT";
+    ShardedTable, |table| sharded_display_name(table.num_shards())
+);
 
 /// The HashSet mode through the unified API: values are ignored on insert
 /// (stored as the given word) and a member key reads back its stored word.

@@ -25,7 +25,7 @@
 //! | Type | Paper mode | Keys | Values |
 //! |---|---|---|---|
 //! | [`Dlht<K, V>`] | typed facade | any `KvCodec` | any `KvCodec` — picks a mode below at compile time |
-//! | [`DlhtMap`] | Inlined | 8 B | 8 B, stored in the slot |
+//! | [`DlhtMap`] | Inlined — the table itself; the set and Allocator modes wrap it | 8 B | 8 B, stored in the slot |
 //! | [`DlhtAllocMap`] | Allocator | any size | any size, out-of-line record + pointer API |
 //! | [`DlhtSet`] | HashSet | 8 B | none |
 //! | [`SingleThreadMap`] | Single-thread | 8 B | 8 B, no synchronization overhead |
@@ -89,7 +89,6 @@ pub mod typed;
 
 mod alloc_map;
 mod cache;
-mod map;
 mod record;
 mod set;
 mod single_thread;
@@ -105,7 +104,6 @@ pub use cache::{
 pub use config::DlhtConfig;
 pub use error::{DlhtError, InsertOutcome};
 pub use kv::{KvBackend, MapFeatures};
-pub use map::DlhtMap;
 pub use pipeline::{BatchExecutor, Pipeline};
 pub use record::MAX_KEY_LEN;
 pub use session::Session;
@@ -113,7 +111,7 @@ pub use set::DlhtSet;
 pub use sharded::{ShardedSession, ShardedTable, MAX_SHARDS};
 pub use single_thread::SingleThreadMap;
 pub use stats::TableStats;
-pub use table::RawTable;
+pub use table::DlhtMap;
 pub use tagged_ptr::{TaggedPtr, MAX_NAMESPACES};
 pub use typed::{ByteCodec, Dlht, DlhtShards, Inline8, KvCodec, TypedBatch, TypedResponse};
 

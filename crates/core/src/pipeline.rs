@@ -95,13 +95,22 @@ impl<B: KvBackend + ?Sized> BatchExecutor for B {
 ///
 /// # Cost model
 ///
-/// On DLHT with resizing enabled, each submit-time prefetch must announce
-/// itself to the index-GC registry (the §3.2.5 enter/leave protocol) before
-/// it can compute the bin address, so a pipeline pays per-request
-/// announcement overhead that the discrete batch path amortizes over the
-/// whole window. The flush path skips its usual prefetch sweep (the requests
-/// were already prefetched at submit), but when raw throughput on one table
-/// matters more than streaming submission, prefer [`crate::Batch`].
+/// What a submit-time prefetch costs depends on the executor:
+///
+/// * Over a [`crate::Session`] or [`crate::ShardedSession`], it prefetches
+///   from the session's cached index-geometry hint after one relaxed load,
+///   with no announcement to the index-GC registry; the session enters only
+///   when a resize has replaced the index since its last entry. Each flush
+///   then pays one enter/leave for its whole chunk, like a discrete batch.
+/// * Over a table reached through [`KvBackend::prefetch_key`] (a `DlhtMap`
+///   or `ShardedTable` used directly, or a `&dyn KvBackend` as the workload
+///   runner drives), each prefetch enters and leaves the table (the §3.2.5
+///   enter/leave protocol) once per key, an announcement the discrete batch
+///   path pays once per window.
+///
+/// The flush path skips its usual prefetch sweep either way (the requests
+/// were already prefetched at submit). To stream over one table, drive the
+/// pipeline from a session: [`crate::Session::pipeline`].
 ///
 /// # Dropping
 ///
@@ -252,7 +261,7 @@ impl<E: BatchExecutor + ?Sized> Drop for Pipeline<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map::DlhtMap;
+    use crate::table::DlhtMap;
 
     #[test]
     fn depth_is_clamped_and_reported() {

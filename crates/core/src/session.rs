@@ -42,18 +42,18 @@ use crate::error::{DlhtError, InsertOutcome};
 use crate::header::SlotState;
 use crate::index::BinGeometry;
 use crate::pipeline::{BatchExecutor, Pipeline};
-use crate::table::{EnterGuard, RawTable};
+use crate::table::{DlhtMap, EnterGuard};
 use std::cell::Cell;
 use std::marker::PhantomData;
 
-/// A per-thread handle over a [`RawTable`] (or any mode wrapping one) with a
+/// A per-thread handle over a [`DlhtMap`] (or any mode wrapping one) with a
 /// pre-claimed registry announcement slot.
 ///
 /// `Session` is deliberately **not** `Send`/`Sync`: the cached slot belongs to
 /// the creating thread. Create one session per worker thread (they are cheap)
 /// and drive batches or a [`Pipeline`] through it.
 pub struct Session<'t> {
-    table: &'t RawTable,
+    table: &'t DlhtMap,
     /// The claimed announcement slot; `None` when resizing is disabled and
     /// the enter/leave protocol is skipped entirely (§3.4.5).
     slot: Option<usize>,
@@ -65,7 +65,7 @@ pub struct Session<'t> {
 }
 
 impl<'t> Session<'t> {
-    pub(crate) fn new(table: &'t RawTable) -> Self {
+    pub(crate) fn new(table: &'t DlhtMap) -> Self {
         let slot = table
             .config()
             .resizing
@@ -97,7 +97,7 @@ impl<'t> Session<'t> {
     }
 
     /// The table this session operates on.
-    pub fn table(&self) -> &'t RawTable {
+    pub fn table(&self) -> &'t DlhtMap {
         self.table
     }
 
@@ -156,7 +156,7 @@ impl<'t> Session<'t> {
     }
 
     /// Execute `batch` in order with the prefetch sweep, reusing the batch's
-    /// response storage — see [`RawTable::execute`]. One enter/leave
+    /// response storage — see [`DlhtMap::execute`]. One enter/leave
     /// announcement (through the cached slot) covers the whole batch.
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
         let guard = self.enter();
@@ -201,7 +201,7 @@ mod tests {
     use super::*;
     use crate::batch::{Request, Response};
     use crate::config::DlhtConfig;
-    use crate::map::DlhtMap;
+    use crate::table::DlhtMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
                         // The grower waits for this check, so `current` is
                         // stable while it runs.
                         session.prefetch(next % KEYS);
-                        let current = map.raw().current_unpinned();
+                        let current = map.current_unpinned();
                         assert_eq!(session.hint_index(), current, "hint stale after grow {g}");
                         assert_ne!(current, last_hint, "grow {g} left the index in place");
                         last_hint = current;
@@ -310,8 +310,8 @@ mod tests {
                     assert!(map.insert(fresh, 0).unwrap().inserted());
                     fresh += 1;
                 }
-                while map.raw().retired_indexes() > 0 {
-                    map.raw().collect_retired();
+                while map.retired_indexes() > 0 {
+                    map.collect_garbage();
                     std::thread::yield_now();
                 }
                 grown.store(g, Ordering::Release);
@@ -335,17 +335,13 @@ mod tests {
             assert!(map.insert(k, k).unwrap().inserted());
             k += 1;
         }
-        map.raw().collect_retired();
-        assert_eq!(
-            map.raw().retired_indexes(),
-            0,
-            "both old indexes must be freed"
-        );
+        map.collect_garbage();
+        assert_eq!(map.retired_indexes(), 0, "both old indexes must be freed");
         assert_eq!(s.hint_index(), stale, "only an enter refreshes the hint");
-        assert_ne!(stale, map.raw().current_unpinned());
+        assert_ne!(stale, map.current_unpinned());
         // The hint now points at a freed index: prefetch may only compare it.
         s.prefetch(1);
-        assert_eq!(s.hint_index(), map.raw().current_unpinned());
+        assert_eq!(s.hint_index(), map.current_unpinned());
         assert_eq!(s.get(1), Some(10));
         for key in 2..k {
             assert_eq!(s.get(key), Some(key));

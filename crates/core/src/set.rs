@@ -5,7 +5,7 @@
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::stats::TableStats;
-use crate::table::RawTable;
+use crate::table::DlhtMap;
 
 /// Concurrent hash set over 8-byte keys.
 ///
@@ -18,14 +18,14 @@ use crate::table::RawTable;
 /// assert!(locks.remove(42));                // unlock
 /// ```
 pub struct DlhtSet {
-    table: RawTable,
+    table: DlhtMap,
 }
 
 impl DlhtSet {
     /// Create a set from an explicit configuration.
     pub fn with_config(config: DlhtConfig) -> Self {
         DlhtSet {
-            table: RawTable::with_config(config),
+            table: DlhtMap::with_config(config),
         }
     }
 
@@ -105,8 +105,9 @@ impl DlhtSet {
         crate::Session::new(&self.table)
     }
 
-    /// Borrow the underlying raw table (advanced / benchmarking use).
-    pub fn raw(&self) -> &RawTable {
+    /// Borrow the underlying table, whose value words the set ignores
+    /// (advanced / benchmarking use).
+    pub fn raw(&self) -> &DlhtMap {
         &self.table
     }
 }

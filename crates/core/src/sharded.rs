@@ -1,10 +1,10 @@
-//! Shard-partitioned front over N independent [`RawTable`]s — the scaling
+//! Shard-partitioned front over N independent [`DlhtMap`]s — the scaling
 //! axis *above* the single-table index.
 //!
 //! DLHT's own index already scales across threads (§5.1), but a single table
 //! still shares one link-bucket pool, one resize, and one thread registry.
 //! [`ShardedTable`] partitions the key space over a power-of-two number of
-//! independent [`RawTable`] shards so that:
+//! independent [`DlhtMap`] shards so that:
 //!
 //! * **Resizes are shard-local.** A hot shard grows (non-blocking, §3.2.5)
 //!   without the sibling shards participating in — or even noticing — the
@@ -21,7 +21,7 @@
 //! A key's shard is selected from the **high bits** of a finalizing mix of
 //! its configured hash ([`dlht_hash::mix64`]), while each shard's bin index
 //! keeps using the *unmixed* hash modulo the shard's bin count — exactly what
-//! a single `RawTable` does. The two selections draw from independent parts
+//! a single `DlhtMap` does. The two selections draw from independent parts
 //! of the hash, so sharding leaves per-shard bin indexing undisturbed, and a
 //! key's shard never changes: shard count is fixed at construction, so
 //! routing is stable across any number of per-shard resizes.
@@ -60,12 +60,27 @@ use crate::header::SlotState;
 use crate::pipeline::{BatchExecutor, Pipeline};
 use crate::session::Session;
 use crate::stats::TableStats;
-use crate::table::{EnterGuard, RawTable};
+use crate::table::{DlhtMap, EnterGuard};
 use dlht_hash::mix64;
 use std::cell::RefCell;
 
 /// Upper bound on the shard count (sanity cap, far above any useful fan-out).
 pub const MAX_SHARDS: usize = 1 << 12;
+
+/// Display name of a [`ShardedTable`] of `shards` shards, as its
+/// [`crate::KvBackend::name`] reports it. Applies the table's own
+/// power-of-two rounding, so a label computed from a requested shard count
+/// matches the table actually built.
+pub fn sharded_display_name(shards: usize) -> &'static str {
+    match shards.max(1).next_power_of_two() {
+        1 => "DLHT-1shard",
+        2 => "DLHT-2shards",
+        4 => "DLHT-4shards",
+        8 => "DLHT-8shards",
+        16 => "DLHT-16shards",
+        _ => "DLHT-Sharded",
+    }
+}
 
 thread_local! {
     /// Per-request shard indexes of the batch currently executing on this
@@ -74,13 +89,13 @@ thread_local! {
     static ROUTE_SCRATCH: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A hashtable partitioned over independent [`RawTable`] shards (module docs
+/// A hashtable partitioned over independent [`DlhtMap`] shards (module docs
 /// above for the design).
 ///
 /// All operations take `&self` and are thread-safe. Shard count is rounded up
 /// to a power of two and fixed for the table's lifetime.
 pub struct ShardedTable {
-    shards: Box<[RawTable]>,
+    shards: Box<[DlhtMap]>,
     /// `log2(shards.len())`; routing takes this many *high* bits of the mixed
     /// hash, so 0 bits (one shard) routes everything to shard 0.
     shard_bits: u32,
@@ -101,7 +116,7 @@ impl ShardedTable {
         };
         ShardedTable {
             shards: (0..shards)
-                .map(|_| RawTable::with_config(per_shard.clone()))
+                .map(|_| DlhtMap::with_config(per_shard.clone()))
                 .collect(),
             shard_bits,
             config,
@@ -145,17 +160,17 @@ impl ShardedTable {
     }
 
     /// Borrow shard `i` (stats, targeted tests, advanced use).
-    pub fn shard(&self, i: usize) -> &RawTable {
+    pub fn shard(&self, i: usize) -> &DlhtMap {
         &self.shards[i]
     }
 
     /// Iterate over the shards in routing order.
-    pub fn shards(&self) -> impl Iterator<Item = &RawTable> {
+    pub fn shards(&self) -> impl Iterator<Item = &DlhtMap> {
         self.shards.iter()
     }
 
     #[inline]
-    fn route(&self, key: u64) -> &RawTable {
+    fn route(&self, key: u64) -> &DlhtMap {
         &self.shards[self.shard_of(key)]
     }
 
@@ -194,7 +209,7 @@ impl ShardedTable {
     }
 
     /// Insert if absent, otherwise update; returns the previous value on
-    /// update and propagates insert errors (see [`RawTable::upsert`]).
+    /// update and propagates insert errors (see [`DlhtMap::upsert`]).
     #[inline]
     pub fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
         self.route(key).upsert(key, value)
@@ -224,7 +239,7 @@ impl ShardedTable {
 
     /// Execute the queued requests of `batch` (with the up-front prefetch
     /// sweep), writing one [`Response`] per request into the batch's own
-    /// response storage — the sharded counterpart of [`RawTable::execute`].
+    /// response storage — the sharded counterpart of [`DlhtMap::execute`].
     /// Each shard's enter/leave announcement is paid once per batch.
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
         if self.shards.len() == 1 {
@@ -415,7 +430,7 @@ impl ShardedTable {
     /// Free retired index generations on every shard.
     pub fn collect_retired(&self) {
         for shard in self.shards.iter() {
-            shard.collect_retired();
+            shard.collect_garbage();
         }
     }
 
@@ -424,7 +439,7 @@ impl ShardedTable {
         self.shards.iter().map(|s| s.retired_indexes()).sum()
     }
 
-    /// Run [`RawTable::check_invariants`] on every shard, labelling failures
+    /// Run [`DlhtMap::check_invariants`] on every shard, labelling failures
     /// with the shard index. Quiescent-point use only, like the per-shard
     /// sweep.
     pub fn check_invariants(&self) -> Result<(), String> {

@@ -1,10 +1,13 @@
 //! The core table: lock-free Get/Insert/Delete, dw-CAS Put, and the
 //! non-blocking parallel resize (§3.2).
 //!
-//! [`RawTable`] stores 8-byte keys and 8-byte value words. The three public
-//! modes are thin wrappers over it: the Inlined map stores values directly in
-//! the value word, the HashSet ignores the value word, and the Allocator map
-//! stores a tagged pointer in it.
+//! [`DlhtMap`] stores 8-byte keys and 8-byte value words, and it *is* the
+//! Inlined mode (§3.1, mode 1): values live directly in the value word. This
+//! is DLHT's hot configuration — a pointer cache for a query engine, a
+//! pointer-to-pointer map for a storage engine — and the one all the headline
+//! numbers (Figures 3–8) are measured on. The other modes wrap it: the
+//! HashSet ignores the value word, and the Allocator map stores a tagged
+//! pointer in it.
 
 use crate::bucket::{is_reserved_key, transfer_key_for_bin, LinkMeta, PrimaryBucket, NO_LINK};
 use crate::config::DlhtConfig;
@@ -28,13 +31,23 @@ enum Probe<T> {
     NeedResize,
 }
 
-/// Core concurrent hashtable over 8-byte keys and 8-byte value words.
+/// Concurrent hash map with inlined 8-byte keys and values.
 ///
 /// All operations are *practically non-blocking* (§2.1): an operation on key
 /// `K_A` never impedes operations on a different key `K_B`; only operations on
 /// a bin currently being copied by a resize wait, and only for the duration of
 /// that single bin's transfer.
-pub struct RawTable {
+///
+/// ```
+/// use dlht_core::DlhtMap;
+///
+/// let map = DlhtMap::with_capacity(1024);
+/// map.insert(1, 100).unwrap();
+/// assert_eq!(map.get(1), Some(100));
+/// map.put(1, 200);
+/// assert_eq!(map.delete(1), Some(200));
+/// ```
+pub struct DlhtMap {
     current: AtomicPtr<Index>,
     registry: ThreadRegistry,
     config: DlhtConfig,
@@ -46,15 +59,15 @@ pub struct RawTable {
 
 // SAFETY: all interior state is atomics / mutex-protected; the raw Index
 // pointers are managed by the hazard/retire protocol described in registry.rs.
-unsafe impl Send for RawTable {}
+unsafe impl Send for DlhtMap {}
 // SAFETY: as above — shared access goes through atomics, the registry
 // handshake, or the retired-list Mutex.
-unsafe impl Sync for RawTable {}
+unsafe impl Sync for DlhtMap {}
 
 /// RAII announcement that the current thread is operating on the table
 /// (the paper's per-thread pointer, §3.2.5 "GC old index").
 pub(crate) struct EnterGuard<'a> {
-    table: &'a RawTable,
+    table: &'a DlhtMap,
     slot: Option<usize>,
     index: *mut Index,
 }
@@ -75,11 +88,11 @@ impl Drop for EnterGuard<'_> {
     }
 }
 
-impl RawTable {
-    /// Create a table from a configuration.
+impl DlhtMap {
+    /// Create a map from an explicit configuration.
     pub fn with_config(config: DlhtConfig) -> Self {
         let initial = Box::into_raw(Box::new(Index::new(config.num_bins, &config, 0)));
-        RawTable {
+        DlhtMap {
             current: AtomicPtr::new(initial),
             registry: ThreadRegistry::with_capacity(config.max_threads),
             config,
@@ -88,9 +101,35 @@ impl RawTable {
         }
     }
 
-    /// Create a table with `num_bins` bins and default configuration.
+    /// Create a map sized by [`DlhtConfig::for_capacity`] for about `keys`
+    /// keys (read its docs for when the first resize comes).
+    pub fn with_capacity(keys: usize) -> Self {
+        Self::with_config(DlhtConfig::for_capacity(keys))
+    }
+
+    /// Create a map with `num_bins` bins and default configuration.
     pub fn new(num_bins: usize) -> Self {
         Self::with_config(DlhtConfig::new(num_bins))
+    }
+
+    /// Returns `self`: the map is its own table. Code that reaches the
+    /// table's diagnostics through `map.raw()` (benchmark harnesses reading
+    /// `map.raw().retired_indexes()` or `current_generation()`) keeps
+    /// compiling; new code calls the method on the map directly.
+    pub fn raw(&self) -> &Self {
+        self
+    }
+
+    /// Open a per-thread [`Session`](crate::Session) with a cached registry
+    /// slot — the entry point for reusable batches and the bounded prefetch
+    /// [`crate::Pipeline`].
+    pub fn session(&self) -> crate::Session<'_> {
+        crate::Session::new(self)
+    }
+
+    /// Iterate over a weakly-consistent snapshot of the map.
+    pub fn iter(&self) -> crate::iter::Iter<'_> {
+        crate::iter::Iter::new(self)
     }
 
     /// The active configuration.
@@ -121,7 +160,7 @@ impl RawTable {
         self.enter_with_slot(self.registry.slot_for_current_thread())
     }
 
-    /// [`RawTable::enter`] with an already-claimed registry slot — the
+    /// [`DlhtMap::enter`] with an already-claimed registry slot — the
     /// [`crate::Session`] fast path, which caches its slot at construction and
     /// skips the thread-local lookup on every request.
     pub(crate) fn enter_with_slot(&self, slot: usize) -> EnterGuard<'_> {
@@ -167,6 +206,7 @@ impl RawTable {
     // ------------------------------------------------------------------
 
     /// Look up `key`, returning its value word.
+    #[inline]
     pub fn get(&self, key: u64) -> Option<u64> {
         let guard = self.enter();
         let r = self.get_guarded(guard.index_ptr(), key);
@@ -183,19 +223,22 @@ impl RawTable {
     }
 
     /// Insert `key -> value`. Fails with `AlreadyExists` if present.
+    #[inline]
     pub fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
         self.insert_with_state(key, value, SlotState::Valid)
     }
 
     /// Shadow-insert `key` (§3.2.2 "Transactions"): the key is claimed (a
     /// second insert fails) but hidden from Get/Put/Delete until
-    /// [`RawTable::commit_shadow`] is called.
+    /// [`DlhtMap::commit_shadow`] is called.
+    #[inline]
     pub fn insert_shadow(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
         self.insert_with_state(key, value, SlotState::Shadow)
     }
 
     /// Commit (`true`) or abort (`false`) a shadow insert. Returns whether a
     /// shadow entry for `key` was found.
+    #[inline]
     pub fn commit_shadow(&self, key: u64, commit: bool) -> bool {
         if is_reserved_key(key) {
             return false;
@@ -210,6 +253,7 @@ impl RawTable {
 
     /// Update the value of an existing key with a 16-byte dw-CAS (§3.2.4).
     /// Returns the previous value word, or `None` if the key is absent.
+    #[inline]
     pub fn put(&self, key: u64, value: u64) -> Option<u64> {
         let guard = self.enter();
         let r = self.put_guarded(guard.index_ptr(), key, value);
@@ -232,6 +276,7 @@ impl RawTable {
     /// Every `Some(prev)` comes from the `put` that wrote `value`: when a
     /// concurrent delete empties the key between the insert and the put, the
     /// loop retries the insert rather than report a value it never replaced.
+    #[inline]
     pub fn upsert(&self, key: u64, value: u64) -> Result<Option<u64>, DlhtError> {
         loop {
             if self.insert(key, value)?.inserted() {
@@ -245,6 +290,7 @@ impl RawTable {
 
     /// Delete `key`, immediately reclaiming its slot (§3.2.3). Returns the
     /// deleted value word.
+    #[inline]
     pub fn delete(&self, key: u64) -> Option<u64> {
         let guard = self.enter();
         let r = self.delete_guarded(guard.index_ptr(), key);
@@ -261,6 +307,7 @@ impl RawTable {
     }
 
     /// Whether `key` is present.
+    #[inline]
     pub fn contains(&self, key: u64) -> bool {
         self.get(key).is_some()
     }
@@ -750,7 +797,7 @@ impl RawTable {
         // ORDERING: SeqCst — the index swap must be totally ordered against
         // the SeqCst load/announce handshake in `enter_with_slot`, so a reader
         // either sees the new index or its announcement of the old one is
-        // visible to `collect_retired`'s scan.
+        // visible to `collect_garbage`'s scan.
         if self
             .current
             .compare_exchange(old_ptr, new_ptr, Ordering::SeqCst, Ordering::SeqCst) // ORDERING: see above
@@ -758,7 +805,7 @@ impl RawTable {
         {
             self.retired.lock().unwrap().push_back(old_ptr as usize);
         }
-        self.collect_retired();
+        self.collect_garbage();
         new_ptr
     }
 
@@ -857,8 +904,9 @@ impl RawTable {
         }
     }
 
-    /// Free retired indexes that no thread announces anymore (oldest first).
-    pub fn collect_retired(&self) {
+    /// Free retired index generations that no thread announces anymore
+    /// (oldest first).
+    pub fn collect_garbage(&self) {
         let mut retired = match self.retired.try_lock() {
             Ok(g) => g,
             Err(_) => return,
@@ -970,6 +1018,7 @@ impl RawTable {
     /// [`crate::Session`] keeps the current index's geometry as a hint, and
     /// its [`Session::prefetch`](crate::Session::prefetch) is the fast path:
     /// no announcement unless the index changed.
+    #[inline]
     pub fn prefetch(&self, key: u64) {
         let guard = self.enter();
         // SAFETY: protected by the guard.
@@ -994,7 +1043,7 @@ impl RawTable {
 // Structural invariant sweep (debug/test support)
 // ----------------------------------------------------------------------
 
-impl RawTable {
+impl DlhtMap {
     /// Walk every index generation, bin, and slot and verify the table's
     /// structural invariants, returning a description of the first violation.
     ///
@@ -1006,7 +1055,7 @@ impl RawTable {
     pub fn check_invariants(&self) -> Result<(), String> {
         {
             // The retired list must never hold null or duplicate pointers —
-            // either would become a bad free in `collect_retired`.
+            // either would become a bad free in `collect_garbage`.
             let retired = self.retired.lock().unwrap();
             for (i, &p) in retired.iter().enumerate() {
                 if p == 0 {
@@ -1124,7 +1173,7 @@ impl RawTable {
     }
 }
 
-impl Drop for RawTable {
+impl Drop for DlhtMap {
     fn drop(&mut self) {
         // Exclusive access: free all retired generations and the live chain.
         let mut retired = std::mem::take(&mut *self.retired.lock().unwrap());
@@ -1149,8 +1198,8 @@ mod tests {
     use super::*;
     use dlht_hash::HashKind;
 
-    fn small_table() -> RawTable {
-        RawTable::with_config(DlhtConfig::new(64).with_chunk_bins(16))
+    fn small_table() -> DlhtMap {
+        DlhtMap::with_config(DlhtConfig::new(64).with_chunk_bins(16))
     }
 
     #[test]
@@ -1190,7 +1239,7 @@ mod tests {
             .with_link_ratio(1)
             .with_resizing(false)
             .with_hash(HashKind::Modulo);
-        let t = RawTable::with_config(cfg);
+        let t = DlhtMap::with_config(cfg);
         for i in 0..200u64 {
             let key = i * 2; // all even keys -> bin 0
             assert!(t.insert(key, i).unwrap().inserted(), "insert {i}");
@@ -1203,7 +1252,7 @@ mod tests {
     #[test]
     fn full_bin_without_resizing_reports_table_full() {
         let cfg = DlhtConfig::new(2).with_link_ratio(1).with_resizing(false);
-        let t = RawTable::with_config(cfg);
+        let t = DlhtMap::with_config(cfg);
         let mut inserted = 0;
         let mut full = false;
         for i in 0..64u64 {
@@ -1252,7 +1301,7 @@ mod tests {
     #[test]
     fn chaining_extends_a_bin_past_three_slots() {
         let cfg = DlhtConfig::new(2).with_link_ratio(1).with_resizing(false);
-        let t = RawTable::with_config(cfg);
+        let t = DlhtMap::with_config(cfg);
         // All even keys collide into bin 0; 15 slots available (3 + 4 + 4 + 4)
         // but the pool only has 2 link buckets for 2 bins... link_ratio 1 =>
         // 2 link buckets, so bin 0 can chain first(1 bucket) + pair(2) only if
@@ -1275,7 +1324,7 @@ mod tests {
         let cfg = DlhtConfig::new(8)
             .with_chunk_bins(4)
             .with_hash(HashKind::WyHash);
-        let t = RawTable::with_config(cfg);
+        let t = DlhtMap::with_config(cfg);
         const N: u64 = 5_000;
         for i in 0..N {
             assert!(t.insert(i, i * 10).unwrap().inserted(), "insert {i}");
@@ -1318,7 +1367,7 @@ mod tests {
     #[test]
     fn concurrent_inserts_one_winner_per_key() {
         use std::sync::atomic::AtomicUsize;
-        let t = std::sync::Arc::new(RawTable::with_config(
+        let t = std::sync::Arc::new(DlhtMap::with_config(
             DlhtConfig::new(512).with_hash(HashKind::WyHash),
         ));
         let wins = std::sync::Arc::new(AtomicUsize::new(0));
@@ -1347,7 +1396,7 @@ mod tests {
 
     #[test]
     fn concurrent_insert_delete_get_stress() {
-        let t = std::sync::Arc::new(RawTable::with_config(
+        let t = std::sync::Arc::new(DlhtMap::with_config(
             DlhtConfig::new(1024).with_hash(HashKind::WyHash),
         ));
         // Pre-populate a stable set that is never deleted.
@@ -1416,7 +1465,7 @@ mod tests {
         let cfg = DlhtConfig::new(8)
             .with_chunk_bins(2)
             .with_hash(HashKind::WyHash);
-        let t = std::sync::Arc::new(RawTable::with_config(cfg));
+        let t = std::sync::Arc::new(DlhtMap::with_config(cfg));
         for k in 0..200u64 {
             let _ = t.insert(k, k + 7).unwrap();
         }
@@ -1451,7 +1500,94 @@ mod tests {
             assert_eq!(t.get(k), Some(k));
         }
         // After the dust settles, retired indexes should be collectable.
-        t.collect_retired();
+        t.collect_garbage();
         assert_eq!(t.retired_indexes(), 0);
+    }
+
+    #[test]
+    fn basic_api() {
+        let m = DlhtMap::with_capacity(100);
+        assert!(m.is_empty());
+        let _ = m.insert(1, 10).unwrap();
+        let _ = m.insert(2, 20).unwrap();
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(1), Some(10));
+        assert_eq!(m.put(2, 21), Some(20));
+        assert_eq!(m.delete(1), Some(10));
+        assert!(!m.contains(1));
+        assert!(m.contains(2));
+    }
+
+    #[test]
+    fn upsert_inserts_then_updates() {
+        let m = DlhtMap::with_capacity(16);
+        assert_eq!(m.upsert(5, 1).unwrap(), None);
+        assert_eq!(m.upsert(5, 2).unwrap(), Some(1));
+        assert_eq!(m.get(5), Some(2));
+    }
+
+    #[test]
+    fn upsert_propagates_insert_errors() {
+        let m = DlhtMap::with_capacity(16);
+        assert_eq!(m.upsert(u64::MAX, 1), Err(DlhtError::ReservedKey));
+        // A tiny fixed-size table eventually reports TableFull.
+        let full = DlhtMap::with_config(crate::DlhtConfig::new(2).with_resizing(false));
+        let mut saw_full = false;
+        for k in 0..1_000u64 {
+            match full.upsert(k, k) {
+                Ok(_) => {}
+                Err(DlhtError::TableFull) => {
+                    saw_full = true;
+                    break;
+                }
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        assert!(saw_full);
+    }
+
+    #[test]
+    fn iterator_yields_all_pairs() {
+        let m = DlhtMap::with_capacity(64);
+        for k in 0..40u64 {
+            let _ = m.insert(k, k * k).unwrap();
+        }
+        let mut items: Vec<_> = m.iter().collect();
+        items.sort_unstable();
+        assert_eq!(items.len(), 40);
+        for (i, (k, v)) in items.iter().enumerate() {
+            assert_eq!(*k, i as u64);
+            assert_eq!(*v, (i * i) as u64);
+        }
+    }
+
+    #[test]
+    fn concurrent_upserts_from_many_threads() {
+        let m = std::sync::Arc::new(DlhtMap::with_capacity(10_000));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let m = std::sync::Arc::clone(&m);
+                s.spawn(move || {
+                    for k in 0..1_000u64 {
+                        m.upsert(k, t).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(m.len(), 1_000);
+        for k in 0..1_000u64 {
+            assert!(m.get(k).unwrap() < 4);
+        }
+    }
+
+    #[test]
+    fn one_type_serves_every_entry_point() {
+        use crate::kv::KvBackend;
+        use crate::sharded::ShardedTable;
+        let map = DlhtMap::with_capacity(64);
+        assert!(std::ptr::eq(map.session().table(), &map));
+        assert!(std::ptr::eq(map.raw(), &map));
+        assert_eq!(<DlhtMap as KvBackend>::name(&map), "DLHT");
+        assert_eq!(ShardedTable::with_capacity(4, 64).name(), "DLHT-4shards");
     }
 }

@@ -40,9 +40,9 @@ use crate::alloc_map::DlhtAllocMap;
 use crate::batch::{Batch, BatchPolicy, Response};
 use crate::config::DlhtConfig;
 use crate::error::DlhtError;
-use crate::map::DlhtMap;
 use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
+use crate::table::DlhtMap;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 

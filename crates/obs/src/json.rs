@@ -481,11 +481,24 @@ mod tests {
     }
 
     #[test]
+    fn value_parser_handles_the_subset() {
+        let v = Json::parse(r#"{"a": [1, 2], "b": "x\n\"y\"", "c": true, "d": null}"#).unwrap();
+        assert_eq!(
+            v.get("a").and_then(Json::as_array).map(<[Json]>::len),
+            Some(2)
+        );
+        assert_eq!(v.get("b").and_then(Json::as_str), Some("x\n\"y\""));
+        assert_eq!(v.get("c").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("d"), Some(&Json::Null));
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+        assert!(Json::parse("\"unterminated").is_err());
         let err = Json::parse("  x").unwrap_err();
         assert_eq!(err.at, 2);
         assert!(err.to_string().contains("byte 2"));

@@ -81,7 +81,7 @@ pub fn resize_timeline(
         get_threads,
         insert_threads,
         sample_every,
-        &|| map.raw().current_generation(),
+        &|| map.current_generation(),
     )
 }
 

@@ -72,7 +72,7 @@
 pub use dlht_core::{
     AllocSession, Batch, BatchExecutor, BatchPolicy, ByteCodec, Dlht, DlhtAllocMap, DlhtConfig,
     DlhtError, DlhtMap, DlhtSet, DlhtShards, Inline8, InsertOutcome, KvBackend, KvCodec,
-    MapFeatures, Pipeline, RawTable, Request, Response, Session, ShardedSession, ShardedTable,
+    MapFeatures, Pipeline, Request, Response, Session, ShardedSession, ShardedTable,
     SingleThreadMap, TableStats, TaggedPtr, TypedBatch, TypedResponse, MAX_KEY_LEN, MAX_NAMESPACES,
     MAX_SHARDS,
 };

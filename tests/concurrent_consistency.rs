@@ -3,8 +3,8 @@
 
 use dlht::hash::HashKind;
 use dlht::{
-    Batch, BatchPolicy, Dlht, DlhtConfig, DlhtMap, KvBackend, Pipeline, RawTable, Request,
-    Response, ShardedTable,
+    Batch, BatchPolicy, Dlht, DlhtConfig, DlhtMap, KvBackend, Pipeline, Request, Response,
+    ShardedTable,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -336,7 +336,7 @@ fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
 
 #[test]
 fn upserts_racing_delete_and_reinsert_write_what_they_report() {
-    upserts_race_delete_and_reinsert(&RawTable::new(64));
+    upserts_race_delete_and_reinsert(&DlhtMap::new(64));
     upserts_race_delete_and_reinsert(&DlhtMap::new(64));
     upserts_race_delete_and_reinsert(&ShardedTable::new(4, 64));
 }

@@ -19,8 +19,8 @@
 //! CI stress step runs these suites that way.
 
 use dlht::{
-    BatchPolicy, DlhtConfig, DlhtMap, DlhtSet, InsertOutcome, KvBackend, Pipeline, RawTable,
-    Request, Response, ShardedTable, SingleThreadMap,
+    BatchPolicy, DlhtConfig, DlhtMap, DlhtSet, InsertOutcome, KvBackend, Pipeline, Request,
+    Response, ShardedTable, SingleThreadMap,
 };
 use dlht_baselines::MapKind;
 use dlht_util::splitmix64 as splitmix;
@@ -361,8 +361,8 @@ fn all_backends() -> Vec<(String, Box<dyn KvBackend>)> {
         Box::new(DlhtMap::with_config(tiny())),
     ));
     backends.push((
-        "RawTable/tiny".into(),
-        Box::new(RawTable::with_config(tiny())),
+        "DlhtMap/tiny".into(),
+        Box::new(DlhtMap::with_config(tiny())),
     ));
     backends.push((
         "DlhtSet/tiny".into(),
@@ -399,12 +399,12 @@ fn differential_core_tables_pass_structural_sweep() {
         .with_chunk_bins(2);
     let seeds = 2 * stress();
     for seed in 0..seeds {
-        let table = RawTable::with_config(tiny.clone());
+        let table = DlhtMap::with_config(tiny.clone());
         differential_run(&table, seed, 300);
-        table.collect_retired();
+        table.collect_garbage();
         table
             .check_invariants()
-            .expect("RawTable structural sweep after the differential run");
+            .expect("DlhtMap structural sweep after the differential run");
         for shards in [1usize, 2, 8] {
             let sharded = ShardedTable::with_config(shards, tiny.clone());
             differential_run(&sharded, seed, 300);

@@ -13,7 +13,7 @@
 //!
 //! `DLHT_STRESS=1` (or any positive integer) multiplies the round counts.
 
-use dlht::{DlhtConfig, DlhtError, RawTable, ShardedTable};
+use dlht::{DlhtConfig, DlhtError, DlhtMap, ShardedTable};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,7 +43,7 @@ fn torture_grow_with_racing_deletes_and_shadow_commits() {
     let rounds = 60 * stress();
     let keys_per_round: u64 = 40;
 
-    let table = Arc::new(RawTable::with_config(torture_config()));
+    let table = Arc::new(DlhtMap::with_config(torture_config()));
     let stop = Arc::new(AtomicBool::new(false));
 
     // A generation monitor races every grow: the observed generation must
@@ -167,7 +167,7 @@ fn torture_grow_with_racing_deletes_and_shadow_commits() {
 
     // Quiescence: with no thread inside the table, every retired index
     // generation must be collectable, down to zero.
-    table.collect_retired();
+    table.collect_garbage();
     assert_eq!(
         table.retired_indexes(),
         0,
@@ -181,7 +181,7 @@ fn torture_grow_with_racing_deletes_and_shadow_commits() {
 #[test]
 fn torture_gets_never_block_and_stable_keys_survive() {
     let rounds = 2_000 * stress();
-    let table = Arc::new(RawTable::with_config(torture_config()));
+    let table = Arc::new(DlhtMap::with_config(torture_config()));
     for k in 0..64u64 {
         assert!(table.insert(k, k + 1).unwrap().inserted());
     }
@@ -211,7 +211,7 @@ fn torture_gets_never_block_and_stable_keys_survive() {
         }
     });
     assert!(table.resizes() > 0);
-    table.collect_retired();
+    table.collect_garbage();
     assert_eq!(table.retired_indexes(), 0);
     table
         .check_invariants()
@@ -222,7 +222,7 @@ fn torture_gets_never_block_and_stable_keys_survive() {
 fn torture_table_full_is_clean_when_resizing_disabled() {
     // The failure edge of the same machinery: with resizing off the bin
     // reports TableFull instead of growing, and the table stays consistent.
-    let table = RawTable::with_config(torture_config().with_resizing(false));
+    let table = DlhtMap::with_config(torture_config().with_resizing(false));
     let mut inserted = Vec::new();
     for k in 0..10_000u64 {
         match table.insert(k, k) {

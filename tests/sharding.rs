@@ -1,8 +1,8 @@
 //! Shard-routing suite: routing stability across resizes, 1-shard
-//! equivalence with `RawTable`, and cross-shard batch splitting under every
+//! equivalence with `DlhtMap`, and cross-shard batch splitting under every
 //! `BatchPolicy` (including `Response::Skipped` slots).
 
-use dlht::{Batch, BatchPolicy, DlhtConfig, KvBackend, RawTable, Request, Response, ShardedTable};
+use dlht::{Batch, BatchPolicy, DlhtConfig, DlhtMap, KvBackend, Request, Response, ShardedTable};
 use dlht_util::splitmix64 as splitmix;
 
 fn tiny() -> DlhtConfig {
@@ -92,7 +92,7 @@ fn one_shard_is_behaviorally_identical_to_raw_table() {
         // Same config on both sides: a 1-shard table is the same index with
         // the routing layer collapsed to shard 0.
         let sharded = ShardedTable::with_config(1, tiny());
-        let raw = RawTable::with_config(tiny());
+        let raw = DlhtMap::with_config(tiny());
         assert_eq!(sharded.num_shards(), 1);
         assert_behaviorally_identical(&sharded, &raw, seed, 400);
         // Identical op sequences on identical configs resize identically.
