@@ -163,17 +163,17 @@ impl AllocSession<'_> {
         self.map.table.prefetch(word);
     }
 
-    /// The key word of `key` and the record it maps to, verified against
-    /// the stored key when the word is a fingerprint. The record stays
-    /// readable until this session's next quiescent point (epoch GC).
-    fn find(&self, namespace: u16, key: &[u8]) -> Option<(u64, *mut u8)> {
+    /// The key word of `key` and the tagged record pointer it maps to,
+    /// verified against the stored key when the word is a fingerprint. The
+    /// record stays readable until this session's next quiescent point
+    /// (epoch GC).
+    fn find(&self, namespace: u16, key: &[u8]) -> Option<(u64, TaggedPtr)> {
         let (word, exact) = self.map.word(namespace, key);
         let tagged = TaggedPtr(self.map.table.get(word)?);
-        let ptr = tagged.ptr();
-        // SAFETY: `ptr` was published by this map and cannot be freed before
-        // this session's next quiescent point.
-        let holds = unsafe { self.map.records.holds(ptr, key, exact) };
-        (tagged.namespace() == namespace && holds).then_some((word, ptr))
+        // SAFETY: the record was published by this map and cannot be freed
+        // before this session's next quiescent point.
+        let holds = unsafe { self.map.records.holds(tagged.ptr(), key, exact) };
+        (tagged.namespace() == namespace && holds).then_some((word, tagged))
     }
 
     /// Look up `key`, invoking `f` on the value bytes without copying them
@@ -184,10 +184,10 @@ impl AllocSession<'_> {
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Option<R> {
-        let (_, ptr) = self.find(namespace, key)?;
+        let (_, tagged) = self.find(namespace, key)?;
         // SAFETY: `find` returns a live record, protected until our next
         // quiescent point.
-        Some(f(unsafe { self.map.records.value(ptr) }))
+        Some(f(unsafe { self.map.records.value(tagged.ptr()) }))
     }
 
     /// Look up `key` and return a copy of its value bytes.
@@ -204,9 +204,9 @@ impl AllocSession<'_> {
     // is the epoch protection here — the record cannot be freed until the
     // caller's next `quiesce`, exactly the documented pointer lifetime.
     pub fn get_value_ptr(&mut self, namespace: u16, key: &[u8]) -> Option<(*mut u8, usize)> {
-        let (_, ptr) = self.find(namespace, key)?;
+        let (_, tagged) = self.find(namespace, key)?;
         // SAFETY: live record under epoch protection (see `find`).
-        Some(unsafe { self.map.records.value_ptr(ptr) })
+        Some(unsafe { self.map.records.value_ptr(tagged.ptr()) })
     }
 
     /// Whether `key` exists under `namespace`.
@@ -219,7 +219,9 @@ impl AllocSession<'_> {
     ///
     /// The new record is published by one Put of its pointer (§3.2.4), so a
     /// concurrent reader sees either the old or the new value, never a gap;
-    /// the old record is freed by the epoch GC two epochs later.
+    /// the old record is freed by the epoch GC two epochs later. The Put
+    /// lands only if the key still holds the record `find` verified, so a
+    /// racing write or a colliding fingerprint sends us back to `find`.
     pub fn replace_with<R>(
         &mut self,
         namespace: u16,
@@ -227,49 +229,61 @@ impl AllocSession<'_> {
         value: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, DlhtError> {
-        // Verify before swapping so a fingerprint collision cannot overwrite
-        // an unrelated pair.
-        let Some((word, _)) = self.find(namespace, key) else {
+        let Some((word, mut old)) = self.find(namespace, key) else {
             return Ok(None);
         };
-        let tagged = self.map.new_record(namespace, key, value)?;
-        let Some(prev) = self.map.table.put(word, tagged.0) else {
-            // Deleted since the check: nothing was published.
-            // SAFETY: the record was never published.
-            unsafe { self.map.records.free(tagged.ptr()) };
-            return Ok(None);
-        };
-        let old = TaggedPtr(prev).ptr();
+        let new = self.map.new_record(namespace, key, value)?;
+        while self.map.table.put_if(word, old.0, new.0).is_err() {
+            let Some((_, cur)) = self.find(namespace, key) else {
+                // SAFETY: the record was never published.
+                unsafe { self.map.records.free(new.ptr()) };
+                return Ok(None);
+            };
+            old = cur;
+        }
         // SAFETY: our Put unlinked `old`; concurrent readers are protected by
-        // the epoch until it is retired here, exactly once.
-        let result = unsafe {
-            let result = f(self.map.records.value(old));
-            self.map.records.retire(&mut self.handle, old, |_| ());
-            result
-        };
-        Ok(Some(result))
+        // the epoch until it is retired here, once.
+        Ok(Some(unsafe { self.retire_with(old, f) }))
+    }
+
+    /// Delete `key`, calling `f` on the value it removed; `None` when the key
+    /// is absent. The index slot is reclaimed immediately; the record is
+    /// freed by the epoch GC two epochs later.
+    pub(crate) fn remove_with<R>(
+        &mut self,
+        namespace: u16,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
+        loop {
+            let (word, old) = self.find(namespace, key)?;
+            if self.map.table.delete_if(word, old.0).is_ok() {
+                // SAFETY: our Delete unlinked `old`; concurrent readers are
+                // protected by the epoch until it is retired here, once.
+                return Some(unsafe { self.retire_with(old, f) });
+            }
+        }
     }
 
     /// Delete `key`. The index slot is reclaimed immediately; the record is
     /// freed by the epoch GC two epochs later.
     pub fn delete(&mut self, namespace: u16, key: &[u8]) -> bool {
-        let (word, exact) = self.map.word(namespace, key);
-        // Verify before deleting so a fingerprint collision cannot remove an
-        // unrelated pair.
-        if !exact && self.find(namespace, key).is_none() {
-            return false;
-        }
-        let Some(value_word) = self.map.table.delete(word) else {
-            return false;
-        };
-        // SAFETY: our Delete unlinked the record; concurrent readers are
-        // protected by the epoch.
+        self.remove_with(namespace, key, |_| ()).is_some()
+    }
+
+    /// Call `f` on the value of the record `old`, then retire the record.
+    ///
+    /// # Safety
+    /// This session must have just unlinked `old` from the index.
+    unsafe fn retire_with<R>(&mut self, old: TaggedPtr, f: impl FnOnce(&[u8]) -> R) -> R {
+        let ptr = old.ptr();
+        // SAFETY: caller contract — `old` is unlinked, still protected by
+        // this session's epoch, and retired exactly once.
         unsafe {
-            self.map
-                .records
-                .retire(&mut self.handle, TaggedPtr(value_word).ptr(), |_| ())
-        };
-        true
+            let result = f(self.map.records.value(ptr));
+            self.map.records.retire(&mut self.handle, ptr, |_| ());
+            result
+        }
     }
 
     /// Announce a quiescent point: retired records from two epochs ago become

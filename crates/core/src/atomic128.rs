@@ -60,6 +60,13 @@ impl AtomicPair {
         self.hi.store(hi, order);
     }
 
+    /// Store only the low word (an Insert writing the key into a slot it has
+    /// already published with a reserved placeholder key).
+    #[inline]
+    pub fn store_lo(&self, lo: u64, order: Ordering) {
+        self.lo.store(lo, order);
+    }
+
     /// Atomically compare the pair against `current` and, if equal, replace it
     /// with `new`. Returns `Ok(())` on success and `Err(observed_pair)` on
     /// failure.
@@ -140,18 +147,21 @@ unsafe fn cmpxchg16b(
     let mut out_lo = current.0;
     let mut out_hi = current.1;
     let ok: u8;
-    // rbx is reserved by LLVM, so stash the new-low value through a scratch
-    // register around the instruction.
+    // rbx cannot be named as an operand, so stash the new-low value through
+    // a scratch register around the instruction. The pointer is pinned to
+    // rdi: a `reg` operand may be allocated to rbx, which the first xchg
+    // overwrites. `sete` runs after rbx is restored (xchg leaves the flags
+    // alone), so `ok` survives even if it is allocated to bl.
     // SAFETY: caller contract — `ptr` is valid and 16-byte aligned and the
     // CPU supports cmpxchg16b; rbx is restored by the second xchg, so no
     // LLVM-reserved register is left clobbered.
     unsafe {
         std::arch::asm!(
             "xchg {new_lo}, rbx",
-            "lock cmpxchg16b [{ptr}]",
-            "sete {ok}",
+            "lock cmpxchg16b [rdi]",
             "xchg {new_lo}, rbx",
-            ptr = in(reg) ptr,
+            "sete {ok}",
+            in("rdi") ptr,
             new_lo = inout(reg) new.0 => _,
             in("rcx") new.1,
             inout("rax") out_lo,

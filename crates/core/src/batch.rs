@@ -303,9 +303,7 @@ impl DlhtMap {
     /// with zero heap allocations.
     #[inline]
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        let guard = self.enter();
-        self.execute_entered(guard.index_ptr(), batch, policy, true);
-        drop(guard);
+        self.entered(|start| self.execute_entered(start, batch, policy, true));
     }
 
     /// [`DlhtMap::execute`] without the up-front prefetch sweep, for callers
@@ -315,9 +313,7 @@ impl DlhtMap {
     #[inline]
     // HOT: per-batch path under Pipeline::flush — must not panic.
     pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        let guard = self.enter();
-        self.execute_entered(guard.index_ptr(), batch, policy, false);
-        drop(guard);
+        self.entered(|start| self.execute_entered(start, batch, policy, false));
     }
 
     /// Batch execution body, starting from an already-announced index
@@ -353,21 +349,28 @@ impl DlhtMap {
                 responses.push(Response::Skipped);
                 continue;
             }
-            let resp = match *req {
-                Request::Get(k) => Response::Value(self.get_guarded(start, k)),
-                Request::Put(k, v) => Response::Updated(self.put_guarded(start, k, v)),
-                Request::Insert(k, v) => Response::Inserted(self.insert_guarded(
-                    start,
-                    k,
-                    v,
-                    crate::header::SlotState::Valid,
-                )),
-                Request::Delete(k) => Response::Deleted(self.delete_guarded(start, k)),
-            };
+            let resp = self.exec_guarded(start, *req);
             if policy.stops_on_failure() && !resp.succeeded() {
                 stopped = true;
             }
             responses.push(resp);
+        }
+    }
+
+    /// Execute one request starting from an already-announced index
+    /// generation (the caller holds the `EnterGuard` that produced `start`).
+    #[inline]
+    pub(crate) fn exec_guarded(&self, start: *mut crate::index::Index, req: Request) -> Response {
+        match req {
+            Request::Get(k) => Response::Value(self.get_guarded(start, k)),
+            Request::Put(k, v) => Response::Updated(self.put_guarded(start, k, v)),
+            Request::Insert(k, v) => Response::Inserted(self.insert_guarded(
+                start,
+                k,
+                v,
+                crate::header::SlotState::Valid,
+            )),
+            Request::Delete(k) => Response::Deleted(self.delete_guarded(start, k)),
         }
     }
 

@@ -30,6 +30,14 @@ pub fn transfer_key_for_bin(bin: usize) -> u64 {
     }
 }
 
+/// Placeholder key an Insert parks in its claimed slot until the slot is
+/// published: the reserved key of the other parity, so it never equals the
+/// bin's transfer key, and no Put or Delete can match it.
+#[inline]
+pub fn fill_key_for_bin(bin: usize) -> u64 {
+    transfer_key_for_bin(bin + 1)
+}
+
 /// Whether `key` is one of the reserved transfer keys and therefore rejected
 /// by the public API.
 #[inline]

@@ -9,8 +9,8 @@
 //!
 //! * **TTL** — `deadline` is an absolute cache-clock second (`0` = never
 //!   expires). Reads check it lazily, so an expired entry is *never served*
-//!   even before the reaper removes it; `touch` rewrites the field atomically
-//!   in place (no record copy).
+//!   even before the reaper removes it; `touch` publishes a copy of the entry
+//!   with the new deadline.
 //! * **Reaping** — [`CacheSession::sweep_expired`] scans the index for dead
 //!   deadlines and retires those entries through the epoch machinery, so a
 //!   background reaper drains expiry storms in bulk without stopping readers.
@@ -22,14 +22,17 @@
 //!
 //! ## Concurrency
 //!
-//! Reads are lock-free: they ride the index's lock-free Get plus QSBR epoch
-//! protection, exactly like `DlhtAllocMap`. Mutations (store, delete, touch,
-//! incr/decr, reap, evict) serialize per key through a small stripe-lock
-//! array so read-modify-write ops are atomic and the reaper can re-verify a
-//! victim before unlinking it — the Get fast path never touches a lock.
-//! Retired records are freed two epochs after unlinking; sessions must call
-//! [`CacheSession::quiesce`] periodically (the server does so once per event
-//! loop pass).
+//! Nothing takes a lock. Reads ride the index's lock-free Get plus QSBR
+//! epoch protection, exactly like `DlhtAllocMap`. A published entry is
+//! immutable apart from its `last_access` stamp, so every mutation (store,
+//! delete, touch, incr/decr, reap, evict) is "read the entry pointer, act
+//! only if the key still holds it": a conditional Put or Delete on the
+//! pointer in the index. When a racing writer got there first, the
+//! mutation re-reads the key and decides again, so read-modify-write ops
+//! lose no update and the reaper never unlinks an entry that a racing
+//! `touch` or `set` replaced. Retired records are freed two epochs after
+//! unlinking; sessions must call [`CacheSession::quiesce`] periodically
+//! (the server does so once per event loop pass).
 
 use crate::error::{DlhtError, InsertOutcome};
 use crate::record::{key_word, Records};
@@ -38,15 +41,12 @@ use crate::stats::TableStats;
 use dlht_alloc::AllocatorKind;
 use dlht_epoch::{Collector, LocalHandle};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Seed for the key-fingerprint hash (distinct from the index's bin hash so
 /// bin placement and fingerprints stay independent).
 const CACHE_HASH_SEED: u64 = 0xC_AC4E_5EED;
-
-/// Mutation stripe-lock count (power of two). Gets never take one.
-const STRIPES: usize = 64;
 
 /// Memcache's relative/absolute expiry pivot: an exptime of more than 30
 /// days is an absolute unix timestamp, anything smaller is relative seconds.
@@ -128,14 +128,14 @@ impl CacheClock for ManualClock {
 // ---------------------------------------------------------------------------
 
 /// Per-entry metadata, written once into every record (see
-/// [`crate::record`]). `deadline` and `last_access` are atomics so `touch`
-/// and the read path can update them in place while concurrent readers hold
-/// the record.
+/// [`crate::record`]) and never changed after the entry is published — a
+/// new deadline or value means a new record — except `last_access`, the
+/// atomic LRU stamp that hits update in place.
 #[repr(C)]
 struct EntryMeta {
     flags: u32,
     /// Absolute cache-clock second after which the entry is dead; 0 = never.
-    deadline: AtomicU32,
+    deadline: u32,
     /// Monotone store sequence — memcache `cas` id, doubles as FIFO age.
     cas: u64,
     /// Stamp from the map's access sequence at the last hit (LRU eviction
@@ -146,8 +146,7 @@ struct EntryMeta {
 
 impl EntryMeta {
     fn expired_at(&self, now: u32) -> bool {
-        let deadline = self.deadline.load(Ordering::Acquire);
-        deadline != 0 && deadline <= now
+        self.deadline != 0 && self.deadline <= now
     }
 }
 
@@ -290,7 +289,6 @@ pub struct CacheMap {
     unix_at_start: u64,
     budget: u64,
     eviction: EvictionPolicy,
-    stripes: Box<[Mutex<()>]>,
     /// Monotone store sequence (cas ids; also the FIFO eviction order).
     cas_seq: AtomicU64,
     /// Monotone access sequence feeding every entry's `last_access` stamp.
@@ -332,7 +330,6 @@ impl CacheMap {
             unix_at_start,
             budget: config.memory_budget,
             eviction: config.eviction,
-            stripes: (0..STRIPES).map(|_| Mutex::new(())).collect(),
             cas_seq: AtomicU64::new(0),
             access_seq: AtomicU32::new(1),
             index_bytes_cache: AtomicU64::new(index_bytes),
@@ -444,10 +441,6 @@ impl CacheMap {
 
     // ---- internals --------------------------------------------------------
 
-    fn stripe(&self, word: u64) -> &Mutex<()> {
-        &self.stripes[(word as usize) & (STRIPES - 1)]
-    }
-
     /// Allocate and fill an entry record; returns its pointer.
     fn write_entry(
         &self,
@@ -459,7 +452,7 @@ impl CacheMap {
     ) -> *mut u8 {
         let meta = EntryMeta {
             flags,
-            deadline: AtomicU32::new(deadline),
+            deadline,
             cas,
             last_access: AtomicU32::new(self.access_stamp()),
         };
@@ -485,9 +478,9 @@ impl CacheMap {
     fn retire_entry(&self, handle: &mut LocalHandle, word_value: u64) {
         let ptr = word_value as *mut u8;
         let pending = Arc::clone(&self.pending_reclaim_bytes);
-        // SAFETY: the entry was unlinked by the caller under its stripe lock
-        // and stays alive until this session's next quiescent point; it is
-        // retired once.
+        // SAFETY: the caller's own Put or Delete unlinked the entry, so it is
+        // retired once; it stays alive until this session's next quiescent
+        // point.
         unsafe {
             let size = self.records.size(ptr) as u64;
             self.value_bytes.fetch_sub(size, Ordering::Relaxed);
@@ -530,7 +523,7 @@ impl Drop for CacheMap {
 // CacheSession
 // ---------------------------------------------------------------------------
 
-/// How a slot looked when a mutation examined it under its stripe lock.
+/// How a slot looked when a mutation examined it.
 enum SlotState {
     Empty,
     /// A live entry with the same key.
@@ -557,8 +550,7 @@ impl<'a> CacheSession<'a> {
         self.map
     }
 
-    /// Classify what currently occupies `word`. Caller must hold the
-    /// stripe lock for `word`.
+    /// Classify what currently occupies `word`.
     fn slot_state(&self, word: u64, exact: bool, key: &[u8], now: u32) -> SlotState {
         match self.map.table.get(word) {
             None => SlotState::Empty,
@@ -582,13 +574,15 @@ impl<'a> CacheSession<'a> {
         }
     }
 
-    /// Unlink `word` (which currently holds `cur`) and retire the record.
-    /// Caller must hold the stripe lock.
-    fn unlink(&mut self, word: u64, cur: u64) {
-        let removed = self.map.table.delete(word);
-        debug_assert_eq!(removed, Some(cur), "stripe lock guarantees stability");
+    /// Unlink `word` if it still holds `cur`, and retire the record. `false`
+    /// when a racing write replaced or removed it first.
+    fn unlink(&mut self, word: u64, cur: u64) -> bool {
+        if self.map.table.delete_if(word, cur).is_err() {
+            return false;
+        }
         self.map.items.fetch_sub(1, Ordering::Relaxed);
         self.map.retire_entry(&mut self.handle, cur);
+        true
     }
 
     /// Unconditional store (memcache `set`).
@@ -638,51 +632,57 @@ impl<'a> CacheSession<'a> {
         let deadline = self.map.deadline_for(exptime);
         let now = self.map.clock.now();
         let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
-        let stored = {
-            let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
-            let state = self.slot_state(word, exact, key, now);
-            // An expired entry is logically absent: remove it here so `add`
-            // can take the slot and the accounting reflects reality.
-            let state = match state {
-                SlotState::Expired(cur) => {
-                    self.unlink(word, cur);
-                    self.map.expired.fetch_add(1, Ordering::Relaxed);
-                    SlotState::Empty
+        // Written on first need and reused across retries.
+        let mut entry: Option<*mut u8> = None;
+        let stored = loop {
+            let replaces = match (require_live, self.slot_state(word, exact, key, now)) {
+                // An expired entry is logically absent: remove it here so
+                // `add` can take the slot and the accounting reflects reality.
+                (_, SlotState::Expired(cur)) => {
+                    if self.unlink(word, cur) {
+                        self.map.expired.fetch_add(1, Ordering::Relaxed);
+                    }
+                    continue;
                 }
-                other => other,
-            };
-            let replaces = match (require_live, &state) {
-                (Some(true), SlotState::Live(cur)) => Some(*cur),
-                (Some(true), _) => return Ok(StoreOutcome::NotStored),
-                (Some(false), SlotState::Live(_)) => return Ok(StoreOutcome::NotStored),
+                (Some(true), SlotState::Live(cur)) => Some(cur),
+                (Some(true), _) | (Some(false), SlotState::Live(_)) => {
+                    break StoreOutcome::NotStored;
+                }
                 // A colliding foreign key is overwritten even by `add`:
                 // the word can only hold one record.
-                (_, SlotState::Live(cur) | SlotState::Foreign(cur)) => Some(*cur),
-                (_, SlotState::Empty | SlotState::Expired(_)) => None,
+                (_, SlotState::Live(cur) | SlotState::Foreign(cur)) => Some(cur),
+                (_, SlotState::Empty) => None,
             };
-            let cas = self.map.cas_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            let entry = self.map.write_entry(key, value, flags, deadline, cas);
+            let new = *entry.get_or_insert_with(|| {
+                let cas = self.map.cas_seq.fetch_add(1, Ordering::Relaxed) + 1;
+                self.map.write_entry(key, value, flags, deadline, cas)
+            });
             match replaces {
                 Some(cur) => {
-                    let prev = self.map.table.put(word, entry as u64);
-                    debug_assert_eq!(prev, Some(cur), "stripe lock guarantees stability");
-                    self.map.retire_entry(&mut self.handle, cur);
+                    if self.map.table.put_if(word, cur, new as u64).is_ok() {
+                        self.map.retire_entry(&mut self.handle, cur);
+                        break StoreOutcome::Stored;
+                    }
                 }
-                None => match self.map.table.insert(word, entry as u64) {
+                None => match self.map.table.insert(word, new as u64) {
                     Ok(InsertOutcome::Inserted) => {
                         self.map.items.fetch_add(1, Ordering::Relaxed);
+                        break StoreOutcome::Stored;
                     }
-                    // `AlreadyExists` is unreachable under the stripe lock;
-                    // keep the map consistent anyway.
-                    failed => {
-                        self.map.discard_entry(entry);
-                        return failed.map(|_| StoreOutcome::NotStored);
+                    // A racing store linked the word first: look again.
+                    Ok(InsertOutcome::AlreadyExists(_)) => {}
+                    Err(e) => {
+                        self.map.discard_entry(new);
+                        return Err(e);
                     }
                 },
             }
-            self.map.sets.fetch_add(1, Ordering::Relaxed);
-            StoreOutcome::Stored
         };
+        if stored == StoreOutcome::Stored {
+            self.map.sets.fetch_add(1, Ordering::Relaxed);
+        } else if let Some(unlinked) = entry {
+            self.map.discard_entry(unlinked);
+        }
         self.maybe_evict();
         Ok(stored)
     }
@@ -733,40 +733,30 @@ impl<'a> CacheSession<'a> {
     pub fn delete(&mut self, key: &[u8]) -> bool {
         let now = self.map.clock.now();
         let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
-        let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
-        match self.slot_state(word, exact, key, now) {
-            SlotState::Empty | SlotState::Foreign(_) => false,
-            SlotState::Expired(cur) => {
-                self.unlink(word, cur);
-                self.map.expired.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            SlotState::Live(cur) => {
-                self.unlink(word, cur);
-                true
+        loop {
+            match self.slot_state(word, exact, key, now) {
+                SlotState::Empty | SlotState::Foreign(_) => return false,
+                SlotState::Expired(cur) => {
+                    if self.unlink(word, cur) {
+                        self.map.expired.fetch_add(1, Ordering::Relaxed);
+                        return false;
+                    }
+                }
+                SlotState::Live(cur) => {
+                    if self.unlink(word, cur) {
+                        return true;
+                    }
+                }
             }
         }
     }
 
-    /// Update a live entry's deadline in place (memcache `touch`). Returns
-    /// `false` when the key is absent or already expired.
+    /// Give a live entry a new deadline (memcache `touch`): publishes a copy
+    /// with the same value, flags and cas. Returns `false` when the key is
+    /// absent or already expired.
     pub fn touch(&mut self, key: &[u8], exptime: i64) -> bool {
         let deadline = self.map.deadline_for(exptime);
-        let now = self.map.clock.now();
-        let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
-        let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
-        match self.slot_state(word, exact, key, now) {
-            SlotState::Live(cur) => {
-                // SAFETY: live entry under epoch protection; deadline and
-                // last_access are atomics made for in-place update.
-                let meta = unsafe { self.map.meta(cur) };
-                meta.deadline.store(deadline, Ordering::Release);
-                meta.last_access
-                    .store(self.map.access_stamp(), Ordering::Relaxed);
-                true
-            }
-            _ => false,
-        }
+        self.rewrite(key, Some(deadline), |_| Ok(None)).is_ok()
     }
 
     /// Add `delta` to a numeric value (wrapping, per memcache).
@@ -780,34 +770,56 @@ impl<'a> CacheSession<'a> {
     }
 
     fn counter_op(&mut self, key: &[u8], delta: u64, up: bool) -> Result<u64, CounterError> {
+        let next = self.rewrite(key, None, |value| {
+            let current = parse_decimal_u64(value).ok_or(CounterError::NotNumeric)?;
+            Ok(Some(if up {
+                current.wrapping_add(delta)
+            } else {
+                current.saturating_sub(delta)
+            }))
+        })?;
+        self.map.sets.fetch_add(1, Ordering::Relaxed);
+        Ok(next.unwrap_or_default())
+    }
+
+    /// Publish a copy of the live entry under `key` with one field changed,
+    /// by one Put of the new pointer that lands only if the key still holds
+    /// the entry read; a racing write sends us back to read it again. `edit`
+    /// sees the current value: `Some(n)` rewrites it to decimal `n` with a
+    /// fresh cas (`incr`/`decr`), `None` keeps value and cas (`touch`, which
+    /// passes its new `deadline`). Flags are always kept.
+    fn rewrite(
+        &mut self,
+        key: &[u8],
+        deadline: Option<u32>,
+        edit: impl Fn(&[u8]) -> Result<Option<u64>, CounterError>,
+    ) -> Result<Option<u64>, CounterError> {
         let now = self.map.clock.now();
         let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
-        let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
-        let cur = match self.slot_state(word, exact, key, now) {
-            SlotState::Live(cur) => cur,
-            _ => return Err(CounterError::NotFound),
-        };
-        // SAFETY: live entry under epoch protection (see `get_with`).
-        let meta = unsafe { self.map.meta(cur) };
-        // SAFETY: as above.
-        let value = unsafe { self.map.records.value(cur as *const u8) };
-        let current = parse_decimal_u64(value).ok_or(CounterError::NotNumeric)?;
-        let next = if up {
-            current.wrapping_add(delta)
-        } else {
-            current.saturating_sub(delta)
-        };
-        let mut buf = [0u8; 20];
-        let text = format_decimal_u64(&mut buf, next);
-        let deadline = meta.deadline.load(Ordering::Acquire);
-        let flags = meta.flags;
-        let cas = self.map.cas_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = self.map.write_entry(key, text, flags, deadline, cas);
-        let prev = self.map.table.put(word, entry as u64);
-        debug_assert_eq!(prev, Some(cur), "stripe lock guarantees stability");
-        self.map.retire_entry(&mut self.handle, cur);
-        self.map.sets.fetch_add(1, Ordering::Relaxed);
-        Ok(next)
+        let map = self.map;
+        loop {
+            let SlotState::Live(cur) = self.slot_state(word, exact, key, now) else {
+                return Err(CounterError::NotFound);
+            };
+            // SAFETY: live entry under epoch protection (see `get_with`).
+            let (value, meta) = unsafe { (map.records.value(cur as *const u8), map.meta(cur)) };
+            let next = edit(value)?;
+            let mut buf = [0u8; 20];
+            let (value, cas) = match next {
+                Some(n) => (
+                    format_decimal_u64(&mut buf, n),
+                    map.cas_seq.fetch_add(1, Ordering::Relaxed) + 1,
+                ),
+                None => (value, meta.cas),
+            };
+            let deadline = deadline.unwrap_or(meta.deadline);
+            let entry = map.write_entry(key, value, meta.flags, deadline, cas);
+            if map.table.put_if(word, cur, entry as u64).is_ok() {
+                map.retire_entry(&mut self.handle, cur);
+                return Ok(next);
+            }
+            map.discard_entry(entry);
+        }
     }
 
     /// Remove every entry (memcache `flush_all`). Returns the number of
@@ -817,7 +829,6 @@ impl<'a> CacheSession<'a> {
         self.map.table.for_each(|word, _| words.push(word));
         let mut removed = 0;
         for word in words {
-            let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
             if let Some(cur) = self.map.table.delete(word) {
                 self.map.items.fetch_sub(1, Ordering::Relaxed);
                 self.map.retire_entry(&mut self.handle, cur);
@@ -839,8 +850,8 @@ impl<'a> CacheSession<'a> {
     }
 
     /// Scan the index and retire every entry whose deadline has passed.
-    /// Concurrent-safe: each victim is re-verified under its stripe lock
-    /// before unlinking (a racing `touch`/`set` wins).
+    /// Concurrent-safe: each victim is unlinked only if its key still holds
+    /// the scanned entry (a racing `touch`/`set` replaced it and wins).
     pub fn sweep_expired(&mut self) -> u64 {
         let now = self.map.clock.now();
         let mut victims: Vec<(u64, u64)> = Vec::new();
@@ -853,17 +864,10 @@ impl<'a> CacheSession<'a> {
         });
         let mut reaped = 0;
         for (word, value_word) in victims {
-            let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
-            if self.map.table.get(word) != Some(value_word) {
-                continue; // replaced since the scan
+            if self.unlink(word, value_word) {
+                self.map.expired.fetch_add(1, Ordering::Relaxed);
+                reaped += 1;
             }
-            // SAFETY: still linked (checked above under the stripe lock).
-            if !unsafe { self.map.meta(value_word) }.expired_at(now) {
-                continue; // a racing touch extended it
-            }
-            self.unlink(word, value_word);
-            self.map.expired.fetch_add(1, Ordering::Relaxed);
-            reaped += 1;
         }
         reaped
     }
@@ -917,13 +921,11 @@ impl<'a> CacheSession<'a> {
             if self.map.value_bytes.load(Ordering::Relaxed) <= target {
                 break;
             }
-            let _guard = self.map.stripe(word).lock().expect("cache stripe lock");
-            if self.map.table.get(word) != Some(value_word) {
-                continue;
-            }
-            // SAFETY: still linked (checked above under the stripe lock).
+            // SAFETY: scanned above; this session has not quiesced since.
             let was_expired = unsafe { self.map.meta(value_word) }.expired_at(now);
-            self.unlink(word, value_word);
+            if !self.unlink(word, value_word) {
+                continue; // replaced or removed since the scan
+            }
             if was_expired {
                 self.map.expired.fetch_add(1, Ordering::Relaxed);
             } else {

@@ -124,7 +124,8 @@ pub use dlht_hash as hash;
 mod model_tests {
     //! Deterministic property testing: the single-threaded behaviour of the
     //! concurrent map must match `std::collections::HashMap` under
-    //! pseudo-random operation sequences (64 seeds × 400 operations).
+    //! pseudo-random operation sequences (64 seeds × 400 operations),
+    //! including the value-conditional `put_if` / `delete_if`.
 
     use crate::{DlhtConfig, DlhtMap};
     use dlht_hash::HashKind;
@@ -146,7 +147,15 @@ mod model_tests {
             for _ in 0..400 {
                 let k = splitmix(&mut rng) % 64;
                 let v = splitmix(&mut rng) % 1_000_000;
-                match splitmix(&mut rng) % 4 {
+                // Conditional ops expect the current value half the time
+                // (a match when present) and a fresh value otherwise.
+                let expected = match model.get(&k) {
+                    Some(&cur) if splitmix(&mut rng).is_multiple_of(2) => cur,
+                    _ => splitmix(&mut rng) % 1_000_000,
+                };
+                let held = model.get(&k).copied();
+                let matches = held == Some(expected);
+                match splitmix(&mut rng) % 6 {
                     0 => {
                         let inserted = map.insert(k, v).unwrap().inserted();
                         let expected = !model.contains_key(&k);
@@ -157,6 +166,20 @@ mod model_tests {
                     }
                     1 => assert_eq!(map.delete(k), model.remove(&k), "seed {seed}"),
                     2 => assert_eq!(map.get(k), model.get(&k).copied(), "seed {seed}"),
+                    3 => {
+                        let want = if matches { Ok(()) } else { Err(held) };
+                        assert_eq!(map.put_if(k, expected, v), want, "seed {seed}");
+                        if matches {
+                            model.insert(k, v);
+                        }
+                    }
+                    4 => {
+                        let want = if matches { Ok(()) } else { Err(held) };
+                        assert_eq!(map.delete_if(k, expected), want, "seed {seed}");
+                        if matches {
+                            model.remove(&k);
+                        }
+                    }
                     _ => {
                         let prev = model.get(&k).copied();
                         assert_eq!(map.put(k, v), prev, "seed {seed}");

@@ -101,12 +101,18 @@ impl<'t> Session<'t> {
         self.table
     }
 
-    /// Look up `key`.
-    pub fn get(&self, key: u64) -> Option<u64> {
+    /// Run `f` on the index this session enters, pinned for the call.
+    #[inline]
+    fn entered<T>(&self, f: impl FnOnce(*mut crate::index::Index) -> T) -> T {
         let guard = self.enter();
-        let r = self.table.get_guarded(guard.index_ptr(), key);
+        let r = f(guard.index_ptr());
         drop(guard);
         r
+    }
+
+    /// Look up `key`.
+    pub fn get(&self, key: u64) -> Option<u64> {
+        self.entered(|start| self.table.get_guarded(start, key))
     }
 
     /// Whether `key` is present.
@@ -116,28 +122,20 @@ impl<'t> Session<'t> {
 
     /// Insert `key -> value`; fails (without overwriting) if the key exists.
     pub fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        let guard = self.enter();
-        let r = self
-            .table
-            .insert_guarded(guard.index_ptr(), key, value, SlotState::Valid);
-        drop(guard);
-        r
+        self.entered(|start| {
+            self.table
+                .insert_guarded(start, key, value, SlotState::Valid)
+        })
     }
 
     /// Update an existing key's value; returns the previous value.
     pub fn put(&self, key: u64, value: u64) -> Option<u64> {
-        let guard = self.enter();
-        let r = self.table.put_guarded(guard.index_ptr(), key, value);
-        drop(guard);
-        r
+        self.entered(|start| self.table.put_guarded(start, key, value))
     }
 
     /// Delete `key`, returning its value if it was present.
     pub fn delete(&self, key: u64) -> Option<u64> {
-        let guard = self.enter();
-        let r = self.table.delete_guarded(guard.index_ptr(), key);
-        drop(guard);
-        r
+        self.entered(|start| self.table.delete_guarded(start, key))
     }
 
     /// Issue a software prefetch for the bin `key` hashes to.
@@ -159,20 +157,14 @@ impl<'t> Session<'t> {
     /// response storage — see [`DlhtMap::execute`]. One enter/leave
     /// announcement (through the cached slot) covers the whole batch.
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        let guard = self.enter();
-        self.table
-            .execute_entered(guard.index_ptr(), batch, policy, true);
-        drop(guard);
+        self.entered(|start| self.table.execute_entered(start, batch, policy, true));
     }
 
     /// [`Session::execute`] without the up-front prefetch sweep, for batches
     /// whose requests were already prefetched one by one (the pipeline's
     /// flush path).
     pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        let guard = self.enter();
-        self.table
-            .execute_entered(guard.index_ptr(), batch, policy, false);
-        drop(guard);
+        self.entered(|start| self.table.execute_entered(start, batch, policy, false));
     }
 
     /// Open a bounded prefetch [`Pipeline`] of `depth` in-flight requests

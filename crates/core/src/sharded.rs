@@ -56,7 +56,6 @@
 use crate::batch::{Batch, BatchPolicy, Request, Response};
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
-use crate::header::SlotState;
 use crate::pipeline::{BatchExecutor, Pipeline};
 use crate::session::Session;
 use crate::stats::TableStats;
@@ -208,6 +207,18 @@ impl ShardedTable {
         self.route(key).delete(key)
     }
 
+    /// `DlhtMap::put_if` on the key's shard.
+    #[inline]
+    pub(crate) fn put_if(&self, key: u64, current: u64, new: u64) -> Result<(), Option<u64>> {
+        self.route(key).put_if(key, current, new)
+    }
+
+    /// `DlhtMap::delete_if` on the key's shard.
+    #[inline]
+    pub(crate) fn delete_if(&self, key: u64, current: u64) -> Result<(), Option<u64>> {
+        self.route(key).delete_if(key, current)
+    }
+
     /// Insert if absent, otherwise update; returns the previous value on
     /// update and propagates insert errors (see [`DlhtMap::upsert`]).
     #[inline]
@@ -268,23 +279,6 @@ impl ShardedTable {
         batch.into_responses()
     }
 
-    /// Execute one request on shard `s`, starting from that shard's pinned
-    /// index generation.
-    ///
-    /// SAFETY contract: `start` must come from a live [`EnterGuard`] on shard
-    /// `s` held by the caller for the whole call.
-    fn exec_one(&self, s: usize, start: *mut crate::index::Index, req: Request) -> Response {
-        let shard = &self.shards[s];
-        match req {
-            Request::Get(k) => Response::Value(shard.get_guarded(start, k)),
-            Request::Put(k, v) => Response::Updated(shard.put_guarded(start, k, v)),
-            Request::Insert(k, v) => {
-                Response::Inserted(shard.insert_guarded(start, k, v, SlotState::Valid))
-            }
-            Request::Delete(k) => Response::Deleted(shard.delete_guarded(start, k)),
-        }
-    }
-
     /// Batch execution body over already-entered shards: `guards[s]` must be
     /// a live guard on shard `s` (one per shard, held by the caller for the
     /// whole call). Shared by [`ShardedTable::execute`] and
@@ -337,7 +331,7 @@ impl ShardedTable {
                 let start = guard.index_ptr();
                 for (i, req) in requests.iter().enumerate() {
                     if routes[i] as usize == s {
-                        responses[i] = self.exec_one(s, start, *req);
+                        responses[i] = self.shards[s].exec_guarded(start, *req);
                     }
                 }
             }
@@ -351,7 +345,7 @@ impl ShardedTable {
                     continue;
                 }
                 let s = s as usize;
-                let resp = self.exec_one(s, guards[s].index_ptr(), *req);
+                let resp = self.shards[s].exec_guarded(guards[s].index_ptr(), *req);
                 if policy.stops_on_failure() && !resp.succeeded() {
                     stopped = true;
                 }

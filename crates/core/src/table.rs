@@ -9,7 +9,10 @@
 //! HashSet ignores the value word, and the Allocator map stores a tagged
 //! pointer in it.
 
-use crate::bucket::{is_reserved_key, transfer_key_for_bin, LinkMeta, PrimaryBucket, NO_LINK};
+use crate::atomic128::AtomicPair;
+use crate::bucket::{
+    fill_key_for_bin, is_reserved_key, transfer_key_for_bin, LinkMeta, PrimaryBucket, NO_LINK,
+};
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::header::{BinHeader, BinState, SlotState, SLOTS_PER_BIN};
@@ -30,6 +33,22 @@ enum Probe<T> {
     /// The bin (or the link-bucket pool) is full; a resize is required.
     NeedResize,
 }
+
+impl<T> Probe<T> {
+    #[inline]
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Probe<U> {
+        match self {
+            Probe::Done(v) => Probe::Done(f(v)),
+            Probe::Busy => Probe::Busy,
+            Probe::Moved => Probe::Moved,
+            Probe::NeedResize => Probe::NeedResize,
+        }
+    }
+}
+
+/// A `Valid` slot holding the probed key, as a validated probe saw it:
+/// (slot index, its key-value pair, value word).
+type Found<'a> = (usize, &'a AtomicPair, u64);
 
 /// Concurrent hash map with inlined 8-byte keys and values.
 ///
@@ -205,13 +224,19 @@ impl DlhtMap {
     // Public operations
     // ------------------------------------------------------------------
 
+    /// Run `f` on the current index generation, pinned for the call.
+    #[inline]
+    pub(crate) fn entered<T>(&self, f: impl FnOnce(*mut Index) -> T) -> T {
+        let guard = self.enter();
+        let r = f(guard.index_ptr());
+        drop(guard);
+        r
+    }
+
     /// Look up `key`, returning its value word.
     #[inline]
     pub fn get(&self, key: u64) -> Option<u64> {
-        let guard = self.enter();
-        let r = self.get_guarded(guard.index_ptr(), key);
-        drop(guard);
-        r
+        self.entered(|start| self.get_guarded(start, key))
     }
 
     /// Get starting from an already-pinned index generation (batch API).
@@ -219,13 +244,16 @@ impl DlhtMap {
         if is_reserved_key(key) {
             return None;
         }
-        self.run_readonly(start, |idx| self.get_in(idx, key))
+        self.run(start, |idx| {
+            let found = self.probe(idx, idx.bin(idx.bin_of(key)), key);
+            found.map(|hit| hit.map(|(_, _, v)| v))
+        })
     }
 
     /// Insert `key -> value`. Fails with `AlreadyExists` if present.
     #[inline]
     pub fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        self.insert_with_state(key, value, SlotState::Valid)
+        self.entered(|start| self.insert_guarded(start, key, value, SlotState::Valid))
     }
 
     /// Shadow-insert `key` (§3.2.2 "Transactions"): the key is claimed (a
@@ -233,40 +261,35 @@ impl DlhtMap {
     /// [`DlhtMap::commit_shadow`] is called.
     #[inline]
     pub fn insert_shadow(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        self.insert_with_state(key, value, SlotState::Shadow)
+        self.entered(|start| self.insert_guarded(start, key, value, SlotState::Shadow))
     }
 
     /// Commit (`true`) or abort (`false`) a shadow insert. Returns whether a
     /// shadow entry for `key` was found.
     #[inline]
     pub fn commit_shadow(&self, key: u64, commit: bool) -> bool {
-        if is_reserved_key(key) {
-            return false;
-        }
-        let guard = self.enter();
-        let r = self.run_mutating(guard.index_ptr(), |idx| {
-            self.finish_shadow_in(idx, key, commit)
-        });
-        drop(guard);
-        r
+        !is_reserved_key(key)
+            && self.entered(|start| self.run(start, |idx| self.finish_shadow_in(idx, key, commit)))
     }
 
     /// Update the value of an existing key with a 16-byte dw-CAS (§3.2.4).
     /// Returns the previous value word, or `None` if the key is absent.
     #[inline]
     pub fn put(&self, key: u64, value: u64) -> Option<u64> {
-        let guard = self.enter();
-        let r = self.put_guarded(guard.index_ptr(), key, value);
-        drop(guard);
-        r
+        self.entered(|start| self.put_guarded(start, key, value))
     }
 
     /// Put starting from an already-pinned index generation (batch API).
     pub(crate) fn put_guarded(&self, start: *mut Index, key: u64, value: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.run_mutating(start, |idx| self.put_in(idx, key, value))
+        self.run(start, |idx| self.put_in(idx, key, None, value))
+            .ok()
+    }
+
+    /// Replace `key`'s value with `new` only if it still holds `current`.
+    /// `Err` carries the value actually found (`None` = absent).
+    pub(crate) fn put_if(&self, key: u64, current: u64, new: u64) -> Result<(), Option<u64>> {
+        let put = |idx: &Index| self.put_in(idx, key, Some(current), new);
+        self.entered(|start| self.run(start, put)).map(drop)
     }
 
     /// Insert if absent, otherwise update. Returns the previous value on
@@ -292,36 +315,25 @@ impl DlhtMap {
     /// deleted value word.
     #[inline]
     pub fn delete(&self, key: u64) -> Option<u64> {
-        let guard = self.enter();
-        let r = self.delete_guarded(guard.index_ptr(), key);
-        drop(guard);
-        r
+        self.entered(|start| self.delete_guarded(start, key))
     }
 
     /// Delete starting from an already-pinned index generation (batch API).
     pub(crate) fn delete_guarded(&self, start: *mut Index, key: u64) -> Option<u64> {
-        if is_reserved_key(key) {
-            return None;
-        }
-        self.run_mutating(start, |idx| self.delete_in(idx, key))
+        self.run(start, |idx| self.delete_in(idx, key, None)).ok()
+    }
+
+    /// Delete `key` only if it still holds `current`. `Err` carries the value
+    /// actually found (`None` = absent).
+    pub(crate) fn delete_if(&self, key: u64, current: u64) -> Result<(), Option<u64>> {
+        let delete = |idx: &Index| self.delete_in(idx, key, Some(current));
+        self.entered(|start| self.run(start, delete)).map(drop)
     }
 
     /// Whether `key` is present.
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
         self.get(key).is_some()
-    }
-
-    fn insert_with_state(
-        &self,
-        key: u64,
-        value: u64,
-        state: SlotState,
-    ) -> Result<InsertOutcome, DlhtError> {
-        let guard = self.enter();
-        let r = self.insert_guarded(guard.index_ptr(), key, value, state);
-        drop(guard);
-        r
     }
 
     /// Insert starting from an already-pinned index generation (batch API).
@@ -335,149 +347,107 @@ impl DlhtMap {
         if is_reserved_key(key) {
             return Err(DlhtError::ReservedKey);
         }
-        let mut idx_ptr = start;
-        loop {
-            // SAFETY: idx_ptr is protected by the guard (entered index) plus
-            // the oldest-first retirement rule for newer generations.
-            let idx = unsafe { &*idx_ptr };
-            match self.insert_in(idx, key, value, state) {
-                Probe::Done(outcome) => return Ok(outcome),
-                Probe::Busy => std::hint::spin_loop(),
-                Probe::Moved => idx_ptr = self.follow_next(idx),
-                Probe::NeedResize => {
-                    if !self.config.resizing {
-                        return Err(DlhtError::TableFull);
-                    }
-                    idx_ptr = self.grow(idx_ptr);
-                }
-            }
-        }
+        self.run(start, |idx| match self.insert_in(idx, key, value, state) {
+            Probe::NeedResize if !self.config.resizing => Probe::Done(Err(DlhtError::TableFull)),
+            outcome => outcome.map(Ok),
+        })
     }
 
-    /// Drive a read-only closure across Busy/Moved outcomes.
-    fn run_readonly<T>(&self, start: *mut Index, mut op: impl FnMut(&Index) -> Probe<T>) -> T {
+    /// Drive `op` from `start` across Busy/Moved outcomes, growing the table
+    /// when it reports NeedResize (only inserts ever do).
+    fn run<T>(&self, start: *mut Index, mut op: impl FnMut(&Index) -> Probe<T>) -> T {
         let mut idx_ptr = start;
         loop {
-            // SAFETY: protected by the caller's EnterGuard.
+            // SAFETY: idx_ptr is protected by the caller's EnterGuard (entered
+            // index) plus the oldest-first retirement rule for newer
+            // generations.
             let idx = unsafe { &*idx_ptr };
             match op(idx) {
                 Probe::Done(v) => return v,
                 Probe::Busy => std::hint::spin_loop(),
-                Probe::Moved => idx_ptr = self.follow_next(idx),
-                Probe::NeedResize => unreachable!("read-only ops never trigger resizes"),
-            }
-        }
-    }
-
-    /// Drive a mutating-but-never-growing closure across Busy/Moved outcomes.
-    fn run_mutating<T>(&self, start: *mut Index, mut op: impl FnMut(&Index) -> Probe<T>) -> T {
-        let mut idx_ptr = start;
-        loop {
-            // SAFETY: protected by the caller's EnterGuard.
-            let idx = unsafe { &*idx_ptr };
-            match op(idx) {
-                Probe::Done(v) => return v,
-                Probe::Busy => std::hint::spin_loop(),
-                Probe::Moved => idx_ptr = self.follow_next(idx),
-                Probe::NeedResize => {
-                    unreachable!("puts/deletes never trigger resizes")
+                Probe::Moved => {
+                    idx_ptr = idx.next_ptr();
+                    debug_assert!(!idx_ptr.is_null(), "DoneTransfer bin without a next index");
                 }
+                Probe::NeedResize => idx_ptr = self.grow(idx_ptr),
             }
         }
-    }
-
-    #[inline]
-    fn follow_next(&self, idx: &Index) -> *mut Index {
-        let next = idx.next_ptr();
-        debug_assert!(
-            !next.is_null(),
-            "a bin reported DoneTransfer but the next index is not published"
-        );
-        next
     }
 
     // ------------------------------------------------------------------
     // Per-index algorithms
     // ------------------------------------------------------------------
 
-    /// Lock-free Get (§3.2.1): seqlock-style scan validated by the header
-    /// version. Usually a single cache line / memory access.
-    // HOT: the per-Get probe loop — must not panic.
-    fn get_in(&self, idx: &Index, key: u64) -> Probe<Option<u64>> {
-        let bin = idx.bin(idx.bin_of(key));
-        'retry: loop {
+    /// The one probe behind Get, Put and Delete (§3.2.1): a seqlock-style
+    /// scan of `bin` for a `Valid` slot holding `key`, returned only if the
+    /// header version did not move meanwhile. Usually a single cache line /
+    /// memory access.
+    // HOT: the per-request probe loop — must not panic.
+    #[inline(always)]
+    fn probe<'a>(
+        &self,
+        idx: &'a Index,
+        bin: &'a PrimaryBucket,
+        key: u64,
+    ) -> Probe<Option<Found<'a>>> {
+        loop {
             let h = BinHeader(bin.header.load(Ordering::Acquire));
             match h.bin_state() {
                 BinState::InTransfer => return Probe::Busy,
                 BinState::DoneTransfer => return Probe::Moved,
                 BinState::NoTransfer | BinState::Snapshot => {}
             }
-            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-            let extent = h.occupied_extent();
-            for slot in 0..extent {
-                if h.slot_state(slot) != SlotState::Valid {
-                    continue;
-                }
-                let Some(pair) = idx.slot_pair(bin, meta, slot) else {
-                    continue;
-                };
-                if pair.load_lo(Ordering::Acquire) != key {
-                    continue;
-                }
-                let value = pair.load_hi(Ordering::Acquire);
-                let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-                if h2.version() == h.version() {
-                    return Probe::Done(Some(value));
-                }
-                continue 'retry;
-            }
-            // Not found under this header snapshot; validate it was stable.
+            // No fill key: a slot whose insert has not written its key yet is
+            // simply absent here.
+            let found = self.scan_for_key(idx, bin, h, key, |st| st == SlotState::Valid, None);
             let h2 = BinHeader(bin.header.load(Ordering::Acquire));
             if h2.version() == h.version() {
-                return Probe::Done(None);
+                return Probe::Done(found.unwrap_or(None));
             }
         }
     }
 
-    /// Scan the bin (under header snapshot `h`) for `key` among slots whose
-    /// state is in `states`. Returns (slot index, value word).
-    // AUDIT: allow(too_many_arguments) — the argument list mirrors the bin
-    // probe state (index, bucket, header snapshot, link meta, key, filters)
-    // that every caller already holds; bundling them would just add a struct
-    // with one user.
-    #[allow(clippy::too_many_arguments)]
-    // HOT: inner bin scan shared by Insert/Update/Delete probes.
-    fn scan_for_key(
+    /// Scan `bin` (under header snapshot `h`) for `key` among slots whose
+    /// state passes `visible`. `Err(())` when a visible slot holds `fill`: an
+    /// insert has published it but not yet written its key, so the answer is
+    /// not known yet — reload the header and scan again.
+    // HOT: inner bin scan shared by every probe.
+    #[inline(always)]
+    fn scan_for_key<'a>(
         &self,
-        idx: &Index,
-        bin: &PrimaryBucket,
+        idx: &'a Index,
+        bin: &'a PrimaryBucket,
         h: BinHeader,
-        meta: LinkMeta,
         key: u64,
-        include_shadow: bool,
-        exclude_slot: Option<usize>,
-    ) -> Option<(usize, u64)> {
-        let extent = h.occupied_extent();
-        for slot in 0..extent {
-            if Some(slot) == exclude_slot {
-                continue;
-            }
-            let st = h.slot_state(slot);
-            let visible = st == SlotState::Valid || (include_shadow && st == SlotState::Shadow);
-            if !visible {
+        visible: impl Fn(SlotState) -> bool,
+        fill: Option<u64>,
+    ) -> Result<Option<Found<'a>>, ()> {
+        let meta = LinkMeta(bin.link.load(Ordering::Acquire));
+        for slot in 0..h.occupied_extent() {
+            if !visible(h.slot_state(slot)) {
                 continue;
             }
             let Some(pair) = idx.slot_pair(bin, meta, slot) else {
                 continue;
             };
-            if pair.load_lo(Ordering::Acquire) == key {
-                return Some((slot, pair.load_hi(Ordering::Acquire)));
+            let k = pair.load_lo(Ordering::Acquire);
+            if k == key {
+                return Ok(Some((slot, pair, pair.load_hi(Ordering::Acquire))));
+            }
+            if Some(k) == fill {
+                return Err(());
             }
         }
-        None
+        Ok(None)
     }
 
     /// Lock-free Insert à la CLHT with bounded chaining (§3.2.2).
+    ///
+    /// The claimed slot holds the bin's fill key until it is published; the
+    /// real key is written right after the publishing CAS, which is the
+    /// insert's linearization point. So no Put or Delete that read an earlier
+    /// occupant of the slot can ever match a slot an insert still owns (see
+    /// docs/CORRECTNESS.md, "Put and Delete: the freeze").
     fn insert_in(
         &self,
         idx: &Index,
@@ -487,6 +457,8 @@ impl DlhtMap {
     ) -> Probe<InsertOutcome> {
         let bin_no = idx.bin_of(key);
         let bin = idx.bin(bin_no);
+        let fill = fill_key_for_bin(bin_no);
+        let visible = |st| st == SlotState::Valid || st == SlotState::Shadow;
         'outer: loop {
             // Step 1: read the header.
             let h = BinHeader(bin.header.load(Ordering::Acquire));
@@ -495,15 +467,21 @@ impl DlhtMap {
                 BinState::DoneTransfer => return Probe::Moved,
                 BinState::NoTransfer => {}
             }
-            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
             // Step 2: the key must not already exist (shadow entries count).
-            if let Some((_, existing)) = self.scan_for_key(idx, bin, h, meta, key, true, None) {
-                // Validate the snapshot the same way a Get does.
-                let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-                if h2.version() == h.version() {
-                    return Probe::Done(InsertOutcome::AlreadyExists(existing));
+            match self.scan_for_key(idx, bin, h, key, visible, Some(fill)) {
+                Ok(None) => {}
+                Ok(Some((_, _, existing))) => {
+                    // Validate the snapshot the same way a Get does.
+                    let h2 = BinHeader(bin.header.load(Ordering::Acquire));
+                    if h2.version() == h.version() {
+                        return Probe::Done(InsertOutcome::AlreadyExists(existing));
+                    }
+                    continue 'outer;
                 }
-                continue 'outer;
+                Err(()) => {
+                    std::hint::spin_loop();
+                    continue 'outer;
+                }
             }
             // Step 3: find the first Invalid slot.
             let Some(slot) = h.first_invalid_slot() else {
@@ -527,12 +505,13 @@ impl DlhtMap {
                     return Probe::NeedResize;
                 }
             }
-            // Step 4.1: fill the slot while it is exclusively ours.
+            // Step 4.1: fill the slot while it is exclusively ours, parking
+            // the fill key where the key goes.
             let meta_now = LinkMeta(bin.link.load(Ordering::Acquire));
             let pair = idx
                 .slot_pair(bin, meta_now, slot)
                 .expect("claimed slot must be addressable after chaining");
-            pair.store(key, value, Ordering::Release);
+            pair.store(fill, value, Ordering::Release);
             // Step 5: publish by CASing TryInsert -> Valid (or Shadow).
             loop {
                 let h2 = BinHeader(bin.header.load(Ordering::Acquire));
@@ -549,13 +528,18 @@ impl DlhtMap {
                 }
                 debug_assert_eq!(h2.slot_state(slot), SlotState::TryInsert);
                 // Re-run the duplicate check (paper: "start over from step 1,
-                // but skip steps 3 and 4").
-                let meta2 = LinkMeta(bin.link.load(Ordering::Acquire));
-                if let Some((_, existing)) =
-                    self.scan_for_key(idx, bin, h2, meta2, key, true, Some(slot))
-                {
-                    self.release_slot(bin, slot);
-                    return Probe::Done(InsertOutcome::AlreadyExists(existing));
+                // but skip steps 3 and 4"); our own TryInsert slot is not
+                // visible to it.
+                match self.scan_for_key(idx, bin, h2, key, visible, Some(fill)) {
+                    Ok(None) => {}
+                    Ok(Some((_, _, existing))) => {
+                        self.release_slot(bin, slot);
+                        return Probe::Done(InsertOutcome::AlreadyExists(existing));
+                    }
+                    Err(()) => {
+                        std::hint::spin_loop();
+                        continue;
+                    }
                 }
                 let published = h2.with_slot_state(slot, target_state);
                 if bin
@@ -563,6 +547,9 @@ impl DlhtMap {
                     .compare_exchange(h2.0, published.0, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
+                    // The slot is ours until the key lands: scans that meet
+                    // the fill key wait for this store.
+                    pair.store_lo(key, Ordering::Release);
                     return Probe::Done(InsertOutcome::Inserted);
                 }
             }
@@ -636,72 +623,87 @@ impl DlhtMap {
         }
     }
 
-    /// Lock-free Delete with immediate slot reclamation (§3.2.3).
-    fn delete_in(&self, idx: &Index, key: u64) -> Probe<Option<u64>> {
+    /// The one write path behind Put and Delete: dw-CAS the pair of `key`,
+    /// as a validated probe saw it, to `to(value)` — if it holds `expected`
+    /// (any value when `None`). `Err(found)` when it does not (`None` =
+    /// absent). The dw-CAS covers both words: if a Delete froze the slot,
+    /// the resize swapped in a transfer key, or another Put got there first,
+    /// it fails and we probe again.
+    #[inline]
+    fn swap_in<'a>(
+        &self,
+        idx: &'a Index,
+        bin: &'a PrimaryBucket,
+        key: u64,
+        expected: Option<u64>,
+        to: impl Fn(u64) -> (u64, u64),
+    ) -> Probe<Result<Found<'a>, Option<u64>>> {
+        if is_reserved_key(key) {
+            return Probe::Done(Err(None));
+        }
+        loop {
+            let (slot, pair, v) = match self.probe(idx, bin, key) {
+                Probe::Done(Some(f)) if expected.is_none_or(|e| e == f.2) => f,
+                other => return other.map(|found| Err(found.map(|(_, _, v)| v))),
+            };
+            // ORDERING: fixed inside AtomicPair::compare_exchange
+            // (lock cmpxchg16b is sequentially consistent; the fallback
+            // pairs an Acquire lock with a Release fence).
+            let swapped = pair.compare_exchange((key, v), to(v));
+            if swapped.is_ok() {
+                return Probe::Done(Ok((slot, pair, v)));
+            }
+        }
+    }
+
+    /// Put via dw-CAS on the whole slot (§3.2.4), conditional on `expected`
+    /// as in [`DlhtMap::swap_in`]; `Ok(prev)` when written.
+    fn put_in(
+        &self,
+        idx: &Index,
+        key: u64,
+        expected: Option<u64>,
+        value: u64,
+    ) -> Probe<Result<u64, Option<u64>>> {
         let bin = idx.bin(idx.bin_of(key));
+        self.swap_in(idx, bin, key, expected, |_| (key, value))
+            .map(|r| r.map(|(_, _, prev)| prev))
+    }
+
+    /// Lock-free Delete with immediate slot reclamation (§3.2.3), conditional
+    /// like [`DlhtMap::put_in`]. The delete first *freezes* the pair — swaps
+    /// the bin's transfer key in over the key, its linearization point — and
+    /// only then frees the slot in the header.
+    fn delete_in(
+        &self,
+        idx: &Index,
+        key: u64,
+        expected: Option<u64>,
+    ) -> Probe<Result<u64, Option<u64>>> {
+        let bin_no = idx.bin_of(key);
+        let bin = idx.bin(bin_no);
+        let tkey = transfer_key_for_bin(bin_no);
+        let (slot, value) = match self.swap_in(idx, bin, key, expected, |v| (tkey, v)) {
+            Probe::Done(Ok((slot, _, value))) => (slot, value),
+            other => return other.map(|r| r.map(|(_, _, prev)| prev)),
+        };
+        // Frozen: no Put, Delete or transfer touches the pair again, so the
+        // slot stays Valid until we free it.
         loop {
             let h = BinHeader(bin.header.load(Ordering::Acquire));
-            match h.bin_state() {
-                BinState::InTransfer | BinState::Snapshot => return Probe::Busy,
-                BinState::DoneTransfer => return Probe::Moved,
-                BinState::NoTransfer => {}
+            if matches!(h.bin_state(), BinState::InTransfer | BinState::DoneTransfer) {
+                // The transfer skips reserved keys: the pair is never copied,
+                // so the delete is already complete.
+                return Probe::Done(Ok(value));
             }
-            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-            let Some((slot, value)) = self.scan_for_key(idx, bin, h, meta, key, false, None) else {
-                let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-                if h2.version() == h.version() {
-                    return Probe::Done(None);
-                }
-                continue;
-            };
+            debug_assert_eq!(h.slot_state(slot), SlotState::Valid);
             let freed = h.with_slot_state(slot, SlotState::Invalid);
             if bin
                 .header
                 .compare_exchange(h.0, freed.0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                return Probe::Done(Some(value));
-            }
-        }
-    }
-
-    /// Put via dw-CAS on the whole slot (§3.2.4); Inlined mode only.
-    fn put_in(&self, idx: &Index, key: u64, value: u64) -> Probe<Option<u64>> {
-        let bin = idx.bin(idx.bin_of(key));
-        'retry: loop {
-            let h = BinHeader(bin.header.load(Ordering::Acquire));
-            match h.bin_state() {
-                BinState::InTransfer | BinState::Snapshot => return Probe::Busy,
-                BinState::DoneTransfer => return Probe::Moved,
-                BinState::NoTransfer => {}
-            }
-            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-            let extent = h.occupied_extent();
-            for slot in 0..extent {
-                if h.slot_state(slot) != SlotState::Valid {
-                    continue;
-                }
-                let Some(pair) = idx.slot_pair(bin, meta, slot) else {
-                    continue;
-                };
-                if pair.load_lo(Ordering::Acquire) != key {
-                    continue;
-                }
-                let old = pair.load_hi(Ordering::Acquire);
-                // The dw-CAS covers both words: if the slot was deleted and
-                // reused for another key, or the resize swapped in a transfer
-                // key, the CAS fails and we re-examine the bin.
-                // ORDERING: fixed inside AtomicPair::compare_exchange
-                // (lock cmpxchg16b is sequentially consistent; the fallback
-                // pairs an Acquire lock with a Release fence).
-                match pair.compare_exchange((key, old), (key, value)) {
-                    Ok(()) => return Probe::Done(Some(old)),
-                    Err(_) => continue 'retry,
-                }
-            }
-            let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-            if h2.version() == h.version() {
-                return Probe::Done(None);
+                return Probe::Done(Ok(value));
             }
         }
     }
@@ -709,7 +711,9 @@ impl DlhtMap {
     /// Transition a shadow entry for `key` to Valid (commit) or Invalid
     /// (abort).
     fn finish_shadow_in(&self, idx: &Index, key: u64, commit: bool) -> Probe<bool> {
-        let bin = idx.bin(idx.bin_of(key));
+        let bin_no = idx.bin_of(key);
+        let bin = idx.bin(bin_no);
+        let shadow = |st| st == SlotState::Shadow;
         loop {
             let h = BinHeader(bin.header.load(Ordering::Acquire));
             match h.bin_state() {
@@ -717,26 +721,17 @@ impl DlhtMap {
                 BinState::DoneTransfer => return Probe::Moved,
                 BinState::NoTransfer => {}
             }
-            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-            let mut found = None;
-            for slot in 0..h.occupied_extent() {
-                if h.slot_state(slot) != SlotState::Shadow {
+            let fill = fill_key_for_bin(bin_no);
+            let slot = match self.scan_for_key(idx, bin, h, key, shadow, Some(fill)) {
+                Ok(Some((slot, _, _))) => slot,
+                Ok(None) => {
+                    let h2 = BinHeader(bin.header.load(Ordering::Acquire));
+                    if h2.version() == h.version() {
+                        return Probe::Done(false);
+                    }
                     continue;
                 }
-                let Some(pair) = idx.slot_pair(bin, meta, slot) else {
-                    continue;
-                };
-                if pair.load_lo(Ordering::Acquire) == key {
-                    found = Some(slot);
-                    break;
-                }
-            }
-            let Some(slot) = found else {
-                let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-                if h2.version() == h.version() {
-                    return Probe::Done(false);
-                }
-                continue;
+                Err(()) => continue,
             };
             let target = if commit {
                 SlotState::Valid
@@ -760,6 +755,9 @@ impl DlhtMap {
 
     /// Grow the table starting from `old_ptr`; returns the next index to
     /// retry the blocked insert on. Requires an active [`EnterGuard`].
+    // Cold and out of line: `run` drives Gets too, whose code must not carry it.
+    #[cold]
+    #[inline(never)]
     fn grow(&self, old_ptr: *mut Index) -> *mut Index {
         // SAFETY: protected by the caller's EnterGuard.
         let old = unsafe { &*old_ptr };
@@ -845,6 +843,7 @@ impl DlhtMap {
         }
         let meta = LinkMeta(bin.link.load(Ordering::Acquire));
         let tkey = transfer_key_for_bin(bin_no);
+        let fill = fill_key_for_bin(bin_no);
         for slot in 0..SLOTS_PER_BIN {
             let st = h.slot_state(slot);
             if st != SlotState::Valid && st != SlotState::Shadow {
@@ -856,22 +855,28 @@ impl DlhtMap {
             // Swap in the transfer key with a dw-CAS so a racing Put either
             // lands before the copy (and is copied) or fails and retries on
             // the new index (§3.2.5 "Practically non-blocking operations").
+            // A slot holding the fill key was published before the transfer
+            // began, and its inserter is about to write the key: wait.
             let (key, value) = loop {
-                let k = pair.load_lo(Ordering::Acquire);
-                let v = pair.load_hi(Ordering::Acquire);
-                if is_reserved_key(k) {
+                let (k, v) = pair.load(Ordering::Acquire);
+                if is_reserved_key(k) && k != fill {
                     break (k, v);
                 }
                 // ORDERING: fixed inside AtomicPair::compare_exchange (see
                 // the Put path above for the same justification).
-                if pair.compare_exchange((k, v), (tkey, v)).is_ok() {
+                if k != fill && pair.compare_exchange((k, v), (tkey, v)).is_ok() {
                     break (k, v);
                 }
+                std::hint::spin_loop();
             };
             if is_reserved_key(key) {
                 continue;
             }
-            self.insert_during_transfer(new, key, value, st);
+            // Grows further in the pathological case where the new index
+            // also fills up mid-transfer; the chain forward from a live index
+            // stays allocated while our EnterGuard protects its head.
+            let target = new as *const Index as *mut Index;
+            let _ = self.run(target, |idx| self.insert_in(idx, key, value, st));
         }
         // Publish completion.
         loop {
@@ -883,23 +888,6 @@ impl DlhtMap {
                 .is_ok()
             {
                 return;
-            }
-        }
-    }
-
-    /// Insert a transferred pair into the target index, growing further in the
-    /// pathological case where the new index also fills up mid-transfer.
-    fn insert_during_transfer(&self, target: &Index, key: u64, value: u64, state: SlotState) {
-        let mut idx_ptr = target as *const Index as *mut Index;
-        loop {
-            // SAFETY: the chain forward from a live index stays allocated
-            // while the calling thread's EnterGuard protects the chain head.
-            let idx = unsafe { &*idx_ptr };
-            match self.insert_in(idx, key, value, state) {
-                Probe::Done(_) => return,
-                Probe::Busy => std::hint::spin_loop(),
-                Probe::Moved => idx_ptr = self.follow_next(idx),
-                Probe::NeedResize => idx_ptr = self.grow(idx_ptr),
             }
         }
     }
@@ -934,19 +922,14 @@ impl DlhtMap {
 
     /// Visit every live key-value pair (weakly consistent snapshot, §3.4.4).
     pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        let guard = self.enter();
-        let mut idx_ptr = guard.index_ptr();
-        loop {
-            // SAFETY: protected by the guard.
-            let idx = unsafe { &*idx_ptr };
-            self.for_each_in(idx, &mut f);
-            let next = idx.next_ptr();
-            if next.is_null() {
-                break;
+        self.entered(|mut idx_ptr| {
+            while !idx_ptr.is_null() {
+                // SAFETY: `entered` pins the chain from the entered index on.
+                let idx = unsafe { &*idx_ptr };
+                self.for_each_in(idx, &mut f);
+                idx_ptr = idx.next_ptr();
             }
-            idx_ptr = next;
-        }
-        drop(guard);
+        })
     }
 
     fn for_each_in(&self, idx: &Index, f: &mut impl FnMut(u64, u64)) {
@@ -1003,12 +986,8 @@ impl DlhtMap {
 
     /// Snapshot of structural statistics (occupancy, link usage, resizes).
     pub fn stats(&self) -> crate::stats::TableStats {
-        let guard = self.enter();
-        // SAFETY: protected by the guard.
-        let idx = unsafe { &*guard.index_ptr() };
-        let stats = crate::stats::TableStats::capture(idx, self.resizes());
-        drop(guard);
-        stats
+        // SAFETY: `entered` pins the index for the closure.
+        self.entered(|idx| crate::stats::TableStats::capture(unsafe { &*idx }, self.resizes()))
     }
 
     /// Issue a software prefetch for the bin that `key` hashes to in the
@@ -1020,22 +999,19 @@ impl DlhtMap {
     /// no announcement unless the index changed.
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        let guard = self.enter();
-        // SAFETY: protected by the guard.
-        let idx = unsafe { &*guard.index_ptr() };
-        idx.prefetch_bin(idx.bin_of(key));
-        drop(guard);
+        self.entered(|idx| {
+            // SAFETY: `entered` pins the index for the closure.
+            let idx = unsafe { &*idx };
+            idx.prefetch_bin(idx.bin_of(key));
+        })
     }
 
     /// Generation number of the current index (0 until the first resize
     /// completes). Useful for observing resize progress in tests and
     /// benchmarks.
     pub fn current_generation(&self) -> u32 {
-        let guard = self.enter();
-        // SAFETY: protected by the guard.
-        let generation = unsafe { (*guard.index_ptr()).generation() };
-        drop(guard);
-        generation
+        // SAFETY: `entered` pins the index for the closure.
+        self.entered(|idx| unsafe { (*idx).generation() })
     }
 }
 

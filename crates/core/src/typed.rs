@@ -457,10 +457,9 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
             Inner::Alloc(map) => {
                 let kb = Self::bytes_of(key);
                 let mut s = map.session();
-                let prev = s.get_with(0, &kb, V::decode_bytes)?;
-                let deleted = s.delete(0, &kb);
+                let prev = s.remove_with(0, &kb, V::decode_bytes);
                 s.quiesce();
-                deleted.then_some(prev)
+                prev
             }
         }
     }

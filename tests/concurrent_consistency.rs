@@ -281,7 +281,10 @@ fn allocator_mode_overwrites_never_hide_the_key() {
 /// One thread upserts the distinct values `1..=UPSERTS` into one key while
 /// another deletes it and re-inserts values of its own. Every `Some(prev)` an
 /// upsert returns must be a value some thread wrote, and an upsert that ran
-/// while no one else wrote must leave its own value readable.
+/// while no one else wrote must leave its own value readable. Strong form:
+/// every value actually written (by a successful insert or update) leaves
+/// the key exactly once — as an upsert's `prev`, as a delete's return, or as
+/// the final value.
 fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
     const KEY: u64 = 0xD1_47;
     const UPSERTS: u64 = 20_000;
@@ -293,15 +296,20 @@ fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
     let churned = AtomicU64::new(0);
     let done = AtomicBool::new(false);
     let mut quiet_upserts = 0u64;
-    std::thread::scope(|s| {
-        s.spawn(|| {
+    // Values that left the key, and the churner's values that were written.
+    let mut left: Vec<u64> = Vec::new();
+    let churner = std::thread::scope(|s| {
+        let churner = s.spawn(|| {
+            let (mut deleted, mut inserted) = (Vec::new(), Vec::new());
             let mut n = 0u64;
             while !done.load(Ordering::Acquire) {
                 clock.fetch_add(1, Ordering::SeqCst);
-                table.delete(KEY);
+                deleted.extend(table.delete(KEY));
                 n += 1;
                 churned.store(n, Ordering::SeqCst);
-                let _ = table.insert(KEY, CHURN | n).unwrap();
+                if table.insert(KEY, CHURN | n).unwrap().inserted() {
+                    inserted.push(CHURN | n);
+                }
                 clock.fetch_add(1, Ordering::SeqCst);
                 // Idle gaps of varying length, so upserts meet both racing
                 // and quiet windows.
@@ -309,6 +317,7 @@ fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
                     std::hint::spin_loop();
                 }
             }
+            (deleted, inserted)
         });
         for i in 1..=UPSERTS {
             let before = clock.load(Ordering::SeqCst);
@@ -322,6 +331,7 @@ fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
                     written,
                     "{name}: upsert {i} reported {prev:#x}, never written"
                 );
+                left.push(prev);
             }
             let now = table.get(KEY);
             if before.is_multiple_of(2) && clock.load(Ordering::SeqCst) == before {
@@ -330,13 +340,28 @@ fn upserts_race_delete_and_reinsert(table: &dyn KvBackend) {
             }
         }
         done.store(true, Ordering::Release);
+        churner.join().unwrap()
     });
     assert!(quiet_upserts > 0, "{name}: no upsert ran in a quiet window");
+    let (deleted, inserted) = churner;
+    left.extend(deleted);
+    left.extend(table.get(KEY));
+    let mut leaves: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+    for v in left {
+        *leaves.entry(v).or_default() += 1;
+    }
+    for v in (1..=UPSERTS).chain(inserted) {
+        let n = leaves.remove(&v).unwrap_or(0);
+        assert_eq!(n, 1, "{name}: written value {v:#x} left the key {n} times");
+    }
+    assert!(
+        leaves.is_empty(),
+        "{name}: values that were never written left the key: {leaves:?}"
+    );
 }
 
 #[test]
 fn upserts_racing_delete_and_reinsert_write_what_they_report() {
-    upserts_race_delete_and_reinsert(&DlhtMap::new(64));
     upserts_race_delete_and_reinsert(&DlhtMap::new(64));
     upserts_race_delete_and_reinsert(&ShardedTable::new(4, 64));
 }

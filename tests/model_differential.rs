@@ -361,10 +361,6 @@ fn all_backends() -> Vec<(String, Box<dyn KvBackend>)> {
         Box::new(DlhtMap::with_config(tiny())),
     ));
     backends.push((
-        "DlhtMap/tiny".into(),
-        Box::new(DlhtMap::with_config(tiny())),
-    ));
-    backends.push((
         "DlhtSet/tiny".into(),
         Box::new(DlhtSet::with_config(tiny())),
     ));

@@ -6,7 +6,9 @@
 //! * per-key last-write-wins (each thread owns a disjoint key range and
 //!   checks its own final writes),
 //! * `current_generation()` is monotonic under concurrent observation,
-//! * `collect_retired` / `retired_indexes` drain to **zero** at quiescence,
+//! * retired indexes drain to **zero** at quiescence — through
+//!   `collect_garbage` in the single-table cases and `collect_retired` in
+//!   the sharded case,
 //! * shards resize independently (a hot shard grows, its siblings do not),
 //! * `check_invariants()` — the full structural sweep over every index
 //!   generation, bin, and slot — passes at every quiescent point.
