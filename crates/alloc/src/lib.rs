@@ -11,7 +11,7 @@
 //!   from per-shard free lists carved out of large slabs, avoiding the global
 //!   allocator on the request path.
 //! * [`CountingAllocator`] — a wrapper that counts allocations/deallocations,
-//!   used by tests and by the power/efficiency model.
+//!   used by tests.
 //!
 //! In Allocator mode DLHT takes one of these "as in C++ containers" (§3.1):
 //! every Insert of an out-of-line key/value allocates through it and every

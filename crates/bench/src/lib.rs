@@ -23,7 +23,7 @@
 //! ```
 //! use dlht_bench::{find, REGISTRY};
 //!
-//! assert_eq!(REGISTRY.len(), 24);
+//! assert_eq!(REGISTRY.len(), 23);
 //! let fig3 = find("fig03_get_throughput").unwrap();
 //! assert_eq!(fig3.figure, "Figure 3");
 //! ```

@@ -97,15 +97,6 @@ pub const REGISTRY: &[Scenario] = &[
         expected: "DLHT > DRAMHiT-like > (CLHT, GrowT-like, Folly-like, DLHT-NoBatch) > MICA-like",
     },
     Scenario {
-        name: "fig04_power_efficiency",
-        bin: "fig04_power_efficiency",
-        figure: "Figure 4",
-        title: "Get power-efficiency (modeled)",
-        paper_setup: "100% Gets; paper peaks at 3.35 M req/s/W for DLHT (RAPL → model substitution)",
-        axes: "threads × map kind; modeled watts from the feature matrix",
-        expected: "DLHT most efficient, then DRAMHiT-like, then the resizable baselines",
-    },
-    Scenario {
         name: "fig05_insdel_throughput",
         bin: "fig05_insdel_throughput",
         figure: "Figure 5",
@@ -626,7 +617,7 @@ impl PointBuilder<'_> {
         self
     }
 
-    /// Attach a scenario-specific extra measurement (modeled watts, conflict
+    /// Attach a scenario-specific extra measurement (hit ratios, conflict
     /// counts, speedup ratios, ...).
     pub fn extra(mut self, key: &str, value: impl Into<Json>) -> Self {
         self.extra.push((key.to_string(), value.into()));
@@ -714,21 +705,20 @@ mod tests {
         let mut names: Vec<&str> = REGISTRY.iter().map(|s| s.name).collect();
         assert_eq!(
             names.len(),
-            24,
+            23,
             "one scenario per figure/table binary plus the wire-protocol server and the cache persona"
         );
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 24, "duplicate scenario names");
+        assert_eq!(names.len(), 23, "duplicate scenario names");
         let mut bins: Vec<&str> = REGISTRY.iter().map(|s| s.bin).collect();
         bins.sort_unstable();
         bins.dedup();
-        assert_eq!(bins.len(), 24, "duplicate scenario binaries");
+        assert_eq!(bins.len(), 23, "duplicate scenario binaries");
         for fig in [
             "Figure 1",
             "Table 1",
             "Figure 3",
-            "Figure 4",
             "Figure 5",
             "Figure 6",
             "Figure 7",

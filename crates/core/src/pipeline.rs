@@ -53,26 +53,17 @@ pub trait BatchExecutor {
     /// traits never makes method calls ambiguous.
     fn issue_prefetch(&self, key: u64);
 
-    /// Execute the batch, filling its response storage (same contract as
-    /// [`KvBackend::execute`]).
-    fn run(&self, batch: &mut Batch, policy: BatchPolicy);
-
-    /// [`BatchExecutor::run`] for a batch whose requests were already
-    /// prefetched one by one via [`BatchExecutor::issue_prefetch`]: engines
-    /// with an up-front prefetch sweep skip it here instead of issuing every
+    /// Execute a batch whose requests were already prefetched one by one via
+    /// [`BatchExecutor::issue_prefetch`], filling its response storage (same
+    /// contract as [`KvBackend::execute_prefetched`]): engines with an
+    /// up-front prefetch sweep skip it here instead of issuing every
     /// prefetch twice.
-    fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.run(batch, policy);
-    }
+    fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy);
 }
 
 impl<B: KvBackend + ?Sized> BatchExecutor for B {
     fn issue_prefetch(&self, key: u64) {
         KvBackend::prefetch_key(self, key);
-    }
-
-    fn run(&self, batch: &mut Batch, policy: BatchPolicy) {
-        KvBackend::execute(self, batch, policy);
     }
 
     fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {

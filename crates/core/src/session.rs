@@ -179,10 +179,6 @@ impl BatchExecutor for Session<'_> {
         Session::prefetch(self, key);
     }
 
-    fn run(&self, batch: &mut Batch, policy: BatchPolicy) {
-        Session::execute(self, batch, policy);
-    }
-
     fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         Session::execute_prefetched(self, batch, policy);
     }

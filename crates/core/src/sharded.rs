@@ -546,10 +546,6 @@ impl BatchExecutor for ShardedSession<'_> {
         ShardedSession::prefetch(self, key);
     }
 
-    fn run(&self, batch: &mut Batch, policy: BatchPolicy) {
-        ShardedSession::execute(self, batch, policy);
-    }
-
     fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         ShardedSession::execute_prefetched(self, batch, policy);
     }

@@ -1,5 +1,4 @@
-//! Structural statistics used by the occupancy study (§5.1.5) and the
-//! power-efficiency model (Fig. 4).
+//! Structural statistics used by the occupancy study (§5.1.5).
 
 use crate::index::Index;
 

@@ -13,6 +13,9 @@
 //!                      one Poller (level-triggered poll(2) readiness)
 //!                      its connections: TcpStream + read/write ByteRing
 //!                                       + a Service (reusable Batch)
+//!
+//!  admin thread (optional, own port): the same event loop, polling its
+//!                      own listener instead of a hand-off queue
 //! ```
 //!
 //! Every accepted connection is handed to one worker and stays there, so a
@@ -50,7 +53,9 @@
 //!   ([`ServerConfig::admin_addr`]) serves `STATS`/`LEN`/`PING` only, so
 //!   operational queries never queue behind data traffic; data opcodes on
 //!   the admin port are rejected with
-//!   [`crate::wire::WireError::AdminRestricted`].
+//!   [`crate::wire::WireError::AdminRestricted`]. It runs the workers'
+//!   event loop on one thread of its own, so an idle or hostile admin peer
+//!   costs a buffer, never a thread.
 //!
 //! Shutdown is graceful and bounded: [`DlhtServer::shutdown`] flips a
 //! flag, wakes the acceptor, the admin plane, and every worker, and joins
@@ -64,7 +69,6 @@ use crate::poll::{waker_pair, Event, Interest, Poller, Source, WakeReceiver, Wak
 use crate::service::{ConnStats, Drive, Service};
 use crate::wire::{self, WireError};
 use dlht_core::{CacheMap, CacheSession, CacheStats, ShardedSession, ShardedTable, TableStats};
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
@@ -121,8 +125,10 @@ pub struct ServerConfig {
     /// `min(4, available_parallelism)`.
     pub workers: usize,
     /// Bind an admin plane on this address (e.g. `"127.0.0.1:0"`) serving
-    /// `STATS`/`LEN`/`PING` on its own port, isolated from data traffic.
-    /// `None` disables it.
+    /// binary `STATS`/`LEN`/`PING` and HTTP `GET /metrics`,
+    /// `/metrics.json` and `/trace` on its own port and thread, isolated
+    /// from data traffic. One non-blocking event loop serves every admin
+    /// connection. `None` disables it.
     pub admin_addr: Option<String>,
     /// Test-only fault injection: panic the connection handler when a `GET`
     /// for this key arrives (before any table execution). Exercises the
@@ -218,7 +224,7 @@ impl AdminBackend for CacheMap {
 /// worker's event loop.
 struct WorkerShared {
     /// Connections handed over by the acceptor, not yet adopted.
-    incoming: Mutex<Vec<(TcpStream, ActiveGuard)>>,
+    incoming: Mutex<Vec<(TcpStream, Option<ActiveGuard>)>>,
     /// Interrupts the worker's poll.
     waker: Waker,
     /// Live gauge: bytes of ring-buffer capacity pinned by this worker's
@@ -242,8 +248,6 @@ pub struct DlhtServer {
     accept_thread: JoinHandle<()>,
     workers: Vec<WorkerHandle>,
     admin_thread: Option<JoinHandle<()>>,
-    admin_conns: Arc<Mutex<HashMap<u64, TcpStream>>>,
-    admin_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
     reaper_thread: Option<JoinHandle<()>>,
     cache: Option<Arc<CacheMap>>,
 }
@@ -375,31 +379,18 @@ impl DlhtServer {
             Persona::Kv { table, .. } => table.clone(),
             Persona::Cache { cache } => cache.clone(),
         };
-        let admin_conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
-        let admin_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
         let (admin_thread, admin_addr) = match &config.admin_addr {
             None => (None, None),
             Some(addr) => {
                 let admin_listener = TcpListener::bind(addr.as_str())?;
                 let admin_addr = admin_listener.local_addr()?;
+                admin_listener.set_nonblocking(true)?;
                 let thread = std::thread::Builder::new()
                     .name("dlht-admin".to_string())
                     .spawn({
-                        let backend = admin_backend.clone();
                         let shutdown = shutdown.clone();
                         let metrics = metrics.clone();
-                        let conns = admin_conns.clone();
-                        let threads = admin_threads.clone();
-                        move || {
-                            admin_accept_loop(
-                                admin_listener,
-                                &backend,
-                                &shutdown,
-                                &metrics,
-                                &conns,
-                                &threads,
-                            )
-                        }
+                        move || admin_loop(admin_listener, &*admin_backend, &shutdown, &metrics)
                     })?;
                 (Some(thread), Some(admin_addr))
             }
@@ -431,8 +422,6 @@ impl DlhtServer {
             accept_thread,
             workers,
             admin_thread,
-            admin_conns,
-            admin_threads,
             reaper_thread,
             cache,
         })
@@ -512,20 +501,14 @@ impl DlhtServer {
                 .expect("incoming lock")
                 .clear();
         }
-        // Admin plane: same dance as the data acceptor.
+        // Admin plane: its poll set holds its listener, so a throwaway
+        // connection wakes it like the data acceptor; its event loop then
+        // closes every admin connection on the way out.
         if let Some(thread) = self.admin_thread {
             if let Some(addr) = self.admin_addr {
                 let _ = TcpStream::connect(connectable(addr));
             }
             let _ = thread.join();
-        }
-        for stream in self.admin_conns.lock().expect("admin conns lock").values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let admin_threads =
-            std::mem::take(&mut *self.admin_threads.lock().expect("admin threads lock"));
-        for handle in admin_threads {
-            let _ = handle.join();
         }
         // The reaper re-checks the shutdown flag at least every
         // POLL_INTERVAL, so this join is bounded too.
@@ -610,7 +593,7 @@ fn accept_loop(
             .incoming
             .lock()
             .expect("incoming lock")
-            .push((stream, guard));
+            .push((stream, Some(guard)));
         shared.waker.wake();
     }
 }
@@ -626,10 +609,10 @@ enum ConnState {
 }
 
 /// One protocol adapter instance per connection: turn input bytes into
-/// response bytes against the worker's shared engine `E`. The two
+/// response bytes against the worker's shared engine `E`. The
 /// implementations are the binary kv [`Service`] (engine `()` — the service
-/// holds its session itself) and the memcache [`MemcacheConn`] (engine
-/// [`CacheSession`]).
+/// holds its session itself), the memcache [`MemcacheConn`] (engine
+/// [`CacheSession`]) and the admin plane's [`AdminProto`] (engine `()`).
 trait ConnProto<E> {
     /// Serve every complete request in `input`, appending responses to
     /// `out`. Returns consumed bytes (partial trailing input must consume
@@ -688,7 +671,9 @@ struct Conn<P> {
     wbuf: ByteRing,
     reported: ConnStats,
     state: ConnState,
-    _guard: ActiveGuard,
+    /// `None` on the admin plane: the connection gauges count data
+    /// connections only.
+    _guard: Option<ActiveGuard>,
 }
 
 enum Disposition {
@@ -720,7 +705,7 @@ fn worker_loop_kv(
     let session = &session;
     let obs = metrics.kv_obs(lane);
     let env = WorkerEnv {
-        shared,
+        buffer_bytes: &shared.buffer_bytes,
         shutdown,
         metrics,
         lane,
@@ -736,7 +721,7 @@ fn worker_loop_kv(
         },
         |_| {},
         &env,
-        wake_rx,
+        Handoff { shared, wake_rx },
     );
 }
 
@@ -755,7 +740,7 @@ fn worker_loop_cache(
     let mut session = cache.session();
     let obs = metrics.mc_obs(lane);
     let env = WorkerEnv {
-        shared,
+        buffer_bytes: &shared.buffer_bytes,
         shutdown,
         metrics,
         lane,
@@ -771,30 +756,63 @@ fn worker_loop_cache(
         },
         |session| session.quiesce(),
         &env,
-        wake_rx,
+        Handoff { shared, wake_rx },
     );
 }
 
 /// One worker's view of the server-wide plumbing, bundled so the event
 /// loop and its helpers take one context instead of four parallel
 /// references. `lane` is this worker's stripe in every
-/// [`ServerMetrics`] instrument.
+/// [`ServerMetrics`] instrument; `buffer_bytes` is where the loop publishes
+/// its ring capacity.
 struct WorkerEnv<'a> {
-    shared: &'a WorkerShared,
+    buffer_bytes: &'a AtomicU64,
     shutdown: &'a AtomicBool,
     metrics: &'a ServerMetrics,
     lane: usize,
 }
 
-/// The shared event loop both personas run: adopt handed-over connections,
-/// poll readiness, drive each ready connection through its [`ConnProto`],
-/// publish the buffer gauge, and let the persona hook run once per pass.
+/// Where an event loop's connections come from. Its source is always
+/// source 0 of the loop's poll set.
+trait Inbox {
+    /// The handle that polls readable when connections (or a wake-up)
+    /// arrive.
+    fn source(&self) -> Source;
+    /// Source 0 polled readable.
+    fn ready(&mut self) {}
+    /// Connections to adopt, taken at the top of every pass.
+    fn adopt(&mut self) -> Vec<(TcpStream, Option<ActiveGuard>)>;
+}
+
+/// A data worker's inbox: the acceptor's hand-off queue plus the waker that
+/// the acceptor and shutdown ring.
+struct Handoff<'a> {
+    shared: &'a WorkerShared,
+    wake_rx: WakeReceiver,
+}
+
+impl Inbox for Handoff<'_> {
+    fn source(&self) -> Source {
+        self.wake_rx.source()
+    }
+    fn ready(&mut self) {
+        self.wake_rx.drain();
+    }
+    fn adopt(&mut self) -> Vec<(TcpStream, Option<ActiveGuard>)> {
+        std::mem::take(&mut *self.shared.incoming.lock().expect("incoming lock"))
+    }
+}
+
+/// The event loop every persona and the admin plane run: adopt new
+/// connections, poll readiness, drive each ready connection through its
+/// [`ConnProto`], publish the buffer gauge, and let the persona hook run
+/// once per pass.
 fn run_event_loop<E, P: ConnProto<E>>(
     engine: &mut E,
     mut new_proto: impl FnMut() -> P,
     mut end_pass: impl FnMut(&mut E),
     env: &WorkerEnv<'_>,
-    mut wake_rx: WakeReceiver,
+    mut inbox: impl Inbox,
 ) {
     let mut poller = Poller::new();
     let mut conns: Vec<Option<Conn<P>>> = Vec::new();
@@ -804,9 +822,8 @@ fn run_event_loop<E, P: ConnProto<E>>(
     let mut events: Vec<Event> = Vec::new();
 
     while !env.shutdown.load(Ordering::Acquire) {
-        // Adopt connections the acceptor handed over.
-        let adopted = std::mem::take(&mut *env.shared.incoming.lock().expect("incoming lock"));
-        for (stream, guard) in adopted {
+        // Adopt new connections.
+        for (stream, guard) in inbox.adopt() {
             let conn = Conn {
                 stream,
                 proto: new_proto(),
@@ -822,10 +839,10 @@ fn run_event_loop<E, P: ConnProto<E>>(
             }
         }
 
-        // Build this pass's interest set; source 0 is always the waker.
+        // Build this pass's interest set; source 0 is always the inbox.
         sources.clear();
         slots.clear();
-        sources.push((wake_rx.source(), Interest::READ));
+        sources.push((inbox.source(), Interest::READ));
         slots.push(usize::MAX);
         for (slot, conn) in conns.iter().enumerate() {
             let Some(conn) = conn else { continue };
@@ -849,7 +866,7 @@ fn run_event_loop<E, P: ConnProto<E>>(
                 continue;
             };
             if slot == usize::MAX {
-                wake_rx.drain();
+                inbox.ready();
                 continue;
             }
             let Some(conn) = conns.get_mut(slot).and_then(|c| c.as_mut()) else {
@@ -885,7 +902,7 @@ fn run_event_loop<E, P: ConnProto<E>>(
             .flatten()
             .map(|c| (c.rbuf.capacity() + c.wbuf.capacity()) as u64)
             .sum();
-        env.shared.buffer_bytes.store(bytes, Ordering::Relaxed);
+        env.buffer_bytes.store(bytes, Ordering::Relaxed);
 
         // Persona hook (the cache worker announces a quiescent point here,
         // after every borrowed entry pointer from this pass is dead).
@@ -898,7 +915,7 @@ fn run_event_loop<E, P: ConnProto<E>>(
         let _ = conn.stream.shutdown(Shutdown::Both);
     }
     conns.clear();
-    env.shared.buffer_bytes.store(0, Ordering::Relaxed);
+    env.buffer_bytes.store(0, Ordering::Relaxed);
 }
 
 /// Handle one readiness event for one connection. Never blocks: reads and
@@ -1048,122 +1065,100 @@ fn fold_stats(env: &WorkerEnv<'_>, reported: &mut ConnStats, now: ConnStats) {
 // Admin plane
 // ---------------------------------------------------------------------------
 
-/// Accept loop for the admin port. Thread-per-connection is the right
-/// trade here: the admin plane is a trusted, low-cardinality surface
-/// (health probes, `STATS` scrapes) and blocking I/O with both timeouts
-/// set keeps every call bounded — while staying on a separate port means
-/// no amount of data-plane saturation can queue ahead of it.
-fn admin_accept_loop(
+/// The admin plane: the workers' event loop on a thread and port of its
+/// own, so no amount of data-plane saturation can queue ahead of it. It
+/// polls its own listener, answers on metric lane 0, and publishes no
+/// buffer gauge (`dlht_buffer_bytes` counts data connections only).
+fn admin_loop(
     listener: TcpListener,
-    backend: &Arc<dyn AdminBackend>,
-    shutdown: &Arc<AtomicBool>,
-    metrics: &Arc<ServerMetrics>,
-    conns: &Arc<Mutex<HashMap<u64, TcpStream>>>,
-    threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut conn_id = 0u64;
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(_) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(POLL_INTERVAL);
-                continue;
-            }
-        };
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let id = conn_id;
-        conn_id += 1;
-        let _ = stream.set_nodelay(true);
-        // Both timeouts bound every blocking call: the read doubles as the
-        // shutdown poll, the write means a stuck probe can never pin the
-        // thread past the timeout.
-        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-        if let Ok(clone) = stream.try_clone() {
-            conns.lock().expect("admin conns lock").insert(id, clone);
-        }
-        let handle = {
-            let backend = backend.clone();
-            let shutdown = shutdown.clone();
-            let metrics = metrics.clone();
-            let conns = conns.clone();
-            std::thread::spawn(move || {
-                admin_connection(stream, &*backend, &shutdown, &metrics);
-                conns.lock().expect("admin conns lock").remove(&id);
-            })
-        };
-        let mut threads = threads.lock().expect("admin threads lock");
-        threads.retain(|h| !h.is_finished());
-        threads.push(handle);
-    }
-}
-
-/// One admin connection. The first byte picks the dialect: the binary wire
-/// magic ([`wire::MAGIC`]) enters the `STATS`/`LEN`/`PING` frame loop
-/// (data opcodes rejected with [`WireError::AdminRestricted`]); anything
-/// else is treated as an HTTP request line and served one
-/// `GET /metrics` / `/metrics.json` / `/trace` response before closing —
-/// so the same port answers typed probes and Prometheus scrapes.
-fn admin_connection(
-    mut stream: TcpStream,
     backend: &dyn AdminBackend,
     shutdown: &AtomicBool,
     metrics: &ServerMetrics,
 ) {
-    let mut pending = ByteRing::new();
-    let mut out: Vec<u8> = Vec::new();
-    let mut binary: Option<bool> = None;
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match pending.read_from(&mut stream, 4 * 1024) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-        if binary.is_none() {
-            binary = pending.data().first().map(|&b| b == wire::MAGIC);
-        }
-        if binary == Some(false) {
-            // HTTP dialect: wait for the end of the header block, answer
-            // once, close (the response says `Connection: close`).
-            match find_header_end(pending.data()) {
-                Some(end) => {
-                    metrics.admin_http_requests.incr(0);
-                    let head = &pending.data()[..end];
-                    let response = metrics::respond_http(metrics, head);
-                    let _ = stream.write_all(&response);
-                    return;
+    let env = WorkerEnv {
+        buffer_bytes: &AtomicU64::new(0),
+        shutdown,
+        metrics,
+        lane: 0,
+    };
+    let new_proto = || AdminProto {
+        backend,
+        metrics,
+        binary: None,
+    };
+    run_event_loop(&mut (), new_proto, |_| {}, &env, listener);
+}
+
+/// The admin plane's inbox: its own non-blocking listener, accepted from
+/// directly. Admin connections carry no [`ActiveGuard`].
+impl Inbox for TcpListener {
+    fn source(&self) -> Source {
+        Source::from_listener(self)
+    }
+    fn adopt(&mut self) -> Vec<(TcpStream, Option<ActiveGuard>)> {
+        let mut accepted = Vec::new();
+        loop {
+            match self.accept() {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_nonblocking(true);
+                    accepted.push((stream, None));
                 }
-                None if pending.len() > metrics::MAX_HTTP_HEADER => return,
-                None => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return accepted,
+                Err(_) => {
+                    // A persistent accept error (EMFILE, ...) keeps the
+                    // listener readable; do not busy-spin on it.
+                    std::thread::sleep(POLL_INTERVAL);
+                    return accepted;
+                }
             }
         }
-        out.clear();
-        let result = admin_process(backend, &mut pending, &mut out, metrics);
-        if let Err(e) = &result {
-            wire::encode_error_frame(&mut out, e);
+    }
+}
+
+/// One admin connection. The first byte picks the dialect: the binary wire
+/// magic ([`wire::MAGIC`]) serves `STATS`/`LEN`/`PING` frames (data
+/// opcodes rejected with [`WireError::AdminRestricted`]); anything else is
+/// treated as an HTTP request and served one `GET /metrics` /
+/// `/metrics.json` / `/trace` response before closing — so the same port
+/// answers typed probes and Prometheus scrapes.
+struct AdminProto<'a> {
+    backend: &'a dyn AdminBackend,
+    metrics: &'a ServerMetrics,
+    /// The dialect, fixed by the connection's first byte.
+    binary: Option<bool>,
+}
+
+impl ConnProto<()> for AdminProto<'_> {
+    fn process(&mut self, _engine: &mut (), input: &[u8], out: &mut Vec<u8>) -> (usize, Drive) {
+        let Some(&first) = input.first() else {
+            return (0, Drive::Keep);
+        };
+        if *self.binary.get_or_insert(first == wire::MAGIC) {
+            return match admin_process(self.backend, input, out, self.metrics) {
+                Ok(used) => (used, Drive::Keep),
+                Err(e) => {
+                    wire::encode_error_frame(out, &e);
+                    (input.len(), Drive::CloseError)
+                }
+            };
         }
-        if !out.is_empty() && stream.write_all(&out).is_err() {
-            return;
+        // HTTP: wait for the end of the header block, answer once, close
+        // (the response says `Connection: close`). An oversized header
+        // closes without an answer.
+        match find_header_end(input) {
+            Some(end) => {
+                self.metrics.admin_http_requests.incr(0);
+                out.extend_from_slice(&metrics::respond_http(self.metrics, &input[..end]));
+                (input.len(), Drive::CloseClean)
+            }
+            None if input.len() > metrics::MAX_HTTP_HEADER => (input.len(), Drive::CloseClean),
+            None => (0, Drive::Keep),
         }
-        if result.is_err() {
-            metrics.protocol_errors.incr(0);
-            let _ = stream.shutdown(Shutdown::Both);
-            return;
-        }
+    }
+    fn stats(&self) -> ConnStats {
+        // Admin frames count in `admin_frames`, not in the data totals.
+        ConnStats::default()
     }
 }
 
@@ -1174,62 +1169,53 @@ fn find_header_end(data: &[u8]) -> Option<usize> {
         .map(|i| i + 4)
 }
 
-/// Serve every complete admin frame in `pending`, appending responses to
-/// `out`. The cache persona's `STATS` answer carries the extended payload
-/// with expirations/evictions/hit counters.
+/// Serve every complete admin frame in `input`, appending responses to
+/// `out`; returns the bytes consumed. The cache persona's `STATS` answer
+/// carries the extended payload with expirations/evictions/hit counters.
 fn admin_process(
     backend: &dyn AdminBackend,
-    pending: &mut ByteRing,
+    input: &[u8],
     out: &mut Vec<u8>,
     metrics: &ServerMetrics,
-) -> Result<(), WireError> {
-    loop {
-        let used = match wire::decode_frame(pending.data()) {
-            Ok(None) => return Ok(()),
-            Err(e) => return Err(e),
-            Ok(Some((frame, used))) => {
-                metrics.admin_frames.incr(0);
-                match frame.opcode {
-                    wire::op::STATS if frame.payload.is_empty() => match backend.cache_stats() {
-                        Some(cache) => wire::encode_stats_cache(
-                            out,
-                            &backend.table_stats(),
-                            backend.retired_indexes(),
-                            &cache,
-                        ),
-                        None => wire::encode_stats(
-                            out,
-                            &backend.table_stats(),
-                            backend.retired_indexes(),
-                        ),
-                    },
-                    wire::op::LEN if frame.payload.is_empty() => {
-                        wire::encode_len(out, backend.live_keys());
-                    }
-                    wire::op::STATS | wire::op::LEN => {
-                        return Err(WireError::BadPayload {
-                            opcode: frame.opcode,
-                            len: frame.payload.len(),
-                        });
-                    }
-                    wire::op::PING => {
-                        wire::put_header(out, wire::resp::PONG, frame.payload.len());
-                        out.extend_from_slice(frame.payload);
-                    }
-                    op @ (wire::op::GET
-                    | wire::op::PUT
-                    | wire::op::INSERT
-                    | wire::op::DELETE
-                    | wire::op::BATCH) => {
-                        return Err(WireError::AdminRestricted(op));
-                    }
-                    other => return Err(WireError::UnknownOpcode(other)),
-                }
-                used
+) -> Result<usize, WireError> {
+    let mut used = 0;
+    while let Some((frame, n)) = wire::decode_frame(&input[used..])? {
+        metrics.admin_frames.incr(0);
+        match frame.opcode {
+            wire::op::STATS if frame.payload.is_empty() => match backend.cache_stats() {
+                Some(cache) => wire::encode_stats_cache(
+                    out,
+                    &backend.table_stats(),
+                    backend.retired_indexes(),
+                    &cache,
+                ),
+                None => wire::encode_stats(out, &backend.table_stats(), backend.retired_indexes()),
+            },
+            wire::op::LEN if frame.payload.is_empty() => {
+                wire::encode_len(out, backend.live_keys());
             }
-        };
-        pending.consume(used);
+            wire::op::STATS | wire::op::LEN => {
+                return Err(WireError::BadPayload {
+                    opcode: frame.opcode,
+                    len: frame.payload.len(),
+                });
+            }
+            wire::op::PING => {
+                wire::put_header(out, wire::resp::PONG, frame.payload.len());
+                out.extend_from_slice(frame.payload);
+            }
+            op @ (wire::op::GET
+            | wire::op::PUT
+            | wire::op::INSERT
+            | wire::op::DELETE
+            | wire::op::BATCH) => {
+                return Err(WireError::AdminRestricted(op));
+            }
+            other => return Err(WireError::UnknownOpcode(other)),
+        }
+        used += n;
     }
+    Ok(used)
 }
 
 #[cfg(test)]

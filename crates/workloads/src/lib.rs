@@ -7,8 +7,6 @@
 //! * [`rng`] — fast deterministic RNG and key samplers (uniform, 1000-hot-key
 //!   skew, zipfian).
 //! * [`hist`] — latency histogram for Fig. 15.
-//! * [`power`] — the synthetic power model behind Fig. 4 (documented
-//!   substitution for RAPL).
 //! * [`population`] — growing-index population (Fig. 7) and the resize
 //!   timeline (Fig. 8).
 //! * [`ycsb`], [`tatp`], [`smallbank`] — the single-key and multi-key OLTP
@@ -45,7 +43,6 @@ pub mod hashjoin;
 pub mod hist;
 pub mod lockmgr;
 pub mod population;
-pub mod power;
 pub mod report;
 pub mod rng;
 pub mod runner;

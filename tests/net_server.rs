@@ -8,7 +8,10 @@
 //!   worker pool, and `active` must return to exactly 0 on shutdown.
 //! * A panicking connection handler must take down only its connection —
 //!   accounting stays exact, other connections keep working.
-//! * The admin plane must answer while the data plane is saturated.
+//! * The admin plane must answer while the data plane is saturated, and
+//!   survive hostile admin peers (a byte-at-a-time HTTP request, an
+//!   oversized header, a connection that never speaks) without disturbing
+//!   its other clients.
 //! * A response burst past the backpressure high-water mark must still be
 //!   delivered in full once the client starts reading (read interest
 //!   resumes on drain).
@@ -350,4 +353,103 @@ fn backpressure_pauses_and_resumes_without_losing_responses() {
     let counters = server.shutdown();
     assert_eq!(counters.protocol_errors, 0);
     assert_eq!(counters.active, 0);
+}
+
+fn bind_with_admin() -> (DlhtServer, std::net::SocketAddr) {
+    let (server, _table) = bind(ServerConfig {
+        workers: 1,
+        admin_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    });
+    let admin_addr = server.admin_addr().expect("admin plane");
+    (server, admin_addr)
+}
+
+/// An admin client whose reads give up after 5 s, so a stalled admin plane
+/// fails the test instead of hanging it.
+fn admin_client(addr: std::net::SocketAddr) -> DlhtClient<TcpStream> {
+    let client = DlhtClient::connect(addr).unwrap();
+    client
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    client
+}
+
+/// An admin-plane HTTP request that trickles in one byte per segment is
+/// still answered once its header block completes.
+#[test]
+fn admin_http_request_sent_byte_by_byte_is_answered() {
+    let (server, admin_addr) = bind_with_admin();
+    let mut stream = TcpStream::connect(admin_addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    for &b in b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n" {
+        stream.write_all(&[b]).unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    assert!(response.starts_with("HTTP/1.1 200 "), "{response:?}");
+    assert!(response.contains("dlht_workers"), "{response:?}");
+    let counters = server.shutdown();
+    assert_eq!(counters.protocol_errors, 0);
+    assert_eq!(counters.connections, 0, "admin conns are counted apart");
+}
+
+/// A header block larger than the admin plane's 8 KiB limit closes that
+/// connection unanswered, while another admin client keeps being served.
+#[test]
+fn oversized_admin_http_header_closes_only_that_connection() {
+    let (server, admin_addr) = bind_with_admin();
+    let mut other = admin_client(admin_addr);
+    other.ping().unwrap();
+
+    let mut hostile = TcpStream::connect(admin_addr).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut request = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    request.resize(request.len() + 16 * 1024, b'a');
+    // The server may close mid-write; only its reaction matters here.
+    let _ = hostile.write_all(&request);
+    let mut buf = [0u8; 256];
+    match hostile.read(&mut buf) {
+        Ok(n) => assert_eq!(n, 0, "no answer to an oversized header"),
+        Err(e) => assert_ne!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock,
+            "connection left open"
+        ),
+    }
+
+    let stats = other.stats().expect("the other admin client still answers");
+    assert_eq!(stats.table.occupied_slots, 0);
+    server.shutdown();
+}
+
+/// An admin connection that never sends a byte must not hold up another
+/// client's `PING`.
+#[test]
+fn idle_admin_connection_does_not_delay_a_ping() {
+    let (server, admin_addr) = bind_with_admin();
+    let _idle = TcpStream::connect(admin_addr).unwrap();
+    let mut probe = admin_client(admin_addr);
+    for _ in 0..5 {
+        let t = Instant::now();
+        probe.ping().unwrap();
+        assert!(
+            t.elapsed() < Duration::from_secs(1),
+            "PING took {:?} next to an idle admin connection",
+            t.elapsed()
+        );
+    }
+    let t = Instant::now();
+    server.shutdown();
+    assert!(
+        t.elapsed() < Duration::from_secs(2),
+        "shutdown must be bounded"
+    );
 }
