@@ -317,7 +317,7 @@ impl CacheMap {
     /// (deterministic tests use [`ManualClock`]).
     pub fn with_clock(config: CacheConfig, clock: Arc<dyn CacheClock>) -> Self {
         let table = ShardedTable::with_capacity(config.shards.max(1), config.capacity.max(64));
-        let index_bytes = table.stats().index_bytes as u64;
+        let index_bytes = table.index_bytes() as u64;
         let unix_at_start = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -426,7 +426,7 @@ impl CacheMap {
         CacheStats {
             items: self.items.load(Ordering::Relaxed),
             value_bytes: self.value_bytes.load(Ordering::Relaxed),
-            index_bytes: self.table.stats().index_bytes as u64,
+            index_bytes: self.table.index_bytes() as u64,
             budget: self.budget,
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -887,7 +887,7 @@ impl<'a> CacheSession<'a> {
         if self.map.value_bytes.load(Ordering::Relaxed) + cached_index <= budget {
             return 0;
         }
-        let index_bytes = self.map.table.stats().index_bytes as u64;
+        let index_bytes = self.map.table.index_bytes() as u64;
         self.map
             .index_bytes_cache
             .store(index_bytes, Ordering::Relaxed);

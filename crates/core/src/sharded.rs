@@ -393,25 +393,13 @@ impl ShardedTable {
     /// reporting the **highest** shard generation (shards resize
     /// independently, so generations diverge on skewed load).
     pub fn stats(&self) -> TableStats {
-        let mut agg = TableStats::default();
-        for shard in self.shards.iter() {
-            let s = shard.stats();
-            agg.bins += s.bins;
-            agg.link_buckets += s.link_buckets;
-            agg.links_used += s.links_used;
-            agg.occupied_slots += s.occupied_slots;
-            agg.addressable_slots += s.addressable_slots;
-            agg.max_slots += s.max_slots;
-            agg.resizes += s.resizes;
-            agg.generation = agg.generation.max(s.generation);
-            agg.index_bytes += s.index_bytes;
-        }
-        agg.occupancy = if agg.max_slots == 0 {
-            0.0
-        } else {
-            agg.occupied_slots as f64 / agg.max_slots as f64
-        };
-        agg
+        self.shards.iter().map(DlhtMap::stats).sum()
+    }
+
+    /// [`TableStats::index_bytes`] summed across shards, without the slot
+    /// walk a full [`ShardedTable::stats`] pays.
+    pub(crate) fn index_bytes(&self) -> usize {
+        self.shards.iter().map(DlhtMap::index_bytes).sum()
     }
 
     /// Per-shard statistics, in routing order — the view that makes

@@ -55,6 +55,31 @@ impl TableStats {
     }
 }
 
+/// Aggregate per-shard snapshots: counts add up, `generation` is the
+/// newest, and `occupancy` is recomputed over the summed `max_slots`.
+impl std::iter::Sum for TableStats {
+    fn sum<I: Iterator<Item = TableStats>>(parts: I) -> TableStats {
+        let mut agg = TableStats::default();
+        for s in parts {
+            agg.bins += s.bins;
+            agg.link_buckets += s.link_buckets;
+            agg.links_used += s.links_used;
+            agg.occupied_slots += s.occupied_slots;
+            agg.addressable_slots += s.addressable_slots;
+            agg.max_slots += s.max_slots;
+            agg.resizes += s.resizes;
+            agg.generation = agg.generation.max(s.generation);
+            agg.index_bytes += s.index_bytes;
+        }
+        agg.occupancy = if agg.max_slots == 0 {
+            0.0
+        } else {
+            agg.occupied_slots as f64 / agg.max_slots as f64
+        };
+        agg
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -990,6 +990,13 @@ impl DlhtMap {
         self.entered(|idx| crate::stats::TableStats::capture(unsafe { &*idx }, self.resizes()))
     }
 
+    /// [`crate::TableStats::index_bytes`] of the current index, without the
+    /// slot walk a full [`DlhtMap::stats`] pays.
+    pub(crate) fn index_bytes(&self) -> usize {
+        // SAFETY: `entered` pins the index for the closure.
+        self.entered(|idx| unsafe { &*idx }.memory_bytes())
+    }
+
     /// Issue a software prefetch for the bin that `key` hashes to in the
     /// current index (coroutine interoperation, §3.3).
     ///

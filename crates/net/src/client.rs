@@ -8,11 +8,19 @@
 //! responses — one round trip per window instead of one per request, which
 //! the server turns into one prefetched batch execution (see
 //! [`crate::service`]).
+//!
+//! A client made by [`DlhtClient::connect`] waits for a response by
+//! polling its socket for up to 50 µs before it falls back to a blocking
+//! `read` (so `set_read_timeout` still bounds the wait): a pipelined server
+//! usually answers inside that budget, and the client thread then pays no
+//! sleep and no wakeup for the round trip.
 
 use crate::wire::{self, RemoteStats, WireError};
 use dlht_core::{Batch, BatchPolicy, DlhtError, InsertOutcome, Request, Response};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
+#[cfg(unix)]
+use {crate::poll::SPIN_BUDGET, std::time::Instant};
 
 /// Client-side errors: transport failures, protocol violations, server-side
 /// protocol rejections, and table errors surfaced by single-request
@@ -95,6 +103,10 @@ pub struct DlhtClient<S: Read + Write> {
     /// Received-but-undecoded response bytes (compacted window).
     rbuf: Vec<u8>,
     rpos: usize,
+    /// The socket under `stream` when [`DlhtClient::connect`] opened it;
+    /// `read_some` polls it before blocking (module docs).
+    #[cfg(unix)]
+    spin_fd: Option<std::os::unix::io::RawFd>,
 }
 
 impl DlhtClient<TcpStream> {
@@ -103,7 +115,13 @@ impl DlhtClient<TcpStream> {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(DlhtClient::new(stream))
+        let mut client = DlhtClient::new(stream);
+        #[cfg(unix)]
+        {
+            use std::os::unix::io::AsRawFd;
+            client.spin_fd = Some(client.stream.as_raw_fd());
+        }
+        Ok(client)
     }
 }
 
@@ -115,6 +133,8 @@ impl<S: Read + Write> DlhtClient<S> {
             wbuf: Vec::with_capacity(4096),
             rbuf: Vec::with_capacity(4096),
             rpos: 0,
+            #[cfg(unix)]
+            spin_fd: None,
         }
     }
 
@@ -124,8 +144,13 @@ impl<S: Read + Write> DlhtClient<S> {
     }
 
     /// Mutably borrow the transport (tests use this to inject raw bytes
-    /// below the client API).
+    /// below the client API). The caller may replace the transport, so
+    /// reads from then on block at once instead of polling first.
     pub fn get_mut(&mut self) -> &mut S {
+        #[cfg(unix)]
+        {
+            self.spin_fd = None;
+        }
         &mut self.stream
     }
 
@@ -169,7 +194,7 @@ impl<S: Read + Write> DlhtClient<S> {
                         self.rpos = 0;
                     }
                     let mut chunk = [0u8; 16 * 1024];
-                    let n = self.stream.read(&mut chunk)?;
+                    let n = self.read_some(&mut chunk)?;
                     if n == 0 {
                         return Err(NetError::Closed);
                     }
@@ -177,6 +202,28 @@ impl<S: Read + Write> DlhtClient<S> {
                 }
             }
         }
+    }
+
+    /// One read from the transport. Over a socket from
+    /// [`DlhtClient::connect`], poll it for [`SPIN_BUDGET`] first, yielding
+    /// the CPU between attempts, then block as a plain `read` would.
+    fn read_some(&mut self, chunk: &mut [u8]) -> std::io::Result<usize> {
+        #[cfg(unix)]
+        if let Some(fd) = self.spin_fd {
+            let start = Instant::now();
+            loop {
+                match crate::poll::recv_nonblocking(fd, chunk) {
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    done => return done,
+                }
+                if start.elapsed() >= SPIN_BUDGET {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        self.stream.read(chunk)
     }
 
     fn expect_single(&mut self) -> Result<Response, NetError> {
@@ -365,4 +412,116 @@ impl<S: Read + Write> DlhtClient<S> {
 
 fn unexpected(resp: Response) -> NetError {
     NetError::Mismatched(resp)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::poll::SPIN_BUDGET;
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    /// A client connected to a hand-driven peer: `peer` gets the accepted
+    /// stream on its own thread.
+    fn with_peer(
+        peer: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (DlhtClient<TcpStream>, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || peer(listener.accept().unwrap().0));
+        let client = DlhtClient::connect(addr).unwrap();
+        client
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (client, handle)
+    }
+
+    /// Read one request frame off the peer's stream.
+    fn read_request(stream: &mut TcpStream) -> Request {
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 256];
+        loop {
+            if let Some((frame, _)) = wire::decode_frame(&buf).unwrap() {
+                return wire::decode_request(frame.opcode, frame.payload).unwrap();
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "client closed before a whole request");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    #[test]
+    fn read_timeout_still_bounds_the_wait() {
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (mut client, peer) = with_peer(move |stream| {
+            // Accept, never answer, hold the socket open until released.
+            let _ = release_rx.recv();
+            drop(stream);
+        });
+        let timeout = Duration::from_millis(100);
+        client.get_ref().set_read_timeout(Some(timeout)).unwrap();
+        let t = Instant::now();
+        let err = client.get(7).expect_err("nobody answers");
+        let waited = t.elapsed();
+        assert!(matches!(err, NetError::Io(_)), "{err:?}");
+        assert!(
+            waited >= timeout - Duration::from_millis(10),
+            "gave up after {waited:?}"
+        );
+        // The blocking read starts at most one spin budget late; the rest
+        // is scheduling slack.
+        assert!(
+            waited < timeout + SPIN_BUDGET + Duration::from_millis(400),
+            "waited {waited:?}"
+        );
+        release_tx.send(()).unwrap();
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn peer_closing_mid_frame_is_closed() {
+        let (mut client, peer) = with_peer(|mut stream| {
+            assert_eq!(read_request(&mut stream), Request::Get(3));
+            let mut frame = Vec::new();
+            wire::encode_response(&mut frame, Response::Value(Some(9)));
+            stream.write_all(&frame[..frame.len() - 2]).unwrap();
+        });
+        assert!(matches!(client.get(3), Err(NetError::Closed)));
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn response_written_a_byte_at_a_time_decodes() {
+        let (mut client, peer) = with_peer(|mut stream| {
+            stream.set_nodelay(true).unwrap();
+            assert_eq!(read_request(&mut stream), Request::Get(5));
+            let mut frame = Vec::new();
+            wire::encode_response(&mut frame, Response::Value(Some(55)));
+            for (i, byte) in frame.iter().enumerate() {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                // Every other gap outlasts the spin budget, so the client
+                // also takes its blocking path mid-frame.
+                if i % 2 == 0 {
+                    std::thread::sleep(SPIN_BUDGET * 4);
+                }
+            }
+        });
+        assert_eq!(client.get(5).unwrap(), Some(55));
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn depth_one_round_trips_against_a_server() {
+        let table = std::sync::Arc::new(dlht_core::ShardedTable::with_capacity(4, 1_024));
+        let server = crate::bind_ephemeral(table, crate::ServerConfig::default());
+        let mut client = DlhtClient::connect(server.local_addr()).unwrap();
+        assert!(client.insert(1, 10).unwrap().inserted());
+        for _ in 0..100 {
+            assert_eq!(client.get(1).unwrap(), Some(10));
+        }
+        assert_eq!(client.get(2).unwrap(), None);
+        drop(client);
+        server.shutdown();
+    }
 }

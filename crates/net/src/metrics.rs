@@ -11,9 +11,11 @@
 //! `active` gauge exact per cell. The admin plane uses lane 0 (low rate).
 
 use crate::server::ServerCounters;
-use dlht_core::{CacheMap, Request, ShardedTable};
+use dlht_core::{CacheMap, CacheStats, Request, ShardedTable, TableStats};
 use dlht_obs::json::Json;
-use dlht_obs::{bytes_fingerprint, key_fingerprint, Counter, Gauge, Histogram, MetricsRegistry};
+use dlht_obs::{
+    bytes_fingerprint, key_fingerprint, Capture, Counter, Gauge, Histogram, MetricsRegistry,
+};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -350,125 +352,112 @@ impl ServerMetrics {
     }
 }
 
-/// Register the kv persona's table gauges: scrape-time callbacks over the
-/// live [`ShardedTable`]. (`LEN`/live-key counting is deliberately not
-/// exposed — it is linear-time per scrape.)
-pub(crate) fn register_kv_gauges(registry: &MetricsRegistry, table: Arc<ShardedTable>) {
-    let t = table.clone();
-    registry.gauge_fn(
-        "dlht_table_occupied_slots",
-        "Occupied slots across all shards",
-        &[],
-        move || t.stats().occupied_slots as u64,
-    );
-    let t = table.clone();
-    registry.gauge_fn(
-        "dlht_table_addressable_slots",
-        "Addressable slots across all shards",
-        &[],
-        move || t.stats().addressable_slots as u64,
-    );
-    let t = table.clone();
-    registry.gauge_fn(
-        "dlht_table_occupancy_ppm",
-        "Table occupancy in parts per million",
-        &[],
-        move || (t.stats().occupancy * 1e6) as u64,
-    );
-    let t = table.clone();
-    registry.gauge_fn(
-        "dlht_table_index_bytes",
-        "Bytes of index structure across all shards",
-        &[],
-        move || t.stats().index_bytes as u64,
-    );
-    let t = table.clone();
+/// (metric name, help, field picker) for stats-backed callback metrics.
+type StatMetric<T> = (&'static str, &'static str, fn(&T) -> u64);
+
+/// One scrape's capture of the table behind either persona: every
+/// callback metric of a scrape reads the same capture.
+struct Scrape {
+    /// The whole table (for the kv persona, the sum of `shards`).
+    table: TableStats,
+    /// Per-shard stats (kv persona only).
+    shards: Vec<TableStats>,
+    retired: usize,
+    /// Cache counters (cache persona only).
+    cache: CacheStats,
+}
+
+/// The table gauges both personas export.
+fn register_table_gauges(registry: &MetricsRegistry, cap: &Capture<Scrape>) {
+    let table: [StatMetric<TableStats>; 4] = [
+        (
+            "dlht_table_occupied_slots",
+            "Occupied slots across all shards",
+            |t| t.occupied_slots as u64,
+        ),
+        (
+            "dlht_table_addressable_slots",
+            "Addressable slots across all shards",
+            |t| t.addressable_slots as u64,
+        ),
+        (
+            "dlht_table_max_slots",
+            "Slots if every link bucket were chained (the occupancy denominator)",
+            |t| t.max_slots as u64,
+        ),
+        (
+            "dlht_table_occupancy_ppm",
+            "Table occupancy in parts per million",
+            |t| (t.occupancy * 1e6) as u64,
+        ),
+    ];
+    for (name, help, pick) in table {
+        registry.gauge_fn(name, help, &[], cap.read(move |s| pick(&s.table)));
+    }
     registry.counter_fn(
         "dlht_table_resizes_total",
         "Completed index resizes across all shards",
         &[],
-        move || t.stats().resizes,
+        cap.read(|s| s.table.resizes),
     );
-    let t = table.clone();
     registry.gauge_fn(
         "dlht_table_retired_indexes",
         "Old index generations awaiting epoch reclamation",
         &[],
-        move || t.retired_indexes() as u64,
+        cap.read(|s| s.retired as u64),
     );
+}
+
+/// Register the kv persona's table gauges: scrape-time callbacks over one
+/// capture of the live [`ShardedTable`] per scrape. (`LEN`/live-key
+/// counting is deliberately not exposed — it is linear-time per scrape.)
+pub(crate) fn register_kv_gauges(registry: &MetricsRegistry, table: Arc<ShardedTable>) {
     let shards = table.shard_stats().len();
+    let cap = registry.capture(move || {
+        let shards = table.shard_stats();
+        Scrape {
+            table: shards.iter().cloned().sum(),
+            shards,
+            retired: table.retired_indexes(),
+            cache: CacheStats::default(),
+        }
+    });
+    register_table_gauges(registry, &cap);
+    registry.gauge_fn(
+        "dlht_table_index_bytes",
+        "Bytes of index structure across all shards",
+        &[],
+        cap.read(|s| s.table.index_bytes as u64),
+    );
     for shard in 0..shards {
         let label = shard.to_string();
-        let t = table.clone();
         registry.gauge_fn(
             "dlht_shard_occupied_slots",
             "Occupied slots in one shard",
             &[("shard", label.as_str())],
-            move || {
-                t.shard_stats()
-                    .get(shard)
-                    .map_or(0, |s| s.occupied_slots as u64)
-            },
+            cap.read(move |s| s.shards.get(shard).map_or(0, |t| t.occupied_slots as u64)),
         );
-        let t = table.clone();
         registry.gauge_fn(
             "dlht_shard_generation",
             "Resize generation of one shard's index",
             &[("shard", label.as_str())],
-            move || {
-                t.shard_stats()
-                    .get(shard)
-                    .map_or(0, |s| u64::from(s.generation))
-            },
+            cap.read(move |s| s.shards.get(shard).map_or(0, |t| u64::from(t.generation))),
         );
     }
 }
 
 /// Register the cache persona's gauges and counters: the table structure
-/// plus the hit/expiry/eviction and memory-awareness story (§5).
+/// plus the hit/expiry/eviction and memory-awareness story (§5), all read
+/// from one capture of the [`CacheMap`] per scrape.
 pub(crate) fn register_cache_gauges(registry: &MetricsRegistry, cache: Arc<CacheMap>) {
-    let c = cache.clone();
-    registry.gauge_fn(
-        "dlht_table_occupied_slots",
-        "Occupied slots across all shards",
-        &[],
-        move || c.table_stats().occupied_slots as u64,
-    );
-    let c = cache.clone();
-    registry.gauge_fn(
-        "dlht_table_addressable_slots",
-        "Addressable slots across all shards",
-        &[],
-        move || c.table_stats().addressable_slots as u64,
-    );
-    let c = cache.clone();
-    registry.gauge_fn(
-        "dlht_table_occupancy_ppm",
-        "Table occupancy in parts per million",
-        &[],
-        move || (c.table_stats().occupancy * 1e6) as u64,
-    );
-    let c = cache.clone();
-    registry.counter_fn(
-        "dlht_table_resizes_total",
-        "Completed index resizes across all shards",
-        &[],
-        move || c.table_stats().resizes,
-    );
-    let c = cache.clone();
-    registry.gauge_fn(
-        "dlht_table_retired_indexes",
-        "Old index generations awaiting epoch reclamation",
-        &[],
-        move || c.retired_indexes() as u64,
-    );
-    /// (metric name, help, field picker) for stats-backed callback metrics.
-    type StatMetric = (
-        &'static str,
-        &'static str,
-        fn(&dlht_core::CacheStats) -> u64,
-    );
-    let counters: [StatMetric; 6] = [
+    let cap = registry.capture(move || Scrape {
+        table: cache.table_stats(),
+        shards: Vec::new(),
+        retired: cache.retired_indexes(),
+        cache: cache.stats(),
+    });
+    register_table_gauges(registry, &cap);
+    let counters: [StatMetric<CacheStats>; 6] = [
         ("dlht_cache_hits_total", "get hits", |s| s.hits),
         ("dlht_cache_misses_total", "get misses", |s| s.misses),
         ("dlht_cache_sets_total", "Completed stores", |s| s.sets),
@@ -485,10 +474,9 @@ pub(crate) fn register_cache_gauges(registry: &MetricsRegistry, cache: Arc<Cache
         }),
     ];
     for (name, help, pick) in counters {
-        let c = cache.clone();
-        registry.counter_fn(name, help, &[], move || pick(&c.stats()));
+        registry.counter_fn(name, help, &[], cap.read(move |s| pick(&s.cache)));
     }
-    let gauges: [StatMetric; 6] = [
+    let gauges: [StatMetric<CacheStats>; 6] = [
         ("dlht_cache_items", "Live cache entries", |s| s.items),
         (
             "dlht_cache_value_bytes",
@@ -515,8 +503,7 @@ pub(crate) fn register_cache_gauges(registry: &MetricsRegistry, cache: Arc<Cache
         ),
     ];
     for (name, help, pick) in gauges {
-        let c = cache.clone();
-        registry.gauge_fn(name, help, &[], move || pick(&c.stats()));
+        registry.gauge_fn(name, help, &[], cap.read(move |s| pick(&s.cache)));
     }
 }
 

@@ -98,7 +98,7 @@ impl Source {
 
 #[cfg(unix)]
 mod sys {
-    use std::os::raw::{c_int, c_short};
+    use std::os::raw::{c_int, c_short, c_void};
 
     /// `nfds_t`: `unsigned int` on the BSD family, `unsigned long` on Linux.
     #[cfg(any(
@@ -133,10 +133,48 @@ mod sys {
     pub const POLLHUP: c_short = 0x010;
     pub const POLLNVAL: c_short = 0x020;
 
+    /// `MSG_DONTWAIT` from `<sys/socket.h>`: 0x40 on Linux, 0x80 on the
+    /// BSD family and the other Unixes.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub const MSG_DONTWAIT: c_int = 0x40;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub const MSG_DONTWAIT: c_int = 0x80;
+
     extern "C" {
         /// `int poll(struct pollfd *fds, nfds_t nfds, int timeout)` — POSIX.
         pub fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: c_int) -> c_int;
+        /// `ssize_t recv(int sockfd, void *buf, size_t len, int flags)` —
+        /// POSIX.
+        pub fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     }
+}
+
+/// How long either end of a data connection keeps checking for bytes
+/// without sleeping once it expects them: the event loop after a pass that
+/// had events, and [`crate::DlhtClient`] before its blocking read. A
+/// pipelined peer usually answers well inside it, so neither thread pays a
+/// sleep and a cross-CPU wakeup per round trip; an idle peer costs one
+/// budget of polling, then the thread blocks as before.
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// One `recv(2)` with `MSG_DONTWAIT` on `fd`: takes whatever the socket
+/// holds without blocking, whatever the socket's own blocking mode.
+/// `WouldBlock` means nothing has arrived yet; `Ok(0)` is end of stream.
+/// The caller must own `fd` (an open socket) for the whole call.
+#[cfg(unix)]
+pub(crate) fn recv_nonblocking(
+    fd: std::os::unix::io::RawFd,
+    buf: &mut [u8],
+) -> std::io::Result<usize> {
+    // SAFETY: `buf` is a live, exclusively borrowed byte slice, and `recv`
+    // writes at most `buf.len()` bytes into it; `fd` is an open socket the
+    // caller owns for the duration of the call, so the kernel reads no
+    // memory of ours and writes none outside `buf`.
+    let rc = unsafe { sys::recv(fd, buf.as_mut_ptr().cast(), buf.len(), sys::MSG_DONTWAIT) };
+    if rc < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(rc as usize)
 }
 
 /// The readiness poller (module docs above). Holds only reusable scratch

@@ -26,7 +26,10 @@
 //! connection's read ring, lets the shared [`Service`] engine drain every
 //! complete pipelined frame into one prefetched batch execution, appends
 //! the response bytes to the write ring, and writes as much as the socket
-//! accepts — never blocking on a peer.
+//! accepts — never blocking on a peer. After a pass that had events, the
+//! worker polls without sleeping for a 50 µs budget before it blocks in
+//! `poll(2)` again, so a pipelined client's next window costs no sleep and
+//! no wakeup; an idle worker spins once per burst, then sleeps.
 //!
 //! ## Backpressure and memory
 //!
@@ -65,7 +68,7 @@
 use crate::buf::ByteRing;
 use crate::memcache::MemcacheConn;
 use crate::metrics::{self, ServerMetrics};
-use crate::poll::{waker_pair, Event, Interest, Poller, Source, WakeReceiver, Waker};
+use crate::poll::{waker_pair, Event, Interest, Poller, Source, WakeReceiver, Waker, SPIN_BUDGET};
 use crate::service::{ConnStats, Drive, Service};
 use crate::wire::{self, WireError};
 use dlht_core::{CacheMap, CacheSession, CacheStats, ShardedSession, ShardedTable, TableStats};
@@ -75,7 +78,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on how long any loop sleeps before re-checking the shutdown
 /// flag (workers are normally woken long before this via their wakers).
@@ -820,6 +823,9 @@ fn run_event_loop<E, P: ConnProto<E>>(
     let mut sources: Vec<(Source, Interest)> = Vec::new();
     let mut slots: Vec<usize> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
+    // End of the last pass that had events: the next wait spins until
+    // SPIN_BUDGET after it.
+    let mut last_busy = Instant::now();
 
     while !env.shutdown.load(Ordering::Acquire) {
         // Adopt new connections.
@@ -855,7 +861,8 @@ fn run_event_loop<E, P: ConnProto<E>>(
             slots.push(slot);
         }
 
-        if poller.poll(&sources, POLL_INTERVAL, &mut events).is_err() {
+        let spin_until = (conns.len() > free.len()).then_some(last_busy + SPIN_BUDGET);
+        if wait_for_events(&mut poller, &sources, &mut events, spin_until, env.shutdown).is_err() {
             // A persistently failing poll must not busy-spin the worker.
             std::thread::sleep(POLL_INTERVAL);
             continue;
@@ -907,6 +914,9 @@ fn run_event_loop<E, P: ConnProto<E>>(
         // Persona hook (the cache worker announces a quiescent point here,
         // after every borrowed entry pointer from this pass is dead).
         end_pass(engine);
+        if !events.is_empty() {
+            last_busy = Instant::now();
+        }
     }
 
     // Shutdown: close every socket so peers observe it immediately, then
@@ -916,6 +926,34 @@ fn run_event_loop<E, P: ConnProto<E>>(
     }
     conns.clear();
     env.buffer_bytes.store(0, Ordering::Relaxed);
+}
+
+/// Fill `events` with this pass's readiness. Until `spin_until`, poll
+/// without sleeping and yield the CPU between attempts, so a pipelined
+/// peer's next window is picked up without a sleep and a wakeup; then, or
+/// with no deadline, block for up to [`POLL_INTERVAL`]. Every attempt is a
+/// fresh `poll`, which clears `events` first: a spin never replays the
+/// previous pass's events. Shutdown ends the spin early.
+fn wait_for_events(
+    poller: &mut Poller,
+    sources: &[(Source, Interest)],
+    events: &mut Vec<Event>,
+    spin_until: Option<Instant>,
+    shutdown: &AtomicBool,
+) -> std::io::Result<()> {
+    if let Some(deadline) = spin_until {
+        loop {
+            poller.poll(sources, Duration::ZERO, events)?;
+            if !events.is_empty() || shutdown.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                break;
+            }
+            std::thread::yield_now();
+        }
+    }
+    poller.poll(sources, POLL_INTERVAL, events)
 }
 
 /// Handle one readiness event for one connection. Never blocks: reads and

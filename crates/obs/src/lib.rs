@@ -34,4 +34,6 @@ pub use hist::{
     bucket_lower, bucket_of, bucket_upper, bytes_fingerprint, key_fingerprint, AtomicHistogram,
     Histogram, HistogramSnapshot, LatencySummary, LocalHistogram, BINS, GROUPS, SUB,
 };
-pub use registry::{Counter, Gauge, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue};
+pub use registry::{
+    Capture, Counter, Gauge, MetricSample, MetricsRegistry, MetricsSnapshot, SampleValue,
+};

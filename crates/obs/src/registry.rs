@@ -160,6 +160,26 @@ struct Metric {
     instrument: Instrument,
 }
 
+/// A value taken once per [`MetricsRegistry::snapshot`] and shared by the
+/// callback metrics built with [`Capture::read`], so they all report the
+/// same capture (one table walk per scrape, not one per metric).
+pub struct Capture<S> {
+    cell: Arc<Mutex<Option<S>>>,
+}
+
+impl<S: Send + 'static> Capture<S> {
+    /// A callback for [`MetricsRegistry::gauge_fn`] /
+    /// [`MetricsRegistry::counter_fn`] reading `pick` from the current
+    /// snapshot's capture.
+    pub fn read(
+        &self,
+        pick: impl Fn(&S) -> u64 + Send + Sync + 'static,
+    ) -> impl Fn() -> u64 + Send + Sync + 'static {
+        let cell = self.cell.clone();
+        move || cell.lock().as_ref().map_or(0, &pick)
+    }
+}
+
 /// The set of registered metrics. Registration happens at startup (cold,
 /// lock-guarded, panics on duplicate name+labels); instruments are handles
 /// that record without touching the registry; [`MetricsRegistry::snapshot`]
@@ -167,6 +187,9 @@ struct Metric {
 pub struct MetricsRegistry {
     lanes_hint: usize,
     metrics: Mutex<Vec<Metric>>,
+    /// Refreshers of every [`Capture`], run at the start of each snapshot
+    /// while it holds the `metrics` lock.
+    captures: Mutex<Vec<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
@@ -184,6 +207,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             lanes_hint,
             metrics: Mutex::new(Vec::new()),
+            captures: Mutex::new(Vec::new()),
         }
     }
 
@@ -267,10 +291,29 @@ impl MetricsRegistry {
         self.register(name, help, labels, Instrument::GaugeFn(Box::new(f)));
     }
 
+    /// Register a value `take` computes once per snapshot, before any
+    /// callback metric runs; metrics built with [`Capture::read`] read it.
+    pub fn capture<S: Send + 'static>(
+        &self,
+        take: impl Fn() -> S + Send + Sync + 'static,
+    ) -> Capture<S> {
+        let cell = Arc::new(Mutex::new(None));
+        let target = cell.clone();
+        self.captures
+            .lock()
+            .push(Box::new(move || *target.lock() = Some(take())));
+        Capture { cell }
+    }
+
     /// Capture every metric's current value. Safe to call while recording
-    /// continues; callback metrics run their closures here.
+    /// continues; captures refresh first, then callback metrics run their
+    /// closures. Snapshots are serialized, so every callback of one
+    /// snapshot sees that snapshot's captures.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let metrics = self.metrics.lock();
+        for refresh in self.captures.lock().iter() {
+            refresh();
+        }
         let samples = metrics
             .iter()
             .map(|m| {
@@ -569,6 +612,22 @@ mod tests {
         assert!(text.contains("test_latency_ns_sum{op=\"get\"} 1100"));
         assert!(text.contains("test_latency_ns_count{op=\"get\"} 2"));
         assert!(text.contains("test_workers 4"));
+    }
+
+    #[test]
+    fn capture_is_taken_once_per_snapshot() {
+        let reg = MetricsRegistry::new(1);
+        let takes = Arc::new(AtomicU64::new(0));
+        let counted = takes.clone();
+        let cap = reg.capture(move || counted.fetch_add(1, Ordering::Relaxed) + 1);
+        reg.gauge_fn("test_a", "a", &[], cap.read(|n| *n));
+        reg.counter_fn("test_b_total", "b", &[], cap.read(|n| *n * 10));
+        for scrape in 1..=3 {
+            let snap = reg.snapshot();
+            assert_eq!(snap.total("test_a"), scrape);
+            assert_eq!(snap.total("test_b_total"), scrape * 10);
+        }
+        assert_eq!(takes.load(Ordering::Relaxed), 3);
     }
 
     #[test]

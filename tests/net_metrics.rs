@@ -9,6 +9,7 @@ use dlht_net::{DlhtClient, DlhtServer, ServerConfig};
 use dlht_obs::{json::Json, parse_prometheus, sum_samples, PromSample};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -131,6 +132,51 @@ fn kv_server_serves_prometheus_exposition() {
             && sum_samples(s, "dlht_buffer_bytes") == Some(0.0)
     });
 
+    server.shutdown();
+}
+
+#[test]
+fn one_scrape_reads_one_table_capture() {
+    let (server, table) = kv_server();
+    let admin = server.admin_addr().expect("admin plane");
+    let stop = Arc::new(AtomicBool::new(false));
+    let inserter = {
+        let (table, stop) = (table.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut k = 1u64;
+            while !stop.load(Ordering::Relaxed) && k < 400_000 {
+                assert!(table.insert(k, k).expect("insert").inserted());
+                k += 1;
+            }
+            k - 1
+        })
+    };
+    let mut seen = Vec::new();
+    for _ in 0..30 {
+        let samples = scrape(admin);
+        let get = |name| sum_samples(&samples, name).expect(name);
+        let occupied = get("dlht_table_occupied_slots");
+        let addressable = get("dlht_table_addressable_slots");
+        let max_slots = get("dlht_table_max_slots");
+        let ppm = get("dlht_table_occupancy_ppm");
+        // Every gauge of a scrape reads the same capture, even while the
+        // table grows and resizes under it.
+        let expected = (occupied * 1e6 / max_slots).floor();
+        assert!(
+            (ppm - expected).abs() <= 1.0,
+            "occupancy {ppm} ppm vs {occupied}/{max_slots} slots in one scrape"
+        );
+        assert!(occupied <= addressable && addressable <= max_slots);
+        assert_eq!(get("dlht_shard_occupied_slots"), occupied);
+        seen.push(occupied);
+    }
+    stop.store(true, Ordering::Relaxed);
+    let inserted = inserter.join().unwrap();
+    seen.dedup();
+    assert!(
+        seen.len() > 1,
+        "no scrape overlapped the {inserted} inserts: {seen:?}"
+    );
     server.shutdown();
 }
 
