@@ -80,9 +80,8 @@ impl KvBackend for DlhtNoBatchAdapter {
         self.map.retired_indexes()
     }
 
-    // supports_batching stays false and execute stays the default per-request
-    // loop (and prefetch_key the default no-op): no prefetch sweep, no
-    // enter/leave amortization.
+    // supports_batching stays false, and execute and engine stay the default
+    // per-request loop: no prefetch sweep, no enter/leave amortization.
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 
 use crate::open_addr::{is_unsupported_key, CellArray, InsertCell};
 use dlht_core::{
-    Batch, BatchPolicy, DlhtError, InsertOutcome, KvBackend, MapFeatures, Pipeline, Request,
-    Response,
+    Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures, Pipeline,
+    Request, Response,
 };
 
 const MAX_PROBES: u64 = 256;
@@ -29,7 +29,7 @@ impl DramhitLikeMap {
     /// requests in flight, and execute each flushed chunk through the
     /// reordering engine ([`BatchPolicy::Unordered`]). Responses still come
     /// back in submission order; execution within a chunk does not.
-    pub fn pipeline(&self, depth: usize) -> Pipeline<'_, Self> {
+    pub fn pipeline(&self, depth: usize) -> Pipeline<&Self> {
         Pipeline::with_flush_policy(self, depth, BatchPolicy::Unordered)
     }
 }
@@ -103,10 +103,6 @@ impl KvBackend for DramhitLikeMap {
         true
     }
 
-    fn prefetch_key(&self, key: u64) {
-        dlht_core::prefetch::prefetch_read(self.cells.home_cell_ptr(key));
-    }
-
     /// Batched execution with prefetching, but — faithfully to DRAMHiT — the
     /// requests are **reordered** (grouped by home cell) to maximize overlap.
     /// Results are written back in submission order, but their effects may
@@ -120,10 +116,25 @@ impl KvBackend for DramhitLikeMap {
         self.execute_reordered(batch, true)
     }
 
-    /// Pipeline flushes arrive with every home cell already prefetched at
-    /// submit time — skip the sweep, keep the reordering engine.
+    fn engine(&self) -> Box<dyn Engine + '_> {
+        Box::new(self)
+    }
+}
+
+/// The map is its own engine: the home cell is prefetched at submit time.
+impl Engine for DramhitLikeMap {
+    fn prefetch(&self, key: u64) {
+        dlht_core::prefetch::prefetch_read(self.cells.home_cell_ptr(key));
+    }
+
+    /// Pipeline flushes arrive with every home cell already prefetched —
+    /// skip the sweep, keep the reordering engine.
     fn execute_prefetched(&self, batch: &mut Batch, _policy: BatchPolicy) {
         self.execute_reordered(batch, false)
+    }
+
+    fn live_keys(&self) -> u64 {
+        self.cells.live() as u64
     }
 }
 

@@ -51,7 +51,7 @@ use dlht_core::{DlhtMap, ShardedTable};
 // The one operations API everything here implements (re-exported so
 // downstream crates need only this dependency to drive any table).
 pub use dlht_core::{
-    Batch, BatchExecutor, BatchPolicy, DlhtError, InsertOutcome, KvBackend, MapFeatures, Pipeline,
+    Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures, Pipeline,
     Request, Response,
 };
 
@@ -322,7 +322,7 @@ mod tests {
             for k in 0..200u64 {
                 let _ = map.insert(k, k + 1).unwrap();
             }
-            let mut pipe = Pipeline::new(map.as_ref(), 8);
+            let mut pipe = Pipeline::new(map.engine(), 8);
             let mut got = Vec::new();
             for k in 0..200u64 {
                 if let Some(r) = pipe.submit(Request::Get(k)) {

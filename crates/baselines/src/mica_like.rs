@@ -3,7 +3,7 @@
 //! in the index — every request chases a pointer into a separate value store,
 //! and every Insert/Delete (de)allocates (Table 1, §2.2, §5.1.2).
 
-use dlht_core::{DlhtError, InsertOutcome, KvBackend, MapFeatures};
+use dlht_core::{Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures};
 use dlht_hash::{Hasher64, WyHash};
 use dlht_util::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -115,24 +115,35 @@ impl KvBackend for MicaLikeMap {
         true
     }
 
-    fn prefetch_key(&self, key: u64) {
-        dlht_core::prefetch::prefetch_read(self.bucket_of(key) as *const Bucket);
-    }
-
     /// Batched execution with a prefetch sweep (MICA pioneered this
     /// technique); requests then execute in order through the shared serial
     /// loop, so the batch contract lives in one place.
-    fn execute(&self, batch: &mut dlht_core::Batch, policy: dlht_core::BatchPolicy) {
+    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
         for req in batch.requests() {
-            dlht_core::prefetch::prefetch_read(self.bucket_of(req.key()) as *const Bucket);
+            self.prefetch(req.key());
         }
         dlht_core::kv::execute_serial(self, batch, policy)
     }
 
-    /// Pipeline flushes arrive with every bucket already prefetched at
-    /// submit time — skip the sweep.
-    fn execute_prefetched(&self, batch: &mut dlht_core::Batch, policy: dlht_core::BatchPolicy) {
+    fn engine(&self) -> Box<dyn Engine + '_> {
+        Box::new(self)
+    }
+}
+
+/// The map is its own engine: the bucket is prefetched at submit time.
+impl Engine for MicaLikeMap {
+    fn prefetch(&self, key: u64) {
+        dlht_core::prefetch::prefetch_read(self.bucket_of(key) as *const Bucket);
+    }
+
+    /// Pipeline flushes arrive with every bucket already prefetched — skip
+    /// the sweep.
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         dlht_core::kv::execute_serial(self, batch, policy)
+    }
+
+    fn live_keys(&self) -> u64 {
+        self.len() as u64
     }
 }
 

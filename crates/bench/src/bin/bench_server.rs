@@ -22,9 +22,10 @@
 //!    recording the admin latency.
 //! 5. **Metrics overhead** — GET throughput with a 10 Hz Prometheus
 //!    scraper hammering `GET /metrics` on the admin plane versus the same
-//!    run unscraped, interleaved best-of-3. The scenario **fails** if
-//!    scraping costs more than 2% throughput: the registry promises
-//!    scrapes never touch the hot path.
+//!    run unscraped, over 7 interleaved pairs that alternate which side runs
+//!    first. The scenario **fails** if the median per-pair overhead is above
+//!    2% of throughput: the registry promises scrapes never touch the hot
+//!    path.
 //!
 //! One extra series runs YCSB A *over the wire* through [`RemoteBackend`],
 //! demonstrating that the whole workload harness drives a remote table
@@ -46,6 +47,15 @@ const DEPTHS: [usize; 3] = [1, 8, 32];
 /// per live connection after its burst drained. Two rings per connection,
 /// each allowed its retained capacity.
 const FLAT_BYTES_PER_CONN: u64 = 2 * ByteRing::SHRINK_CAPACITY as u64;
+
+/// Scraped/unscraped window pairs behind the metrics-overhead verdict.
+const OVERHEAD_PAIRS: usize = 7;
+
+/// Median of `xs` (upper median for an even count); leaves `xs` sorted.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 /// Drive 100%-GET traffic from `connections` clients at `depth`, returning
 /// (total ops, wall time).
@@ -358,12 +368,19 @@ fn main() {
             let window = scale.duration().max(Duration::from_millis(400));
             let seed = scale.seed_for("server/metrics-overhead");
             let _ = run_wire_gets(data_addr, conns, 32, scale.keys, seed, scale.warmup());
-            // Interleaved best-of-3 so machine drift hits both modes alike.
-            let mut best_unscraped = 0.0f64;
-            let mut best_scraped = 0.0f64;
+            // Interleaved pairs, alternating which side runs first, so drift
+            // and run order hit both modes alike. The verdict is the median
+            // per-pair overhead: one noisy window moves one pair, not the
+            // decision.
+            let mut overheads = Vec::with_capacity(OVERHEAD_PAIRS);
+            let mut scraped_mops = Vec::with_capacity(OVERHEAD_PAIRS);
+            let mut unscraped_mops = Vec::with_capacity(OVERHEAD_PAIRS);
             let mut scrapes = 0u64;
-            for round in 0..3 {
-                for scraped in [false, true] {
+            for pair in 0..OVERHEAD_PAIRS {
+                // Mops of the pair, indexed by `scraped as usize`.
+                let mut mops_of = [0.0f64; 2];
+                let first = pair % 2 == 1;
+                for scraped in [first, !first] {
                     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
                     let scraper = scraped.then(|| {
                         let stop = stop.clone();
@@ -378,40 +395,47 @@ fn main() {
                         })
                     });
                     let round_seed =
-                        scale.seed_for(&format!("server/metrics-overhead/{round}/{scraped}"));
+                        scale.seed_for(&format!("server/metrics-overhead/{pair}/{scraped}"));
                     let (ops, elapsed) =
                         run_wire_gets(data_addr, conns, 32, scale.keys, round_seed, window);
                     stop.store(true, std::sync::atomic::Ordering::Relaxed);
                     if let Some(h) = scraper {
                         scrapes += h.join().expect("scraper thread");
                     }
-                    let mops = ops as f64 / elapsed.as_secs_f64() / 1e6;
-                    if scraped {
-                        best_scraped = best_scraped.max(mops);
-                    } else {
-                        best_unscraped = best_unscraped.max(mops);
-                    }
+                    mops_of[scraped as usize] = ops as f64 / elapsed.as_secs_f64() / 1e6;
                 }
+                let [unscraped, scraped] = mops_of;
+                overheads.push((unscraped - scraped) / unscraped * 100.0);
+                unscraped_mops.push(unscraped);
+                scraped_mops.push(scraped);
             }
-            let overhead_pct = ((best_unscraped - best_scraped) / best_unscraped * 100.0).max(0.0);
+            let overhead_pct = median(&mut overheads);
+            let (lo, hi) = (overheads[0], overheads[OVERHEAD_PAIRS - 1]);
+            let median_scraped = median(&mut scraped_mops);
+            let median_unscraped = median(&mut unscraped_mops);
             ctx.point("metrics-overhead")
                 .axis("connections", conns)
                 .axis("depth", 32usize)
-                .mops(best_scraped)
-                .extra("mops_scraped", best_scraped)
-                .extra("mops_unscraped", best_unscraped)
+                .mops(median_scraped)
+                .extra("mops_scraped", median_scraped)
+                .extra("mops_unscraped", median_unscraped)
                 .extra("overhead_pct", overhead_pct)
+                .extra("overhead_pct_min", lo)
+                .extra("overhead_pct_max", hi)
+                .extra("pairs", OVERHEAD_PAIRS as f64)
                 .extra("scrapes", scrapes as f64)
                 .emit();
             ctx.note(&format!(
-                "Metrics overhead: {} scraped vs {} unscraped under {scrapes} \
-                 10 Hz scrapes — {overhead_pct:.2}% overhead (bar 2%).",
-                fmt_mops(best_scraped),
-                fmt_mops(best_unscraped)
+                "Metrics overhead: {} scraped vs {} unscraped (medians) under {scrapes} \
+                 10 Hz scrapes — median {overhead_pct:.2}% over {OVERHEAD_PAIRS} pairs, \
+                 per-pair {lo:.2}% to {hi:.2}% (bar 2%).",
+                fmt_mops(median_scraped),
+                fmt_mops(median_unscraped)
             ));
             assert!(
                 overhead_pct <= 2.0,
-                "Prometheus scraping cost {overhead_pct:.2}% GET throughput (bar 2%)"
+                "Prometheus scraping cost a median {overhead_pct:.2}% GET throughput over \
+                 {OVERHEAD_PAIRS} pairs (per-pair {lo:.2}% to {hi:.2}%; bar 2%)"
             );
             mserver.shutdown();
         }

@@ -306,21 +306,15 @@ impl DlhtMap {
         self.entered(|start| self.execute_entered(start, batch, policy, true));
     }
 
-    /// [`DlhtMap::execute`] without the up-front prefetch sweep, for callers
-    /// (the [`crate::Pipeline`]) that already prefetched every request's bin
-    /// at submit time — sweeping again here would add no latency-hiding
-    /// distance.
-    #[inline]
-    // HOT: per-batch path under Pipeline::flush — must not panic.
-    pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.entered(|start| self.execute_entered(start, batch, policy, false));
-    }
-
     /// Batch execution body, starting from an already-announced index
     /// generation (shared by [`DlhtMap::execute`] and [`crate::Session`]).
+    /// The sweep is skipped on the pipeline's flush path
+    /// ([`crate::Session::execute_prefetched`]), whose requests were
+    /// prefetched at submit time.
     ///
     /// The caller must hold the `EnterGuard` that produced `start` for the
     /// whole call.
+    // HOT: per-batch path under Pipeline::flush — must not panic.
     pub(crate) fn execute_entered(
         &self,
         start: *mut crate::index::Index,

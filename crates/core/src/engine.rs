@@ -1,0 +1,108 @@
+//! The per-thread engine: the one interface a [`crate::Pipeline`], a wire
+//! service and the workload runner drive a table through. The paper issues
+//! prefetches through the per-thread batch interface and pays one
+//! enter/leave per batch, not per key (§3.2.5, §3.3); an [`Engine`] is that
+//! interface, and [`KvBackend::engine`] hands one out.
+
+use crate::batch::{Batch, BatchPolicy};
+use crate::kv::KvBackend;
+use crate::stats::TableStats;
+use std::ops::Deref;
+
+/// Prefetch a key, execute a prefetched batch, and answer the `STATS`/`LEN`
+/// questions a server asks — what a [`crate::Pipeline`] or a wire service
+/// drives.
+///
+/// Engines need not be `Send`: a session is pinned to its creating thread.
+/// No method shares a name with a [`KvBackend`] method, so a type may
+/// implement both without making calls ambiguous.
+pub trait Engine {
+    /// Issue a software prefetch for wherever `key` lives (best effort; a
+    /// no-op for engines without prefetch support).
+    fn prefetch(&self, key: u64);
+
+    /// Execute a batch whose requests were already prefetched one by one via
+    /// [`Engine::prefetch`], filling its response storage in submission-slot
+    /// order. Engines with an up-front prefetch sweep skip it here instead
+    /// of prefetching every request twice.
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy);
+
+    /// Structural statistics of the table behind the engine. Designs without
+    /// a DLHT-style index report the all-zero default.
+    fn table_stats(&self) -> TableStats {
+        TableStats::default()
+    }
+
+    /// Retired-but-not-yet-freed index generations (0 for designs without
+    /// index retirement).
+    fn retired_index_count(&self) -> usize {
+        0
+    }
+
+    /// Live keys in the table (may be linear-time).
+    fn live_keys(&self) -> u64;
+
+    /// Which shard `key` routes to, for slow-op trace attribution.
+    /// Unsharded engines stay on the default.
+    fn shard_of(&self, _key: u64) -> u32 {
+        0
+    }
+}
+
+/// Shared references and boxes are engines too: several connections on one
+/// event-loop worker share that worker's session, and
+/// [`KvBackend::engine`] returns a box.
+macro_rules! forward_engine {
+    ($($ptr:ty),+) => {$(
+        impl<E: Engine + ?Sized> Engine for $ptr {
+            fn prefetch(&self, key: u64) {
+                (**self).prefetch(key)
+            }
+            fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+                (**self).execute_prefetched(batch, policy)
+            }
+            fn table_stats(&self) -> TableStats {
+                (**self).table_stats()
+            }
+            fn retired_index_count(&self) -> usize {
+                (**self).retired_index_count()
+            }
+            fn live_keys(&self) -> u64 {
+                (**self).live_keys()
+            }
+            fn shard_of(&self, key: u64) -> u32 {
+                (**self).shard_of(key)
+            }
+        }
+    )+};
+}
+
+forward_engine!(&E, Box<E>);
+
+/// The engine of a backend without one of its own: it issues no prefetch
+/// and runs [`KvBackend::execute`]. `P` is any pointer to a backend — a
+/// reference, an `Arc<dyn KvBackend>`, a `Box`.
+pub struct BackendEngine<P>(pub P);
+
+impl<P: Deref> Engine for BackendEngine<P>
+where
+    P::Target: KvBackend,
+{
+    fn prefetch(&self, _key: u64) {}
+
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+        self.0.execute(batch, policy)
+    }
+
+    fn table_stats(&self) -> TableStats {
+        self.0.stats()
+    }
+
+    fn retired_index_count(&self) -> usize {
+        self.0.retired_indexes()
+    }
+
+    fn live_keys(&self) -> u64 {
+        self.0.len() as u64
+    }
+}

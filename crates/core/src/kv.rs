@@ -10,6 +10,7 @@
 //! order-preserving batch entry point of §3.3.
 
 use crate::batch::{Batch, BatchPolicy, Request, Response};
+use crate::engine::{BackendEngine, Engine};
 use crate::error::{DlhtError, InsertOutcome};
 use crate::set::DlhtSet;
 use crate::sharded::{sharded_display_name, ShardedTable};
@@ -149,11 +150,6 @@ pub trait KvBackend: Send + Sync {
         false
     }
 
-    /// Issue a software prefetch for wherever `key` lives (a bin, a home
-    /// cell, a bucket). A no-op by default; designs with prefetch support
-    /// override it — it is what a [`crate::Pipeline`] calls at submit time.
-    fn prefetch_key(&self, _key: u64) {}
-
     /// Execute the queued requests of `batch`, one [`Response`] per request
     /// in submission-slot order, into the batch's own (reused) response
     /// storage. Execution itself follows submission order unless the design
@@ -168,13 +164,13 @@ pub trait KvBackend: Send + Sync {
         execute_serial(self, batch, policy)
     }
 
-    /// [`KvBackend::execute`] for a batch whose requests were already
-    /// prefetched individually (via [`KvBackend::prefetch_key`], as the
-    /// [`crate::Pipeline`] does at submit time): designs with an up-front
-    /// prefetch sweep skip it here rather than prefetch every bin twice.
-    /// Defaults to plain [`KvBackend::execute`].
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.execute(batch, policy)
+    /// A per-thread [`Engine`] over this backend, for a [`crate::Pipeline`]
+    /// or a wire service to drive. Take one per worker thread: DLHT's tables
+    /// return a session, designs with their own prefetch engine return
+    /// themselves, and the default is the [`BackendEngine`] adapter (no
+    /// prefetch, [`KvBackend::execute`] on flush).
+    fn engine(&self) -> Box<dyn Engine + '_> {
+        Box::new(BackendEngine(self))
     }
 
     /// One-shot convenience over [`KvBackend::execute`]: copies `requests`
@@ -254,14 +250,11 @@ macro_rules! forward_kv_backend {
             fn supports_batching(&self) -> bool {
                 (**self).supports_batching()
             }
-            fn prefetch_key(&self, key: u64) {
-                (**self).prefetch_key(key)
-            }
             fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
                 (**self).execute(batch, policy)
             }
-            fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-                (**self).execute_prefetched(batch, policy)
+            fn engine(&self) -> Box<dyn Engine + '_> {
+                (**self).engine()
             }
             fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
                 (**self).execute_batch(requests, policy)
@@ -273,9 +266,9 @@ macro_rules! forward_kv_backend {
 forward_kv_backend!(Arc, Box);
 
 /// `DlhtMap` and `ShardedTable` through the unified API: every method
-/// calls the table's inherent method of the same name, and batches go to
-/// the table's own prefetched batch engine. `name` is computed from the
-/// table bound to `$this`.
+/// calls the table's inherent method of the same name, batches go to the
+/// table's own prefetched batch engine, and the per-thread engine is the
+/// table's session. `name` is computed from the table bound to `$this`.
 macro_rules! native_kv_backend {
     ($($table:ident, |$this:ident| $name:expr);+) => {$(
         impl KvBackend for $table {
@@ -316,14 +309,11 @@ macro_rules! native_kv_backend {
             fn supports_batching(&self) -> bool {
                 true
             }
-            fn prefetch_key(&self, key: u64) {
-                $table::prefetch(self, key)
-            }
             fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
                 $table::execute(self, batch, policy)
             }
-            fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-                $table::execute_prefetched(self, batch, policy)
+            fn engine(&self) -> Box<dyn Engine + '_> {
+                Box::new($table::session(self))
             }
             fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
                 $table::execute_batch(self, requests, policy)
@@ -380,11 +370,9 @@ impl KvBackend for DlhtSet {
     fn retired_indexes(&self) -> usize {
         self.raw().retired_indexes()
     }
-    fn prefetch_key(&self, key: u64) {
-        self.raw().prefetch(key)
-    }
-    // `supports_batching` stays false and `execute` stays the serial default
-    // so the batch surface matches the single-request one (no Puts on sets).
+    // `supports_batching` stays false, and `execute` and `engine` stay the
+    // serial defaults so the batch surface matches the single-request one
+    // (no Puts on sets).
 }
 
 #[cfg(test)]

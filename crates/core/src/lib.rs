@@ -73,6 +73,7 @@ pub mod atomic128;
 pub mod batch;
 pub mod bucket;
 pub mod config;
+pub mod engine;
 pub mod error;
 pub mod header;
 pub mod index;
@@ -102,9 +103,10 @@ pub use cache::{
     StoreOutcome, MAX_RELATIVE_EXPIRY,
 };
 pub use config::DlhtConfig;
+pub use engine::{BackendEngine, Engine};
 pub use error::{DlhtError, InsertOutcome};
 pub use kv::{KvBackend, MapFeatures};
-pub use pipeline::{BatchExecutor, Pipeline};
+pub use pipeline::Pipeline;
 pub use record::MAX_KEY_LEN;
 pub use session::Session;
 pub use set::DlhtSet;

@@ -18,7 +18,7 @@
 //! let map = DlhtMap::with_capacity(1024);
 //! map.insert(7, 700).unwrap();
 //!
-//! let mut pipe = Pipeline::new(&map, 8);
+//! let mut pipe = Pipeline::new(map.session(), 8);
 //! let mut hits = 0;
 //! for key in 0..100u64 {
 //!     // Prefetch now, execute once the pipeline is full.
@@ -35,43 +35,10 @@
 //! ```
 
 use crate::batch::{Batch, BatchPolicy, Request, Response};
-use crate::kv::KvBackend;
+use crate::engine::Engine;
 use std::collections::VecDeque;
 
-/// Anything that can prefetch a key's location and execute a [`Batch`] — the
-/// engine a [`Pipeline`] drives.
-///
-/// Implemented by every [`KvBackend`] (via the blanket impl below) and by the
-/// slot-cached [`crate::Session`]. The split from `KvBackend` exists because
-/// executors need not be `Send + Sync`: a `Session` is deliberately pinned to
-/// its creating thread.
-pub trait BatchExecutor {
-    /// Issue a software prefetch for wherever `key` lives (best effort; a
-    /// no-op for engines without prefetch support).
-    ///
-    /// Named distinctly from [`KvBackend::prefetch_key`] so importing both
-    /// traits never makes method calls ambiguous.
-    fn issue_prefetch(&self, key: u64);
-
-    /// Execute a batch whose requests were already prefetched one by one via
-    /// [`BatchExecutor::issue_prefetch`], filling its response storage (same
-    /// contract as [`KvBackend::execute_prefetched`]): engines with an
-    /// up-front prefetch sweep skip it here instead of issuing every
-    /// prefetch twice.
-    fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy);
-}
-
-impl<B: KvBackend + ?Sized> BatchExecutor for B {
-    fn issue_prefetch(&self, key: u64) {
-        KvBackend::prefetch_key(self, key);
-    }
-
-    fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        KvBackend::execute_prefetched(self, batch, policy);
-    }
-}
-
-/// A bounded in-flight window of operations over a [`BatchExecutor`].
+/// A bounded in-flight window of operations over an [`Engine`].
 ///
 /// Up to `depth` submitted requests are held *pending*: prefetched but not
 /// yet executed. When the window fills, the oldest `depth/2` pending requests
@@ -84,25 +51,6 @@ impl<B: KvBackend + ?Sized> BatchExecutor for B {
 /// at every depth; a pipeline of depth 1 is behaviourally identical to
 /// calling the single-request operations in a loop.
 ///
-/// # Cost model
-///
-/// What a submit-time prefetch costs depends on the executor:
-///
-/// * Over a [`crate::Session`] or [`crate::ShardedSession`], it prefetches
-///   from the session's cached index-geometry hint after one relaxed load,
-///   with no announcement to the index-GC registry; the session enters only
-///   when a resize has replaced the index since its last entry. Each flush
-///   then pays one enter/leave for its whole chunk, like a discrete batch.
-/// * Over a table reached through [`KvBackend::prefetch_key`] (a `DlhtMap`
-///   or `ShardedTable` used directly, or a `&dyn KvBackend` as the workload
-///   runner drives), each prefetch enters and leaves the table (the §3.2.5
-///   enter/leave protocol) once per key, an announcement the discrete batch
-///   path pays once per window.
-///
-/// The flush path skips its usual prefetch sweep either way (the requests
-/// were already prefetched at submit). To stream over one table, drive the
-/// pipeline from a session: [`crate::Session::pipeline`].
-///
 /// # Dropping
 ///
 /// Dropping a pipeline **executes** any still-pending requests (discarding
@@ -110,8 +58,8 @@ impl<B: KvBackend + ?Sized> BatchExecutor for B {
 /// [`Pipeline::drain`] first when the responses matter.
 #[must_use = "a Pipeline executes requests only when driven (submit/poll/drain); \
               dropping it unused discards the prefetch window"]
-pub struct Pipeline<'a, E: BatchExecutor + ?Sized> {
-    exec: &'a E,
+pub struct Pipeline<E: Engine> {
+    engine: E,
     depth: usize,
     /// How many pending requests execute per flush: `max(depth / 2, 1)`, so a
     /// full window keeps at least half its prefetch distance after a flush.
@@ -122,23 +70,23 @@ pub struct Pipeline<'a, E: BatchExecutor + ?Sized> {
     scratch: Batch,
 }
 
-impl<'a, E: BatchExecutor + ?Sized> Pipeline<'a, E> {
-    /// Create a pipeline of at most `depth` in-flight requests over `exec`
+impl<E: Engine> Pipeline<E> {
+    /// Create a pipeline of at most `depth` in-flight requests over `engine`
     /// (`depth` is clamped to at least 1). Executes with
     /// [`BatchPolicy::RunAll`]; streams have no meaningful "stop the batch"
     /// boundary.
-    pub fn new(exec: &'a E, depth: usize) -> Self {
-        Self::with_flush_policy(exec, depth, BatchPolicy::RunAll)
+    pub fn new(engine: E, depth: usize) -> Self {
+        Self::with_flush_policy(engine, depth, BatchPolicy::RunAll)
     }
 
     /// [`Pipeline::new`] with an explicit flush policy. The only other policy
     /// that makes sense for a stream is [`BatchPolicy::Unordered`], which lets
     /// reordering engines (the DRAMHiT-like baseline) run each flushed chunk
     /// natively out of order; responses still come back in submission order.
-    pub fn with_flush_policy(exec: &'a E, depth: usize, flush_policy: BatchPolicy) -> Self {
+    pub fn with_flush_policy(engine: E, depth: usize, flush_policy: BatchPolicy) -> Self {
         let depth = depth.max(1);
         Pipeline {
-            exec,
+            engine,
             depth,
             chunk: (depth / 2).max(1),
             flush_policy,
@@ -171,7 +119,7 @@ impl<'a, E: BatchExecutor + ?Sized> Pipeline<'a, E> {
     /// the submission stream.
     // HOT: per-op path on the pipelined client loop — must not panic.
     pub fn submit(&mut self, request: Request) -> Option<Response> {
-        self.exec.issue_prefetch(request.key());
+        self.engine.prefetch(request.key());
         self.pending.push_back(request);
         if self.pending.len() >= self.depth {
             self.flush_n(self.chunk);
@@ -231,13 +179,13 @@ impl<'a, E: BatchExecutor + ?Sized> Pipeline<'a, E> {
                 None => break,
             }
         }
-        self.exec
-            .run_prefetched(&mut self.scratch, self.flush_policy);
+        self.engine
+            .execute_prefetched(&mut self.scratch, self.flush_policy);
         self.ready.extend(self.scratch.responses().iter().copied());
     }
 }
 
-impl<E: BatchExecutor + ?Sized> Drop for Pipeline<'_, E> {
+impl<E: Engine> Drop for Pipeline<E> {
     fn drop(&mut self) {
         // A submitted request must take effect even if the caller never
         // polled for its response — but not while unwinding from a panic in
@@ -257,9 +205,9 @@ mod tests {
     #[test]
     fn depth_is_clamped_and_reported() {
         let map = DlhtMap::with_capacity(64);
-        let pipe = Pipeline::new(&map, 0);
+        let pipe = Pipeline::new(map.session(), 0);
         assert_eq!(pipe.depth(), 1);
-        let pipe = Pipeline::new(&map, 32);
+        let pipe = Pipeline::new(map.session(), 32);
         assert_eq!(pipe.depth(), 32);
     }
 
@@ -269,7 +217,7 @@ mod tests {
         for k in 0..64u64 {
             let _ = map.insert(k, k * 3).unwrap();
         }
-        let mut pipe = Pipeline::new(&map, 8);
+        let mut pipe = Pipeline::new(map.session(), 8);
         let mut got = Vec::new();
         for k in 0..64u64 {
             if let Some(r) = pipe.submit(Request::Get(k)) {
@@ -288,7 +236,7 @@ mod tests {
         // Insert then Get of the same key through the pipeline: the Get must
         // see the Insert because execution is strictly in submission order.
         let map = DlhtMap::with_capacity(1024);
-        let mut pipe = Pipeline::new(&map, 16);
+        let mut pipe = Pipeline::new(map.session(), 16);
         let mut out = Vec::new();
         for k in 0..50u64 {
             for req in [
@@ -313,7 +261,7 @@ mod tests {
     #[test]
     fn in_flight_stays_bounded_by_depth() {
         let map = DlhtMap::with_capacity(1024);
-        let mut pipe = Pipeline::new(&map, 8);
+        let mut pipe = Pipeline::new(map.session(), 8);
         for k in 0..1000u64 {
             pipe.submit(Request::Get(k));
             assert!(pipe.in_flight() < 8 + 1, "window must stay bounded");
@@ -324,7 +272,7 @@ mod tests {
     fn drop_executes_pending_writes() {
         let map = DlhtMap::with_capacity(64);
         {
-            let mut pipe = Pipeline::new(&map, 32);
+            let mut pipe = Pipeline::new(map.session(), 32);
             pipe.submit(Request::Insert(5, 50));
             // Dropped without poll/drain.
         }
@@ -334,7 +282,7 @@ mod tests {
     #[test]
     fn poll_on_empty_pipeline_is_none() {
         let map = DlhtMap::with_capacity(64);
-        let mut pipe = Pipeline::new(&map, 4);
+        let mut pipe = Pipeline::new(map.session(), 4);
         assert_eq!(pipe.poll(), None);
         pipe.submit(Request::Get(1));
         assert_eq!(pipe.poll(), Some(Response::Value(None)));

@@ -38,10 +38,12 @@
 //! ```
 
 use crate::batch::{Batch, BatchPolicy};
+use crate::engine::Engine;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::header::SlotState;
 use crate::index::BinGeometry;
-use crate::pipeline::{BatchExecutor, Pipeline};
+use crate::pipeline::Pipeline;
+use crate::stats::TableStats;
 use crate::table::{DlhtMap, EnterGuard};
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -169,18 +171,26 @@ impl<'t> Session<'t> {
 
     /// Open a bounded prefetch [`Pipeline`] of `depth` in-flight requests
     /// submitting through this session.
-    pub fn pipeline(&self, depth: usize) -> Pipeline<'_, Self> {
+    pub fn pipeline(&self, depth: usize) -> Pipeline<&Self> {
         Pipeline::new(self, depth)
     }
 }
 
-impl BatchExecutor for Session<'_> {
-    fn issue_prefetch(&self, key: u64) {
+impl Engine for Session<'_> {
+    fn prefetch(&self, key: u64) {
         Session::prefetch(self, key);
     }
-
-    fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         Session::execute_prefetched(self, batch, policy);
+    }
+    fn table_stats(&self) -> TableStats {
+        self.table.stats()
+    }
+    fn retired_index_count(&self) -> usize {
+        self.table.retired_indexes()
+    }
+    fn live_keys(&self) -> u64 {
+        self.table.len() as u64
     }
 }
 

@@ -12,9 +12,10 @@
 //! * **Contention is partitioned.** Registry announcements, link-bucket
 //!   allocation, and retire/GC bookkeeping are all per shard.
 //! * **The operations API is unchanged.** `ShardedTable` implements the full
-//!   [`crate::KvBackend`] contract — including the batch entry points and the
-//!   prefetch hooks a [`Pipeline`] drives — so every workload, benchmark, and
-//!   example drives it interchangeably with a single table.
+//!   [`crate::KvBackend`] contract — including the batch entry points, and a
+//!   [`ShardedSession`] as the engine a [`Pipeline`] drives — so every
+//!   workload, benchmark, and example drives it interchangeably with a
+//!   single table.
 //!
 //! ## Routing
 //!
@@ -55,8 +56,9 @@
 
 use crate::batch::{Batch, BatchPolicy, Request, Response};
 use crate::config::DlhtConfig;
+use crate::engine::Engine;
 use crate::error::{DlhtError, InsertOutcome};
-use crate::pipeline::{BatchExecutor, Pipeline};
+use crate::pipeline::Pipeline;
 use crate::session::Session;
 use crate::stats::TableStats;
 use crate::table::{DlhtMap, EnterGuard};
@@ -238,12 +240,6 @@ impl ShardedTable {
         self.route(key).commit_shadow(key, commit)
     }
 
-    /// Issue a software prefetch for the bin `key` hashes to in its shard.
-    #[inline]
-    pub fn prefetch(&self, key: u64) {
-        self.route(key).prefetch(key)
-    }
-
     // ------------------------------------------------------------------
     // Batch execution (per-shard runs; see module docs)
     // ------------------------------------------------------------------
@@ -258,17 +254,6 @@ impl ShardedTable {
         }
         let guards: Vec<EnterGuard<'_>> = self.shards.iter().map(|s| s.enter()).collect();
         self.execute_with_guards(&guards, batch, policy, true);
-    }
-
-    /// [`ShardedTable::execute`] without the up-front prefetch sweep, for
-    /// callers (the [`Pipeline`]) that already prefetched every request's bin
-    /// at submit time.
-    pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        if self.shards.len() == 1 {
-            return self.shards[0].execute_prefetched(batch, policy);
-        }
-        let guards: Vec<EnterGuard<'_>> = self.shards.iter().map(|s| s.enter()).collect();
-        self.execute_with_guards(&guards, batch, policy, false);
     }
 
     /// One-shot convenience over [`ShardedTable::execute`] (allocates per
@@ -439,8 +424,8 @@ impl ShardedTable {
 /// announcement through a cached slot instead of a thread-local lookup.
 ///
 /// Like [`Session`], a `ShardedSession` is deliberately not `Send`/`Sync`:
-/// the cached slots belong to the creating thread. It is the
-/// [`BatchExecutor`] a [`Pipeline`] drives over a sharded table.
+/// the cached slots belong to the creating thread. It is the [`Engine`] a
+/// [`Pipeline`] or a wire service drives over a sharded table.
 pub struct ShardedSession<'t> {
     table: &'t ShardedTable,
     sessions: Box<[Session<'t>]>,
@@ -524,18 +509,29 @@ impl<'t> ShardedSession<'t> {
 
     /// Open a bounded prefetch [`Pipeline`] of `depth` in-flight requests
     /// submitting through this session's shard-local slots.
-    pub fn pipeline(&self, depth: usize) -> Pipeline<'_, Self> {
+    pub fn pipeline(&self, depth: usize) -> Pipeline<&Self> {
         Pipeline::new(self, depth)
     }
 }
 
-impl BatchExecutor for ShardedSession<'_> {
-    fn issue_prefetch(&self, key: u64) {
+impl Engine for ShardedSession<'_> {
+    fn prefetch(&self, key: u64) {
         ShardedSession::prefetch(self, key);
     }
-
-    fn run_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         ShardedSession::execute_prefetched(self, batch, policy);
+    }
+    fn table_stats(&self) -> TableStats {
+        self.table.stats()
+    }
+    fn retired_index_count(&self) -> usize {
+        self.table.retired_indexes()
+    }
+    fn live_keys(&self) -> u64 {
+        self.table.len() as u64
+    }
+    fn shard_of(&self, key: u64) -> u32 {
+        self.table.shard_of(key) as u32
     }
 }
 

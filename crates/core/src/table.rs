@@ -998,14 +998,14 @@ impl DlhtMap {
     }
 
     /// Issue a software prefetch for the bin that `key` hashes to in the
-    /// current index (coroutine interoperation, §3.3).
+    /// current index, for [`crate::AllocSession::prefetch`].
     ///
     /// This enters and leaves the table for every key. A per-thread
     /// [`crate::Session`] keeps the current index's geometry as a hint, and
     /// its [`Session::prefetch`](crate::Session::prefetch) is the fast path:
     /// no announcement unless the index changed.
     #[inline]
-    pub fn prefetch(&self, key: u64) {
+    pub(crate) fn prefetch(&self, key: u64) {
         self.entered(|idx| {
             // SAFETY: `entered` pins the index for the closure.
             let idx = unsafe { &*idx };

@@ -11,7 +11,8 @@
 //! interface DLHT's batch + prefetch engine (paper §3.3) was built for.
 //! Requests a client writes back-to-back are drained by the server into one
 //! reusable [`dlht_core::Batch`], prefetched at decode time, and executed
-//! via `execute_prefetched`: wire pipelining ≙ prefetch pipeline depth.
+//! through the table's per-thread [`dlht_core::Engine`]: wire pipelining ≙
+//! prefetch pipeline depth.
 //!
 //! ## Pieces
 //!
@@ -42,12 +43,12 @@
 //! ## Example (in-process loopback; the TCP path is identical)
 //!
 //! ```
-//! use dlht_core::{BatchPolicy, Request, Response, ShardedTable};
-//! use dlht_net::{loopback_client, BackendEngine};
-//! use std::sync::Arc;
+//! use dlht_core::{Request, Response, ShardedTable};
+//! use dlht_net::loopback_client;
 //!
-//! let table = Arc::new(ShardedTable::with_capacity(4, 10_000));
-//! let mut client = loopback_client(BackendEngine(table));
+//! let table = ShardedTable::with_capacity(4, 10_000);
+//! let session = table.session();
+//! let mut client = loopback_client(&session);
 //!
 //! client.insert(7, 700).unwrap();
 //! assert_eq!(client.get(7).unwrap(), Some(700));
@@ -89,6 +90,6 @@ pub use memcache::MemcacheConn;
 pub use metrics::{ServerMetrics, TraceEntry, TRACE_RING_CAP};
 pub use remote::{flag_value, server_addr_from_args, RemoteBackend};
 pub use server::{AdminBackend, DlhtServer, ServerConfig, ServerCounters, WRITE_HIGH_WATER};
-pub use service::{BackendEngine, ConnStats, Drive, Service, ServiceEngine};
+pub use service::{ConnStats, Drive, Service};
 pub use test_util::{bind_ephemeral, bind_ephemeral_memcache};
 pub use wire::{RemoteCacheStats, RemoteStats, WireError, MAX_PAYLOAD, VERSION};

@@ -16,18 +16,18 @@
 //! random sequences it replays against the tables directly.
 
 use crate::client::{DlhtClient, NetError};
-use crate::service::{BackendEngine, Service, ServiceEngine};
+use crate::service::Service;
 use crate::wire::RemoteStats;
 use dlht_core::{
-    Batch, BatchPolicy, DlhtError, InsertOutcome, KvBackend, MapFeatures, Request, Response,
-    TableStats,
+    BackendEngine, Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures,
+    Request, Response, TableStats,
 };
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
 /// A deterministic in-process byte transport over a [`Service`] (module docs
 /// above).
-pub struct LoopbackTransport<E: ServiceEngine> {
+pub struct LoopbackTransport<E: Engine> {
     service: Service<E>,
     /// Client → server bytes not yet processed.
     inbound: Vec<u8>,
@@ -38,7 +38,7 @@ pub struct LoopbackTransport<E: ServiceEngine> {
     closed: bool,
 }
 
-impl<E: ServiceEngine> LoopbackTransport<E> {
+impl<E: Engine> LoopbackTransport<E> {
     /// Wrap `engine` in a loopback connection.
     pub fn new(engine: E) -> Self {
         LoopbackTransport {
@@ -77,7 +77,7 @@ impl<E: ServiceEngine> LoopbackTransport<E> {
     }
 }
 
-impl<E: ServiceEngine> Write for LoopbackTransport<E> {
+impl<E: Engine> Write for LoopbackTransport<E> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         if self.closed && self.outbound.len() == self.opos {
             return Err(std::io::Error::new(
@@ -95,7 +95,7 @@ impl<E: ServiceEngine> Write for LoopbackTransport<E> {
     }
 }
 
-impl<E: ServiceEngine> Read for LoopbackTransport<E> {
+impl<E: Engine> Read for LoopbackTransport<E> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.opos == self.outbound.len() {
             self.pump();
@@ -114,7 +114,7 @@ impl<E: ServiceEngine> Read for LoopbackTransport<E> {
 }
 
 /// A [`DlhtClient`] over an in-process loopback connection to `engine`.
-pub fn loopback_client<E: ServiceEngine>(engine: E) -> DlhtClient<LoopbackTransport<E>> {
+pub fn loopback_client<E: Engine>(engine: E) -> DlhtClient<LoopbackTransport<E>> {
     DlhtClient::new(LoopbackTransport::new(engine))
 }
 

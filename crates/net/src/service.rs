@@ -10,8 +10,8 @@
 //!    (zero-copy) and pushed into one reusable [`Batch`], issuing the
 //!    request's software prefetch **at decode time**;
 //! 2. when the input runs dry (= the bytes one socket read returned), the
-//!    accumulated batch executes via `execute_prefetched` — the sweep was
-//!    already paid frame by frame;
+//!    accumulated batch executes via [`Engine::execute_prefetched`] — the
+//!    sweep was already paid frame by frame;
 //! 3. one `RESP` frame per request is appended to the output, in submission
 //!    order.
 //!
@@ -20,124 +20,15 @@
 //! prefetch pipeline depth. Explicit `BATCH` frames carry a
 //! [`BatchPolicy`] and execute as their own batch; `STATS`/`LEN`/`PING`
 //! are barriers that flush pending singles first so global ordering holds.
+//!
+//! The [`Engine`] is the table's per-thread one: the server hands each
+//! connection its worker's [`dlht_core::ShardedSession`], and the loopback
+//! transport takes any engine, [`dlht_core::BackendEngine`] included.
 
 use crate::metrics::ServiceObs;
 use crate::wire::{self, WireError};
-use dlht_core::{Batch, BatchPolicy, KvBackend, Session, ShardedSession, ShardedTable, TableStats};
+use dlht_core::{Batch, BatchPolicy, Engine};
 use std::time::Instant;
-
-/// What a [`Service`] executes against: anything that can prefetch a key,
-/// run a prefetched batch, and answer the `STATS`/`LEN` commands.
-///
-/// Implemented by the slot-cached per-connection sessions
-/// ([`ShardedSession`], [`Session`]) and — through [`BackendEngine`] — by
-/// every [`KvBackend`] in the repository, so the loopback transport can put
-/// any table behind the wire.
-pub trait ServiceEngine {
-    /// Issue a software prefetch for wherever `key` lives.
-    fn prefetch(&self, key: u64);
-    /// Execute a batch whose requests were already prefetched one by one.
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy);
-    /// Structural statistics for the `STATS` command.
-    fn table_stats(&self) -> TableStats;
-    /// Retired-index count for the `STATS` command.
-    fn retired_indexes(&self) -> usize;
-    /// Live keys for the `LEN` command (may be linear-time).
-    fn live_keys(&self) -> u64;
-    /// Which shard `key` routes to, for slow-op trace attribution.
-    /// Unsharded engines stay on the default.
-    fn shard_of(&self, _key: u64) -> u32 {
-        0
-    }
-}
-
-/// Engines work through shared references too, so several connections on
-/// one event-loop worker can share that worker's single cached
-/// [`ShardedSession`] (each connection still owns its own [`Service`] and
-/// therefore its own reusable [`Batch`]).
-impl<E: ServiceEngine + ?Sized> ServiceEngine for &E {
-    fn prefetch(&self, key: u64) {
-        (**self).prefetch(key);
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        (**self).execute_prefetched(batch, policy);
-    }
-    fn table_stats(&self) -> TableStats {
-        (**self).table_stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        (**self).retired_indexes()
-    }
-    fn live_keys(&self) -> u64 {
-        (**self).live_keys()
-    }
-    fn shard_of(&self, key: u64) -> u32 {
-        (**self).shard_of(key)
-    }
-}
-
-impl ServiceEngine for ShardedSession<'_> {
-    fn prefetch(&self, key: u64) {
-        ShardedSession::prefetch(self, key);
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        ShardedSession::execute_prefetched(self, batch, policy);
-    }
-    fn table_stats(&self) -> TableStats {
-        self.table().stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        ShardedTable::retired_indexes(self.table())
-    }
-    fn live_keys(&self) -> u64 {
-        self.table().len() as u64
-    }
-    fn shard_of(&self, key: u64) -> u32 {
-        self.table().shard_of(key) as u32
-    }
-}
-
-impl ServiceEngine for Session<'_> {
-    fn prefetch(&self, key: u64) {
-        Session::prefetch(self, key);
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        Session::execute_prefetched(self, batch, policy);
-    }
-    fn table_stats(&self) -> TableStats {
-        self.table().stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        self.table().retired_indexes()
-    }
-    fn live_keys(&self) -> u64 {
-        self.table().len() as u64
-    }
-}
-
-/// Adapter putting any [`KvBackend`] behind a [`Service`] (a newtype
-/// because a blanket impl would collide with the session impls above).
-/// `Arc<dyn KvBackend>` and `Box<dyn KvBackend>` work directly through the
-/// core's blanket `KvBackend` impls for those containers.
-pub struct BackendEngine<B: KvBackend>(pub B);
-
-impl<B: KvBackend> ServiceEngine for BackendEngine<B> {
-    fn prefetch(&self, key: u64) {
-        self.0.prefetch_key(key);
-    }
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.0.execute_prefetched(batch, policy);
-    }
-    fn table_stats(&self) -> TableStats {
-        self.0.stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        self.0.retired_indexes()
-    }
-    fn live_keys(&self) -> u64 {
-        self.0.len() as u64
-    }
-}
 
 /// Per-connection counters, merged into the server-wide totals when the
 /// connection closes (and visible live through [`Service::stats`]).
@@ -171,7 +62,7 @@ pub enum Drive {
 }
 
 /// The transport-independent connection engine (module docs above).
-pub struct Service<E: ServiceEngine> {
+pub struct Service<E: Engine> {
     engine: E,
     /// Reusable batch: steady-state processing is allocation-free.
     batch: Batch,
@@ -181,7 +72,7 @@ pub struct Service<E: ServiceEngine> {
     obs: Option<ServiceObs>,
 }
 
-impl<E: ServiceEngine> Service<E> {
+impl<E: Engine> Service<E> {
     /// Create a service executing against `engine`.
     pub fn new(engine: E) -> Self {
         Service {
@@ -341,7 +232,7 @@ impl<E: ServiceEngine> Service<E> {
                 wire::encode_stats(
                     out,
                     &self.engine.table_stats(),
-                    self.engine.retired_indexes(),
+                    self.engine.retired_index_count(),
                 );
                 Ok(())
             }
@@ -370,7 +261,7 @@ impl<E: ServiceEngine> Service<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlht_core::{Request, Response};
+    use dlht_core::{BackendEngine, KvBackend, Request, Response, ShardedTable};
     use std::sync::Arc;
 
     fn service() -> Service<BackendEngine<Arc<ShardedTable>>> {

@@ -296,7 +296,10 @@ fn run_thread(
     // Reused across every iteration: steady-state execution touches the
     // allocator only while the buffers warm up.
     let mut batch = Batch::with_capacity(batch_size * 2);
-    let mut pipeline = (spec.pipeline_depth > 0).then(|| Pipeline::new(map, spec.pipeline_depth));
+    // One per-thread engine (a session for DLHT's tables) carries every
+    // pipelined submission: one enter/leave per flush, none per prefetch.
+    let mut pipeline =
+        (spec.pipeline_depth > 0).then(|| Pipeline::new(map.engine(), spec.pipeline_depth));
     let mix = spec.mix;
 
     while !stop.load(Ordering::Relaxed) {
@@ -477,21 +480,26 @@ mod tests {
 
     #[test]
     fn pipelined_runs_report_throughput_and_leave_population_unchanged() {
-        let map = MapKind::Dlht.build(50_000);
-        prepopulate(map.as_ref(), 1_000);
-        let spec = quick(WorkloadSpec::insdel_default(
-            1_000,
-            2,
-            Duration::from_millis(50),
-        ))
-        .with_pipeline(16);
-        let r = run_workload(map.as_ref(), &spec);
-        assert!(r.total_ops > 0);
-        assert_eq!(
-            map.len(),
-            1_000,
-            "pipelined InsDel must execute every submitted request"
-        );
+        // A session engine, a sharded session engine, and a baseline that is
+        // its own engine.
+        for kind in [MapKind::Dlht, MapKind::DlhtSharded(4), MapKind::Mica] {
+            let map = kind.build(50_000);
+            prepopulate(map.as_ref(), 1_000);
+            let spec = quick(WorkloadSpec::insdel_default(
+                1_000,
+                2,
+                Duration::from_millis(50),
+            ))
+            .with_pipeline(16);
+            let r = run_workload(map.as_ref(), &spec);
+            assert!(r.total_ops > 0, "{}", kind.name());
+            assert_eq!(
+                map.len(),
+                1_000,
+                "{}: pipelined InsDel must execute every submitted request",
+                kind.name()
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn main() {
     // submit, order-preserving completion, no window boundaries.
     let pipe_start = Instant::now();
     let mut pipe_matches = 0u64;
-    let mut pipe = Pipeline::new(map, 32);
+    let mut pipe = Pipeline::new(map.engine(), 32);
     let mut count_match = |resp: Response| {
         if matches!(resp, Response::Value(Some(_))) {
             pipe_matches += 1;

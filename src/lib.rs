@@ -45,7 +45,8 @@
 //! [`Batch`] owns request *and* response storage (zero allocations once
 //! warm), [`BatchPolicy`] replaces the old `stop_on_failure: bool`, and a
 //! bounded [`Pipeline`] keeps a stream of prefetched operations in flight
-//! with order-preserving completion:
+//! with order-preserving completion, over the per-thread [`Engine`] any
+//! backend hands out:
 //!
 //! ```
 //! use dlht::{Batch, BatchPolicy, DlhtMap, KvBackend, Pipeline, Request, Response};
@@ -59,7 +60,7 @@
 //! backend.execute(&mut batch, BatchPolicy::RunAll);
 //! assert_eq!(batch.responses()[0], Response::Value(Some(100)));
 //!
-//! let mut pipe = Pipeline::new(backend, 8);
+//! let mut pipe = Pipeline::new(backend.engine(), 8);
 //! pipe.submit(Request::Get(1));
 //! assert_eq!(pipe.drain()[0], Response::Value(Some(100)));
 //! ```
@@ -70,8 +71,8 @@
 #![forbid(unsafe_code)]
 
 pub use dlht_core::{
-    AllocSession, Batch, BatchExecutor, BatchPolicy, ByteCodec, Dlht, DlhtAllocMap, DlhtConfig,
-    DlhtError, DlhtMap, DlhtSet, DlhtShards, Inline8, InsertOutcome, KvBackend, KvCodec,
+    AllocSession, BackendEngine, Batch, BatchPolicy, ByteCodec, Dlht, DlhtAllocMap, DlhtConfig,
+    DlhtError, DlhtMap, DlhtSet, DlhtShards, Engine, Inline8, InsertOutcome, KvBackend, KvCodec,
     MapFeatures, Pipeline, Request, Response, Session, ShardedSession, ShardedTable,
     SingleThreadMap, TableStats, TaggedPtr, TypedBatch, TypedResponse, MAX_KEY_LEN, MAX_NAMESPACES,
     MAX_SHARDS,

@@ -138,10 +138,10 @@ fn stop_on_failure_policy_via_set_sessions() {
 
 #[test]
 fn pipeline_over_trait_objects_works() {
-    // &dyn KvBackend is itself a valid pipeline engine.
+    // A &dyn KvBackend hands out the engine a pipeline drives.
     let map = DlhtMap::with_capacity(256);
     let backend: &dyn KvBackend = &map;
-    let mut pipe = Pipeline::new(backend, 4);
+    let mut pipe = Pipeline::new(backend.engine(), 4);
     let mut out = Vec::new();
     for k in 0..20u64 {
         if let Some(r) = pipe.submit(Request::Insert(k, k)) {

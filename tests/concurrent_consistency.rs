@@ -180,7 +180,7 @@ fn reused_batches_race_deletes_and_resizes_with_order_preserved() {
             let map = &map;
             s.spawn(move || {
                 let base = 50_000_000u64;
-                let mut pipe = Pipeline::new(map, 12);
+                let mut pipe = Pipeline::new(map.engine(), 12);
                 let mut got = Vec::new();
                 for k in base..base + 1_000 {
                     for req in [Request::Insert(k, k), Request::Get(k), Request::Delete(k)] {

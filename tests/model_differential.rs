@@ -460,7 +460,7 @@ fn differential_pipeline_over_the_wire() {
             let mut submitted: Vec<Request> = Vec::new();
             let mut responses: Vec<Response> = Vec::new();
             {
-                let mut pipe = Pipeline::new(&wire, depth);
+                let mut pipe = Pipeline::new(wire.engine(), depth);
                 for step in 0..100u64 {
                     let req = if caps.ordered {
                         random_request(&mut rng)
@@ -502,7 +502,7 @@ fn differential_pipelines_depths_1_to_16() {
                 let mut submitted: Vec<Request> = Vec::new();
                 let mut responses: Vec<Response> = Vec::new();
                 {
-                    let mut pipe = Pipeline::new(map.as_ref(), depth);
+                    let mut pipe = Pipeline::new(map.engine(), depth);
                     for step in 0..120u64 {
                         let req = if caps.ordered {
                             random_request(&mut rng)

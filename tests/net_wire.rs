@@ -4,11 +4,12 @@
 //! and the real TCP server/client path including graceful shutdown and
 //! YCSB over the wire.
 
-use dlht::{BatchPolicy, DlhtError, InsertOutcome, KvBackend, Request, Response, ShardedTable};
-use dlht_net::wire::{self, WireError};
-use dlht_net::{
-    loopback_client, BackendEngine, DlhtClient, DlhtServer, NetError, RemoteBackend, Service,
+use dlht::{
+    BackendEngine, BatchPolicy, DlhtError, InsertOutcome, KvBackend, Request, Response,
+    ShardedTable,
 };
+use dlht_net::wire::{self, WireError};
+use dlht_net::{loopback_client, DlhtClient, DlhtServer, NetError, RemoteBackend, Service};
 use dlht_util::splitmix64 as splitmix;
 use std::sync::Arc;
 

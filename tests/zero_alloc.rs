@@ -4,7 +4,9 @@
 //! why this lives in its own integration-test binary. The count is per
 //! thread, so tests running in parallel do not see each other's allocations.
 
-use dlht::{Batch, BatchPolicy, DlhtMap, Request, Response};
+use dlht::{
+    Batch, BatchPolicy, DlhtMap, Engine, KvBackend, Pipeline, Request, Response, ShardedTable,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -97,12 +99,26 @@ fn warm_batch_reexecution_allocates_nothing() {
 #[test]
 fn warm_pipeline_submission_allocates_nothing() {
     let map = DlhtMap::with_capacity(100_000);
+    // The per-thread engines a `Box<dyn KvBackend>` hands out: a missing
+    // forwarding arm would fall back to the adapter or allocate per call.
+    let boxed: [Box<dyn KvBackend>; 2] = [
+        Box::new(DlhtMap::with_capacity(100_000)),
+        Box::new(ShardedTable::with_capacity(4, 100_000)),
+    ];
     for k in 0..10_000u64 {
         let _ = map.insert(k, k).unwrap();
+        for table in &boxed {
+            let _ = table.insert(k, k).unwrap();
+        }
     }
     let session = map.session();
-    let mut pipe = session.pipeline(16);
+    assert_warm_submission_allocates_nothing(session.pipeline(16));
+    for table in &boxed {
+        assert_warm_submission_allocates_nothing(Pipeline::new(table.engine(), 16));
+    }
+}
 
+fn assert_warm_submission_allocates_nothing<E: Engine>(mut pipe: Pipeline<E>) {
     // Warm-up: fills the ring buffers and the scratch batch.
     for k in 0..200u64 {
         std::hint::black_box(pipe.submit(Request::Get(k % 10_000)));
