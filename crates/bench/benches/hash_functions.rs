@@ -1,5 +1,5 @@
-//! Micro-benchmark: the hash functions the DLHT authors evaluated (§3.4.3)
-//! on 8-byte and 64-byte keys.
+//! Micro-benchmark: the index hash functions `HashKind` selects, modulo and
+//! wyhash (§3.4.3), on 8-byte and 64-byte keys.
 //!
 //! Run with: `cargo bench -p dlht-bench --bench hash_functions`
 

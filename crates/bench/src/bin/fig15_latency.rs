@@ -38,7 +38,7 @@ fn main() {
                     name.to_string(),
                     dlht_workloads::fmt_mops(r.mops),
                     format!("{:.0}", r.latency.mean_ns()),
-                    r.latency.percentile_ns(99.0).to_string(),
+                    r.latency.snapshot().percentile_ns(99.0).to_string(),
                 ]);
             }
         }

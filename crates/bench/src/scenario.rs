@@ -26,7 +26,7 @@
 //!
 //! Measured points go through an explicit **warmup phase**
 //! ([`BenchScale::warmup`]) followed by the **measure phase** with percentile
-//! latency capture (via `dlht_workloads::hist`), and throughput plus the
+//! latency capture (via `dlht_obs::LocalHistogram`), and throughput plus the
 //! table's [`TableStats`] / retired-index count are recorded alongside. The
 //! exception is the cold-start scenarios (fig07 population, fig08 resize
 //! timeline), where the growth transient from a cold table **is** the
@@ -35,9 +35,8 @@
 use crate::json::Json;
 use dlht_baselines::{KvBackend, MapKind};
 use dlht_core::stats::TableStats;
-use dlht_workloads::{
-    prepopulate, run_workload, BenchScale, LatencyHistogram, RunResult, Table, WorkloadSpec,
-};
+use dlht_obs::LocalHistogram;
+use dlht_workloads::{prepopulate, run_workload, BenchScale, RunResult, Table, WorkloadSpec};
 use std::io::Write;
 use std::time::Instant;
 
@@ -579,8 +578,8 @@ impl PointBuilder<'_> {
     }
 
     /// Capture a latency histogram's percentile summary.
-    pub fn latency(mut self, hist: &LatencyHistogram) -> Self {
-        let s = hist.summary();
+    pub fn latency(mut self, hist: &LocalHistogram) -> Self {
+        let s = hist.snapshot().summary();
         self.lat = Some(Json::obj([
             ("samples".to_string(), Json::from(s.samples)),
             ("mean_ns".to_string(), Json::from(s.mean_ns)),

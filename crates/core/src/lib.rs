@@ -29,7 +29,7 @@
 //! | [`DlhtAllocMap`] | Allocator | any size | any size, out-of-line record + pointer API |
 //! | [`DlhtSet`] | HashSet | 8 B | none |
 //! | [`SingleThreadMap`] | Single-thread | 8 B | 8 B, no synchronization overhead |
-//! | [`ShardedTable`] / [`DlhtShards<K, V>`] | sharded front | 8 B / `KvCodec` | N independent shards, shard-local resizes |
+//! | [`ShardedTable`] | sharded front | 8 B | 8 B; N independent shards, shard-local resizes |
 //!
 //! All concurrent modes (and every baseline in `dlht-baselines`) implement
 //! the single [`KvBackend`] operations trait, whose batch entry point speaks
@@ -115,7 +115,7 @@ pub use single_thread::SingleThreadMap;
 pub use stats::TableStats;
 pub use table::DlhtMap;
 pub use tagged_ptr::{TaggedPtr, MAX_NAMESPACES};
-pub use typed::{ByteCodec, Dlht, DlhtShards, Inline8, KvCodec, TypedBatch, TypedResponse};
+pub use typed::{ByteCodec, Dlht, Inline8, KvCodec, TypedBatch, TypedResponse};
 
 // Re-export the substrate crates so downstream users need only one dependency.
 pub use dlht_alloc as alloc;

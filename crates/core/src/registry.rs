@@ -10,6 +10,10 @@
 //! lazily claims a slot the first time it touches a given table and caches
 //! the slot id in a thread-local, so the per-request overhead is exactly the
 //! two stores the paper describes (amortized over a batch by the batch API).
+//! The thread-local releases its slots when the thread exits, so the slot
+//! count bounds the threads using a table *at once*, not over its lifetime.
+//! It holds each registry's slot array weakly: a table dropped first leaves
+//! nothing to release, and the entry is pruned at the thread's next claim.
 //!
 //! Announcing the *entered* index protects the whole forward chain of `next`
 //! pointers, because retired indexes are freed strictly oldest-first (see
@@ -19,6 +23,7 @@
 use dlht_util::CachePadded;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Maximum number of threads that can concurrently operate on one table.
 pub const MAX_THREADS: usize = 1024;
@@ -27,8 +32,37 @@ pub const MAX_THREADS: usize = 1024;
 static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// (registry id -> claimed slot) cache for the current thread.
-    static SLOT_CACHE: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The slots the current thread holds, one per live registry it touched.
+    static SLOT_CACHE: RefCell<Claims> = const { RefCell::new(Claims(Vec::new())) };
+}
+
+/// A slot claimed by the current thread in registry `registry`.
+struct Claim {
+    registry: u64,
+    slots: Weak<[CachePadded<Slot>]>,
+    slot: usize,
+}
+
+/// The current thread's claims; dropping them (at thread exit) releases
+/// every slot whose registry is still alive.
+struct Claims(Vec<Claim>);
+
+impl Drop for Claims {
+    fn drop(&mut self) {
+        for claim in &self.0 {
+            if let Some(slots) = claim.slots.upgrade() {
+                let slot = &slots[claim.slot];
+                // ORDERING: SeqCst — read on the same total order as
+                // `announce`/`clear`. A slot that still announces an index
+                // (a leaked guard) stays claimed, so the scan keeps seeing it.
+                if slot.announced.load(Ordering::SeqCst) == 0 {
+                    // ORDERING: Release — pairs with the next claimant's
+                    // AcqRel compare-exchange.
+                    slot.claimed.store(false, Ordering::Release);
+                }
+            }
+        }
+    }
 }
 
 struct Slot {
@@ -42,7 +76,8 @@ struct Slot {
 /// Per-table thread registry.
 pub struct ThreadRegistry {
     id: u64,
-    slots: Box<[CachePadded<Slot>]>,
+    /// Shared with the weak references in each claimant's [`SLOT_CACHE`].
+    slots: Arc<[CachePadded<Slot>]>,
 }
 
 impl ThreadRegistry {
@@ -62,21 +97,22 @@ impl ThreadRegistry {
                         claimed: AtomicBool::new(false),
                     })
                 })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
+                .collect(),
         }
     }
 
     /// Claim (or look up the already-claimed) slot for the calling thread.
+    /// The slot stays the thread's until the thread exits.
     ///
     /// # Panics
-    /// Panics if more than `capacity` distinct threads touch the table.
+    /// Panics if more than `capacity` live threads hold a slot at once.
     pub fn slot_for_current_thread(&self) -> usize {
         if let Some(slot) = SLOT_CACHE.with(|c| {
             c.borrow()
+                .0
                 .iter()
-                .find(|(id, _)| *id == self.id)
-                .map(|(_, s)| *s)
+                .find(|c| c.registry == self.id)
+                .map(|c| c.slot)
         }) {
             return slot;
         }
@@ -86,12 +122,21 @@ impl ThreadRegistry {
                 .compare_exchange(false, true, Ordering::AcqRel, Ordering::Relaxed)
                 .is_ok()
             {
-                SLOT_CACHE.with(|c| c.borrow_mut().push((self.id, i)));
+                SLOT_CACHE.with(|c| {
+                    let claims = &mut c.borrow_mut().0;
+                    // Forget the claims on registries dropped since.
+                    claims.retain(|c| c.slots.strong_count() > 0);
+                    claims.push(Claim {
+                        registry: self.id,
+                        slots: Arc::downgrade(&self.slots),
+                        slot: i,
+                    });
+                });
                 return i;
             }
         }
         panic!(
-            "ThreadRegistry capacity ({}) exceeded: too many threads touched this table",
+            "ThreadRegistry capacity ({}) exceeded: too many threads use this table at once",
             self.slots.len()
         );
     }
@@ -185,21 +230,81 @@ mod tests {
     #[test]
     fn announcements_from_multiple_threads_are_visible() {
         let reg = ThreadRegistry::with_capacity(16);
+        let all_claimed = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
-            for t in 1..=4usize {
-                let reg = &reg;
-                s.spawn(move || {
+            let workers: Vec<_> = (1..=4usize)
+                .map(|t| {
+                    let (reg, all_claimed) = (&reg, &all_claimed);
+                    s.spawn(move || {
+                        let slot = reg.slot_for_current_thread();
+                        reg.announce(slot, t * 0x100);
+                        assert!(reg.anyone_announces(t * 0x100));
+                        all_claimed.wait();
+                        assert_eq!(reg.claimed_slots(), 4);
+                        reg.clear(slot);
+                        // No thread exits (and releases) before all counted.
+                        all_claimed.wait();
+                    })
+                })
+                .collect();
+            // `join` returns after the thread's exit, slot release included.
+            for w in workers {
+                w.join().unwrap();
+            }
+        });
+        assert_eq!(reg.claimed_slots(), 0);
+        for t in 1..=4usize {
+            assert!(!reg.anyone_announces(t * 0x100));
+        }
+    }
+
+    #[test]
+    fn sequential_threads_reuse_released_slots() {
+        const CAPACITY: usize = 2;
+        let reg = ThreadRegistry::with_capacity(CAPACITY);
+        for t in 1..=CAPACITY + 4 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
                     let slot = reg.slot_for_current_thread();
                     reg.announce(slot, t * 0x100);
                     assert!(reg.anyone_announces(t * 0x100));
                     reg.clear(slot);
-                });
-            }
-        });
-        assert_eq!(reg.claimed_slots(), 4);
-        for t in 1..=4usize {
-            assert!(!reg.anyone_announces(t * 0x100));
+                })
+                .join()
+                .unwrap_or_else(|_| panic!("thread {t} found no free slot"));
+            });
+            assert_eq!(reg.claimed_slots(), 0, "thread {t} kept its slot");
         }
+    }
+
+    #[test]
+    fn exit_release_skips_announcing_slots_and_dropped_registries() {
+        let pinned = ThreadRegistry::with_capacity(1);
+        let dropped = ThreadRegistry::with_capacity(1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let slot = pinned.slot_for_current_thread();
+                pinned.announce(slot, 0x100);
+                let _ = dropped.slot_for_current_thread();
+                drop(dropped);
+            })
+            .join()
+            .unwrap();
+        });
+        // A slot still announcing an index is never released.
+        assert_eq!(pinned.claimed_slots(), 1);
+        assert!(pinned.anyone_announces(0x100));
+    }
+
+    #[test]
+    fn claims_on_dropped_registries_are_pruned() {
+        for _ in 0..8 {
+            let reg = ThreadRegistry::with_capacity(1);
+            let _ = reg.slot_for_current_thread();
+        }
+        let live = ThreadRegistry::with_capacity(1);
+        let _ = live.slot_for_current_thread();
+        assert_eq!(SLOT_CACHE.with(|c| c.borrow().0.len()), 1);
     }
 
     #[test]

@@ -40,29 +40,23 @@ use crate::alloc_map::DlhtAllocMap;
 use crate::batch::{Batch, BatchPolicy, Response};
 use crate::config::DlhtConfig;
 use crate::error::DlhtError;
-use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
 use crate::table::DlhtMap;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 
 thread_local! {
-    /// Scratch batch reused by the typed batched lookups
-    /// ([`Dlht::get_many_into`], [`DlhtShards::get_many_into`]) so they
-    /// allocate nothing in steady state.
+    /// Scratch batch reused by [`Dlht::get_many_into`] so it allocates
+    /// nothing in steady state.
     static GET_MANY_SCRATCH: RefCell<Batch> = RefCell::new(Batch::new());
 }
 
-/// Shared body of the inline-mode batched lookups: fill the thread-local
-/// scratch batch with Gets for `keys`, run it through `exec`, and decode the
-/// value words into `out` (cleared first, capacity kept). A user codec that
-/// re-enters a batched lookup from `encode`/`decode` would find the scratch
-/// borrowed; fall back to a local batch rather than panicking on the RefCell.
-fn get_many_via_scratch<K: KvCodec, V: KvCodec>(
-    keys: &[K],
-    out: &mut Vec<Option<V>>,
-    exec: impl Fn(&mut Batch),
-) {
+/// The inline-mode batched lookup: fill the thread-local scratch batch with
+/// Gets for `keys`, run it on `map`, and decode the value words into `out`
+/// (cleared first, capacity kept). A user codec that re-enters a batched
+/// lookup from `encode`/`decode` would find the scratch borrowed; fall back
+/// to a local batch rather than panicking on the RefCell.
+fn get_many_inline<K: KvCodec, V: KvCodec>(map: &DlhtMap, keys: &[K], out: &mut Vec<Option<V>>) {
     out.clear();
     out.reserve(keys.len());
     let run = |batch: &mut Batch, out: &mut Vec<Option<V>>| {
@@ -70,7 +64,7 @@ fn get_many_via_scratch<K: KvCodec, V: KvCodec>(
         for k in keys {
             batch.push_get(k.encode_word());
         }
-        exec(batch);
+        map.execute(batch, BatchPolicy::RunAll);
         out.extend(batch.responses().iter().map(|r| match r {
             Response::Value(v) => v.map(V::decode_word),
             _ => None,
@@ -482,9 +476,7 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
     /// time.
     pub fn get_many_into(&self, keys: &[K], out: &mut Vec<Option<V>>) {
         match &self.inner {
-            Inner::Inline(map) => {
-                get_many_via_scratch(keys, out, |batch| map.execute(batch, BatchPolicy::RunAll))
-            }
+            Inner::Inline(map) => get_many_inline(map, keys, out),
             Inner::Alloc(map) => {
                 out.clear();
                 out.reserve(keys.len());
@@ -565,202 +557,6 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
             Inner::Inline(_) => None,
             Inner::Alloc(map) => Some(map),
         }
-    }
-}
-
-/// Typed facade over the shard-partitioned [`ShardedTable`]: N independent
-/// DLHT shards behind the same typed surface as [`Dlht<K, V>`].
-///
-/// Shards resize independently (a hot shard grows without stalling its
-/// siblings), and batches split into per-shard runs — see the
-/// [`crate::sharded`] module docs for routing and ordering semantics.
-///
-/// `DlhtShards` serves the **Inlined** mode only: both `K` and `V` must be
-/// inline codecs (`K::INLINE && V::INLINE`); the constructors panic otherwise.
-/// Out-of-line types belong on [`Dlht<K, V>`], whose Allocator mode carries
-/// its own epoch-GC machinery that is not sharded here.
-///
-/// ```
-/// use dlht_core::{BatchPolicy, DlhtShards, TypedBatch, TypedResponse};
-///
-/// let map: DlhtShards<u64, u64> = DlhtShards::with_capacity(4, 10_000);
-/// assert_eq!(map.num_shards(), 4);
-/// map.insert(&7, &700).unwrap();
-/// assert_eq!(map.get(&7), Some(700));
-///
-/// // Batches split into per-shard runs; responses keep submission order.
-/// let mut batch: TypedBatch<u64, u64> = TypedBatch::new();
-/// batch.push_get(&7);
-/// batch.push_put(&7, &701);
-/// map.execute(&mut batch, BatchPolicy::RunAll).unwrap();
-/// assert_eq!(batch.response(1), Some(TypedResponse::Updated(Some(700))));
-///
-/// // Independent shard resizes stay observable through the stats.
-/// assert_eq!(map.shard_stats().len(), 4);
-/// ```
-pub struct DlhtShards<K: KvCodec, V: KvCodec> {
-    inner: ShardedTable,
-    _marker: PhantomData<fn(K, V)>,
-}
-
-impl<K: KvCodec, V: KvCodec> DlhtShards<K, V> {
-    /// Whether this `(K, V)` pair packs into the inline slot words — must be
-    /// `true` for `DlhtShards` (checked at construction).
-    pub const INLINE: bool = K::INLINE && V::INLINE;
-
-    fn assert_inline() {
-        assert!(
-            Self::INLINE,
-            "DlhtShards<K, V> requires inline codecs for both K and V; \
-             use Dlht<K, V> for out-of-line (Allocator-mode) types"
-        );
-    }
-
-    /// Create a table of `shards` shards (rounded up to a power of two)
-    /// sized to hold about `keys` pairs in total before any shard's first
-    /// resize.
-    ///
-    /// # Panics
-    /// Panics when `K` or `V` is not an inline codec.
-    pub fn with_capacity(shards: usize, keys: usize) -> Self {
-        Self::assert_inline();
-        DlhtShards {
-            inner: ShardedTable::with_capacity(shards, keys),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Create a table of `shards` shards from an explicit configuration
-    /// (`config.num_bins` is the combined budget, split across shards).
-    ///
-    /// # Panics
-    /// Panics when `K` or `V` is not an inline codec.
-    pub fn with_config(shards: usize, config: DlhtConfig) -> Self {
-        Self::assert_inline();
-        DlhtShards {
-            inner: ShardedTable::with_config(shards, config),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Number of shards (a power of two, fixed for the table's lifetime).
-    pub fn num_shards(&self) -> usize {
-        self.inner.num_shards()
-    }
-
-    /// The shard `key` routes to — stable across resizes.
-    pub fn shard_of(&self, key: &K) -> usize {
-        self.inner.shard_of(key.encode_word())
-    }
-
-    /// Look up `key`.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.inner.get(key.encode_word()).map(V::decode_word)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.inner.contains(key.encode_word())
-    }
-
-    /// Insert `key -> value`; returns `Ok(false)` (without overwriting) when
-    /// the key already exists.
-    pub fn insert(&self, key: &K, value: &V) -> Result<bool, DlhtError> {
-        Ok(self
-            .inner
-            .insert(key.encode_word(), value.encode_word())?
-            .inserted())
-    }
-
-    /// Update an existing key; returns the previous value, or `None` when
-    /// the key is absent.
-    pub fn put(&self, key: &K, value: &V) -> Option<V> {
-        self.inner
-            .put(key.encode_word(), value.encode_word())
-            .map(V::decode_word)
-    }
-
-    /// Insert if absent, otherwise update; returns the previous value on
-    /// update and propagates insert errors.
-    pub fn upsert(&self, key: &K, value: &V) -> Result<Option<V>, DlhtError> {
-        Ok(self
-            .inner
-            .upsert(key.encode_word(), value.encode_word())?
-            .map(V::decode_word))
-    }
-
-    /// Remove `key`, returning its value. The slot is immediately reusable.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        self.inner.delete(key.encode_word()).map(V::decode_word)
-    }
-
-    /// Execute a typed batch through the per-shard-run batch path (see
-    /// [`ShardedTable::execute`]). Always `Ok` — the signature matches
-    /// [`Dlht::execute`] so the two facades stay drop-in interchangeable.
-    pub fn execute(
-        &self,
-        batch: &mut TypedBatch<K, V>,
-        policy: BatchPolicy,
-    ) -> Result<(), DlhtError> {
-        self.inner.execute(&mut batch.raw, policy);
-        Ok(())
-    }
-
-    /// Batched typed lookup (allocates the result vector; hot loops should
-    /// pass a reused buffer to [`DlhtShards::get_many_into`]).
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        let mut out = Vec::with_capacity(keys.len());
-        self.get_many_into(keys, &mut out);
-        out
-    }
-
-    /// [`DlhtShards::get_many`] into a caller-provided buffer (`out` is
-    /// cleared first, its capacity kept). Uses the same thread-local scratch
-    /// [`Batch`] as [`Dlht::get_many_into`], so steady-state calls stay off
-    /// the allocator beyond what `out` needs the first time.
-    pub fn get_many_into(&self, keys: &[K], out: &mut Vec<Option<V>>) {
-        get_many_via_scratch(keys, out, |batch| {
-            self.inner.execute(batch, BatchPolicy::RunAll)
-        })
-    }
-
-    /// Visit every live pair across all shards (weakly consistent snapshot).
-    pub fn for_each(&self, mut f: impl FnMut(K, V)) {
-        self.inner
-            .for_each(|k, v| f(K::decode_word(k), V::decode_word(v)));
-    }
-
-    /// Number of live keys across all shards (linear scan).
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no shard holds any key.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Aggregated structural statistics (sums across shards, highest shard
-    /// generation) — see [`ShardedTable::stats`].
-    pub fn stats(&self) -> TableStats {
-        self.inner.stats()
-    }
-
-    /// Per-shard statistics in routing order: the view that shows a hot
-    /// shard resizing while its siblings stay put.
-    pub fn shard_stats(&self) -> Vec<TableStats> {
-        self.inner.shard_stats()
-    }
-
-    /// Total resizes across all shards since creation.
-    pub fn resizes(&self) -> u64 {
-        self.inner.resizes()
-    }
-
-    /// The untyped sharded table underneath (sessions, pipelines, advanced
-    /// use).
-    pub fn raw(&self) -> &ShardedTable {
-        &self.inner
     }
 }
 
@@ -1056,76 +852,6 @@ mod tests {
         bytes.insert(&"a".to_string(), &vec![1]).unwrap();
         let out = bytes.get_many(&["a".to_string(), "b".to_string()]);
         assert_eq!(out, vec![Some(vec![1]), None]);
-    }
-
-    #[test]
-    fn sharded_facade_roundtrip_and_shard_stats() {
-        for shards in [1usize, 2, 8] {
-            let map: DlhtShards<u64, u64> = DlhtShards::with_capacity(shards, 512);
-            assert_eq!(map.num_shards(), shards);
-            for k in 0..200u64 {
-                assert!(map.insert(&k, &(k * 2)).unwrap(), "shards {shards}");
-            }
-            assert_eq!(map.len(), 200);
-            assert_eq!(map.get(&7), Some(14));
-            assert_eq!(map.put(&7, &70), Some(14));
-            assert_eq!(map.upsert(&7, &71).unwrap(), Some(70));
-            assert_eq!(map.upsert(&1_000, &1).unwrap(), None);
-            assert_eq!(map.remove(&1_000), Some(1));
-            let occupied: usize = map.shard_stats().iter().map(|s| s.occupied_slots).sum();
-            assert_eq!(occupied, map.stats().occupied_slots);
-            let mut seen = 0;
-            map.for_each(|_, _| seen += 1);
-            assert_eq!(seen, 200);
-            // Every key routes to a stable in-range shard.
-            for k in 0..200u64 {
-                assert!(map.shard_of(&k) < shards);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_facade_typed_batches_keep_submission_order() {
-        let map: DlhtShards<u64, u64> = DlhtShards::with_capacity(4, 512);
-        let mut batch: TypedBatch<u64, u64> = TypedBatch::with_capacity(4);
-        for round in 0..8u64 {
-            batch.clear();
-            batch.push_insert(&round, &(round * 10));
-            batch.push_get(&round);
-            batch.push_put(&round, &(round * 10 + 1));
-            batch.push_delete(&round);
-            map.execute(&mut batch, BatchPolicy::RunAll).unwrap();
-            let out: Vec<_> = batch.responses().collect();
-            assert_eq!(out[0], TypedResponse::Inserted(Ok(true)));
-            assert_eq!(out[1], TypedResponse::Value(Some(round * 10)));
-            assert_eq!(out[2], TypedResponse::Updated(Some(round * 10)));
-            assert_eq!(out[3], TypedResponse::Deleted(Some(round * 10 + 1)));
-        }
-        assert!(map.is_empty());
-    }
-
-    #[test]
-    fn sharded_facade_get_many_matches_serial_gets() {
-        let map: DlhtShards<u64, u64> = DlhtShards::with_capacity(8, 1_024);
-        for k in 0..100u64 {
-            map.insert(&k, &(k + 1)).unwrap();
-        }
-        let keys: Vec<u64> = (0..128).collect();
-        let mut out = Vec::new();
-        for _ in 0..2 {
-            map.get_many_into(&keys, &mut out);
-            assert_eq!(out.len(), 128);
-            for (i, v) in out.iter().enumerate() {
-                assert_eq!(*v, map.get(&(i as u64)));
-            }
-        }
-        assert_eq!(map.get_many(&keys), out);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires inline codecs")]
-    fn sharded_facade_rejects_out_of_line_types() {
-        let _ = DlhtShards::<String, u64>::with_capacity(2, 64);
     }
 
     #[test]

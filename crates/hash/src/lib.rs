@@ -1,10 +1,10 @@
 //! Hash functions used by DLHT.
 //!
 //! The paper (§3.4.3) defaults to a plain modulo mapping from key to bin and
-//! optionally uses [wyhash] for keys whose low bits are poorly distributed.
-//! The authors also benchmarked xxHash, Murmur3 and FNV1 before settling on
-//! wyhash; all of those are provided here so the hash-function sensitivity can
-//! be reproduced (`cargo bench -p dlht-bench --bench hash_functions`).
+//! optionally uses [wyhash] for keys whose low bits are poorly distributed;
+//! [`HashKind`] selects between the two (`cargo bench -p dlht-bench --bench
+//! hash_functions` compares them). [`Murmur64`] is not an index hash: the
+//! cuckoo baseline uses it as its second, independent hash.
 //!
 //! Two call shapes are supported:
 //!
@@ -19,19 +19,15 @@
 
 #![forbid(unsafe_code)]
 
-mod fnv;
 mod mix;
 mod modulo;
 mod murmur;
 mod wyhash;
-mod xxhash;
 
-pub use fnv::Fnv1a;
 pub use mix::{mix64, mum, wymix};
 pub use modulo::Modulo;
 pub use murmur::Murmur64;
 pub use wyhash::WyHash;
-pub use xxhash::XxHash64;
 
 /// A 64-bit hash function usable for both inlined (`u64`) and byte-slice keys.
 pub trait Hasher64: Copy + Send + Sync + 'static {
@@ -54,12 +50,6 @@ pub enum HashKind {
     Modulo,
     /// wyhash, the paper's choice when a real hash function is required.
     WyHash,
-    /// xxHash64, evaluated by the authors and kept for sensitivity studies.
-    XxHash64,
-    /// FNV-1a, evaluated by the authors and kept for sensitivity studies.
-    Fnv1a,
-    /// Murmur-style 64-bit finalizer hash.
-    Murmur64,
 }
 
 impl HashKind {
@@ -69,9 +59,6 @@ impl HashKind {
         match self {
             HashKind::Modulo => Modulo.hash_u64(key),
             HashKind::WyHash => WyHash.hash_u64(key),
-            HashKind::XxHash64 => XxHash64.hash_u64(key),
-            HashKind::Fnv1a => Fnv1a.hash_u64(key),
-            HashKind::Murmur64 => Murmur64.hash_u64(key),
         }
     }
 
@@ -81,9 +68,6 @@ impl HashKind {
         match self {
             HashKind::Modulo => Modulo.hash_bytes(key),
             HashKind::WyHash => WyHash.hash_bytes(key),
-            HashKind::XxHash64 => XxHash64.hash_bytes(key),
-            HashKind::Fnv1a => Fnv1a.hash_bytes(key),
-            HashKind::Murmur64 => Murmur64.hash_bytes(key),
         }
     }
 
@@ -92,21 +76,12 @@ impl HashKind {
         match self {
             HashKind::Modulo => "modulo",
             HashKind::WyHash => "wyhash",
-            HashKind::XxHash64 => "xxhash64",
-            HashKind::Fnv1a => "fnv1a",
-            HashKind::Murmur64 => "murmur64",
         }
     }
 
     /// All variants, for sweeps.
-    pub fn all() -> [HashKind; 5] {
-        [
-            HashKind::Modulo,
-            HashKind::WyHash,
-            HashKind::XxHash64,
-            HashKind::Fnv1a,
-            HashKind::Murmur64,
-        ]
+    pub fn all() -> [HashKind; 2] {
+        [HashKind::Modulo, HashKind::WyHash]
     }
 }
 
@@ -173,6 +148,6 @@ mod tests {
         let mut names: Vec<_> = HashKind::all().iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 5);
+        assert_eq!(names.len(), 2);
     }
 }

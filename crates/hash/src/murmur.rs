@@ -1,6 +1,6 @@
 //! Murmur-style 64-bit hash (MurmurHash2 64A construction plus the Murmur3
-//! finalizer for the single-word fast path). One of the candidates evaluated
-//! by the DLHT authors (§3.4.3).
+//! finalizer for the single-word fast path). The cuckoo baseline's second
+//! hash; not selectable as a DLHT index hash.
 
 use crate::Hasher64;
 

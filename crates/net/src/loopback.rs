@@ -20,7 +20,7 @@ use crate::service::Service;
 use crate::wire::RemoteStats;
 use dlht_core::{
     BackendEngine, Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures,
-    Request, Response, TableStats,
+    TableStats,
 };
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -227,18 +227,12 @@ impl KvBackend for LoopbackBackend {
             self.with_client(|c| c.execute(batch, policy));
         }
     }
-
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        let mut batch = Batch::from(requests);
-        self.execute(&mut batch, policy);
-        batch.into_responses()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlht_core::ShardedTable;
+    use dlht_core::{Request, Response, ShardedTable};
 
     fn loopback(pipelined: bool) -> LoopbackBackend {
         let table: Arc<dyn KvBackend> = Arc::new(ShardedTable::with_capacity(2, 1024));

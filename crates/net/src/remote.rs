@@ -18,10 +18,7 @@
 
 use crate::client::{DlhtClient, NetError};
 use crate::wire::RemoteStats;
-use dlht_core::{
-    Batch, BatchPolicy, DlhtError, InsertOutcome, KvBackend, MapFeatures, Request, Response,
-    TableStats,
-};
+use dlht_core::{Batch, BatchPolicy, DlhtError, InsertOutcome, KvBackend, MapFeatures, TableStats};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -156,12 +153,6 @@ impl KvBackend for RemoteBackend {
     fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
         self.with_conn(|c| c.execute(batch, policy));
     }
-
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        let mut batch = Batch::from(requests);
-        self.execute(&mut batch, policy);
-        batch.into_responses()
-    }
 }
 
 /// Scan an argument list for `--name VALUE` / `--name=VALUE` (the one flag
@@ -194,7 +185,7 @@ pub fn server_addr_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<
 mod tests {
     use super::*;
     use crate::server::DlhtServer;
-    use dlht_core::ShardedTable;
+    use dlht_core::{Request, Response, ShardedTable};
     use std::sync::Arc;
 
     #[test]

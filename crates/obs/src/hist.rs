@@ -513,6 +513,77 @@ mod tests {
     }
 
     #[test]
+    fn empty_histogram() {
+        let h = LocalHistogram::new();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean_ns(), 0.0);
+        assert_eq!(h.max_ns(), 0);
+        assert_eq!(h.snapshot().percentile_ns(99.0), 0);
+        assert_eq!(h.snapshot().summary().samples, 0);
+    }
+
+    #[test]
+    fn mean_and_max_are_exact() {
+        let mut h = LocalHistogram::new();
+        for ns in [100u64, 200, 300, 400] {
+            h.record(ns);
+        }
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.mean_ns(), 250.0);
+        assert_eq!(h.max_ns(), 400);
+        let s = h.snapshot();
+        assert_eq!(s.mean_ns(), 250.0);
+        assert_eq!(s.max_ns(), 400);
+    }
+
+    /// 99 fast samples at 100 ns and one slow one at 1 ms.
+    fn fast_with_one_slow() -> LocalHistogram {
+        let mut h = LocalHistogram::new();
+        for _ in 0..99 {
+            h.record(100);
+        }
+        h.record(1_000_000);
+        h
+    }
+
+    #[test]
+    fn percentiles_are_order_of_magnitude_correct() {
+        let s = fast_with_one_slow().snapshot();
+        let p50 = s.percentile_ns(50.0);
+        let p99 = s.percentile_ns(99.0);
+        let p100 = s.percentile_ns(100.0);
+        assert!((64..=128).contains(&p50), "p50 = {p50}");
+        assert!(p99 <= 128, "p99 = {p99}");
+        assert!(p100 >= 500_000, "p100 = {p100}");
+    }
+
+    #[test]
+    fn summary_matches_percentiles() {
+        let s = fast_with_one_slow().snapshot();
+        let sum = s.summary();
+        assert_eq!(sum.samples, 100);
+        assert_eq!(sum.p50_ns, s.percentile_ns(50.0));
+        assert_eq!(sum.p99_ns, s.percentile_ns(99.0));
+        assert_eq!(sum.p999_ns, s.percentile_ns(99.9));
+        assert_eq!(sum.max_ns, 1_000_000);
+        assert!(sum.mean_ns > 100.0);
+    }
+
+    #[test]
+    fn merge_combines_counts() {
+        let mut a = LocalHistogram::new();
+        let mut b = LocalHistogram::new();
+        for _ in 0..10 {
+            a.record(50);
+            b.record(5_000);
+        }
+        a.merge(&b);
+        assert_eq!(a.count(), 20);
+        assert_eq!(a.max_ns(), 5_000);
+        assert!(a.snapshot().percentile_ns(99.0) >= 4_000);
+    }
+
+    #[test]
     fn fingerprints_are_stable_and_spread() {
         assert_eq!(key_fingerprint(1), key_fingerprint(1));
         assert_ne!(key_fingerprint(1), key_fingerprint(2));

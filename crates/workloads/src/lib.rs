@@ -2,11 +2,11 @@
 //! DLHT evaluation (§4–§5 of the paper).
 //!
 //! * [`runner`] — the micro-benchmark harness: Get / InsDel / Put-heavy mixes,
-//!   uniform and skewed access, batching on/off, latency recording, and the
-//!   remote-memory (CXL emulation) delay knob.
+//!   uniform and skewed access, batching on/off, latency recording into a
+//!   [`dlht_obs::LocalHistogram`], and the remote-memory (CXL emulation)
+//!   delay knob.
 //! * [`rng`] — fast deterministic RNG and key samplers (uniform, 1000-hot-key
 //!   skew, zipfian).
-//! * [`hist`] — latency histogram for Fig. 15.
 //! * [`population`] — growing-index population (Fig. 7) and the resize
 //!   timeline (Fig. 8).
 //! * [`ycsb`], [`tatp`], [`smallbank`] — the single-key and multi-key OLTP
@@ -32,7 +32,7 @@
 //!     .with_latency_recording();
 //! let result = run_workload(map.as_ref(), &spec);
 //! assert!(result.total_ops > 0);
-//! let lat = result.latency.summary();
+//! let lat = result.latency.snapshot().summary();
 //! assert!(lat.p99_ns >= lat.p50_ns);
 //! ```
 
@@ -40,7 +40,6 @@
 
 pub mod cache;
 pub mod hashjoin;
-pub mod hist;
 pub mod lockmgr;
 pub mod population;
 pub mod report;
@@ -51,7 +50,6 @@ pub mod tatp;
 pub mod ycsb;
 
 pub use cache::{cache_key_bytes, CacheOp, ExpiryStorm, ZipfianChurn};
-pub use hist::{LatencyHistogram, LatencySummary};
 pub use report::{fmt_mops, BenchScale, Table, Tier, DEFAULT_SEED};
 pub use rng::{KeySampler, SplitMix64, Xoshiro256};
 pub use runner::{prepopulate, prepopulate_batched, run_workload, Mix, RunResult, WorkloadSpec};

@@ -12,9 +12,9 @@
 //! Additional mixes (Put-heavy, YCSB-style read/update blends, skewed
 //! accesses) are expressed through [`WorkloadSpec`].
 
-use crate::hist::LatencyHistogram;
 use crate::rng::{KeySampler, Xoshiro256};
 use dlht_core::{Batch, BatchPolicy, KvBackend, Pipeline, Request};
+use dlht_obs::LocalHistogram;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -187,7 +187,7 @@ pub struct RunResult {
     /// Million requests per second.
     pub mops: f64,
     /// Latency histogram (empty unless latency recording was enabled).
-    pub latency: LatencyHistogram,
+    pub latency: LocalHistogram,
     /// Number of threads used.
     pub threads: usize,
 }
@@ -247,7 +247,7 @@ pub fn run_workload(map: &dyn KvBackend, spec: &WorkloadSpec) -> RunResult {
     let batching = spec.batch_size > 1 && map.supports_batching();
     let started = Instant::now();
 
-    let results: Vec<(u64, LatencyHistogram)> = std::thread::scope(|s| {
+    let results: Vec<(u64, LocalHistogram)> = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for tid in 0..threads {
             let stop = &stop;
@@ -266,7 +266,7 @@ pub fn run_workload(map: &dyn KvBackend, spec: &WorkloadSpec) -> RunResult {
 
     let elapsed = started.elapsed();
     let total_ops: u64 = results.iter().map(|(n, _)| n).sum();
-    let mut latency = LatencyHistogram::new();
+    let mut latency = LocalHistogram::new();
     for (_, h) in &results {
         latency.merge(h);
     }
@@ -285,9 +285,9 @@ fn run_thread(
     tid: u64,
     stop: &AtomicBool,
     batching: bool,
-) -> (u64, LatencyHistogram) {
+) -> (u64, LocalHistogram) {
     let mut rng = Xoshiro256::new(spec.seed ^ (tid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut hist = LatencyHistogram::new();
+    let mut hist = LocalHistogram::new();
     let mut ops_done: u64 = 0;
     // Fresh-key space for Inserts: above the prepopulated range, per thread
     // (plus the harness's warmup salt, which is < 2^39 < the 2^40 stride).
@@ -459,7 +459,8 @@ mod tests {
         let r = run_workload(map.as_ref(), &spec);
         assert!(r.latency.count() > 0);
         assert!(r.latency.mean_ns() > 0.0);
-        assert!(r.latency.percentile_ns(99.0) >= r.latency.percentile_ns(50.0));
+        let lat = r.latency.snapshot();
+        assert!(lat.percentile_ns(99.0) >= lat.percentile_ns(50.0));
     }
 
     #[test]

@@ -1,31 +1,32 @@
-//! Sharding: the `DlhtShards<K, V>` / `ShardedTable` front — N independent
-//! DLHT shards, each resizing on its own, behind the same typed and
-//! `KvBackend` surfaces as a single table.
+//! Sharding: the `ShardedTable` front — N independent DLHT shards, each
+//! resizing on its own, behind the same `KvBackend` surface as a single
+//! table.
 //!
 //! Run with: `cargo run --release --example sharded`
 
-use dlht::{Batch, BatchPolicy, DlhtConfig, DlhtShards, Response, ShardedTable};
+use dlht::{Batch, BatchPolicy, DlhtConfig, Response, ShardedTable};
 
 fn main() {
-    // The typed facade: identical surface to Dlht<u64, u64>, plus a shard
-    // count. Keys route by the high bits of their mixed hash, so a key's
-    // shard never changes — resizes are per shard and never move keys
-    // between shards.
-    let map: DlhtShards<u64, u64> = DlhtShards::with_capacity(8, 100_000);
+    // Keys route by the high bits of their mixed hash, so a key's shard
+    // never changes — resizes are per shard and never move keys between
+    // shards.
+    let map = ShardedTable::with_capacity(8, 100_000);
     println!("shards: {}", map.num_shards());
 
+    // One session per worker thread caches a registry slot in every shard.
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let map = &map;
             s.spawn(move || {
+                let session = map.session();
                 for k in (t..200_000).step_by(4) {
-                    map.insert(&k, &(k * 10)).unwrap();
+                    assert!(session.insert(k, k * 10).unwrap().inserted());
                 }
             });
         }
     });
     println!("population: {} keys", map.len());
-    assert_eq!(map.get(&123_456), Some(1_234_560));
+    assert_eq!(map.get(123_456), Some(1_234_560));
 
     // Shards resize independently: the aggregated stats sum across shards,
     // while the per-shard view shows each shard's own generation/resizes.
@@ -41,20 +42,18 @@ fn main() {
         );
     }
 
-    // The untyped ShardedTable implements the full KvBackend contract, so
-    // batches split into per-shard runs while responses keep submission
-    // order — and a bounded prefetch pipeline rides on the same session
-    // machinery, with one cached registry slot per shard.
-    let raw: &ShardedTable = map.raw();
+    // ShardedTable implements the full KvBackend contract, so batches split
+    // into per-shard runs while responses keep submission order — and a
+    // bounded prefetch pipeline rides on the same session machinery.
     let mut batch = Batch::with_capacity(4);
     batch.push_get(0);
     batch.push_put(0, 7);
     batch.push_get(0);
     batch.push_delete(0);
-    raw.execute(&mut batch, BatchPolicy::RunAll);
+    map.execute(&mut batch, BatchPolicy::RunAll);
     assert_eq!(batch.responses()[2], Response::Value(Some(7)));
 
-    let session = raw.session();
+    let session = map.session();
     let mut pipe = session.pipeline(16);
     let mut hits = 0usize;
     for k in 1..10_000u64 {

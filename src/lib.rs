@@ -12,9 +12,9 @@
 //! * the mode-specific types ([`DlhtMap`], [`DlhtAllocMap`], [`DlhtSet`],
 //!   [`SingleThreadMap`]) and the substrate crates (hash functions, epoch GC,
 //!   value allocators);
-//! * the **sharded front** [`ShardedTable`] / [`DlhtShards<K, V>`] — N
-//!   independent DLHT shards with shard-local (independent) resizes behind
-//!   the same `KvBackend` and typed surfaces.
+//! * the **sharded front** [`ShardedTable`] — N independent DLHT shards
+//!   with shard-local (independent) resizes behind the same `KvBackend`
+//!   surface.
 //!
 //! The same generic code path serves inline and out-of-line pairs:
 //!
@@ -72,10 +72,9 @@
 
 pub use dlht_core::{
     AllocSession, BackendEngine, Batch, BatchPolicy, ByteCodec, Dlht, DlhtAllocMap, DlhtConfig,
-    DlhtError, DlhtMap, DlhtSet, DlhtShards, Engine, Inline8, InsertOutcome, KvBackend, KvCodec,
-    MapFeatures, Pipeline, Request, Response, Session, ShardedSession, ShardedTable,
-    SingleThreadMap, TableStats, TaggedPtr, TypedBatch, TypedResponse, MAX_KEY_LEN, MAX_NAMESPACES,
-    MAX_SHARDS,
+    DlhtError, DlhtMap, DlhtSet, Engine, Inline8, InsertOutcome, KvBackend, KvCodec, MapFeatures,
+    Pipeline, Request, Response, Session, ShardedSession, ShardedTable, SingleThreadMap,
+    TableStats, TaggedPtr, TypedBatch, TypedResponse, MAX_KEY_LEN, MAX_NAMESPACES, MAX_SHARDS,
 };
 
 // Codec-implementation macros for user newtypes.
@@ -88,7 +87,7 @@ pub use dlht_alloc as alloc;
 pub use dlht_core as core;
 /// Client-driven epoch-based reclamation used by Allocator-mode deletes.
 pub use dlht_epoch as epoch;
-/// The hash functions evaluated by the paper (modulo, wyhash, xxhash64, ...).
+/// The hash functions of the paper's Table 2 (modulo, wyhash).
 pub use dlht_hash as hash;
 
 #[cfg(test)]

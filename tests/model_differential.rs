@@ -586,16 +586,13 @@ fn differential_single_thread_mode() {
 }
 
 #[test]
-fn differential_typed_facades_inline_and_sharded() {
-    use dlht::{Dlht, DlhtShards};
+fn differential_typed_facade_inline() {
+    use dlht::Dlht;
+    // The sharded table runs the same differential as an untyped backend
+    // (`all_backends`); this covers the typed Inlined facade on top.
     let seeds = 4 * stress();
     for seed in 0..seeds {
-        let single: Dlht<u64, u64> = Dlht::with_capacity(64);
-        let sharded: [DlhtShards<u64, u64>; 3] = [
-            DlhtShards::with_capacity(1, 64),
-            DlhtShards::with_capacity(2, 64),
-            DlhtShards::with_capacity(8, 64),
-        ];
+        let map: Dlht<u64, u64> = Dlht::with_capacity(64);
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = 0x7A9 ^ (seed << 16);
         for step in 0..300 {
@@ -603,91 +600,35 @@ fn differential_typed_facades_inline_and_sharded() {
             let v = splitmix(&mut rng) % 1_000_000;
             let op = splitmix(&mut rng) % 5;
             let expect_prev = model.get(&k).copied();
-            let ctx = |which: &str| format!("{which} seed {seed} step {step} key {k}");
-            // Every facade must answer identically; the model advances once.
+            let ctx = format!("seed {seed} step {step} key {k}");
             match op {
                 0 => {
                     let fresh = !model.contains_key(&k);
-                    assert_eq!(single.insert(&k, &v).unwrap(), fresh, "{}", ctx("single"));
-                    for (i, s) in sharded.iter().enumerate() {
-                        assert_eq!(
-                            s.insert(&k, &v).unwrap(),
-                            fresh,
-                            "{}",
-                            ctx(&format!("shards[{i}]"))
-                        );
-                    }
+                    assert_eq!(map.insert(&k, &v).unwrap(), fresh, "{ctx}");
                     if fresh {
                         model.insert(k, v);
                     }
                 }
-                1 => {
-                    assert_eq!(single.get(&k), expect_prev, "{}", ctx("single"));
-                    for (i, s) in sharded.iter().enumerate() {
-                        assert_eq!(s.get(&k), expect_prev, "{}", ctx(&format!("shards[{i}]")));
-                    }
-                }
+                1 => assert_eq!(map.get(&k), expect_prev, "{ctx}"),
                 2 => {
-                    assert_eq!(
-                        single.put(&k, &v).unwrap(),
-                        expect_prev,
-                        "{}",
-                        ctx("single")
-                    );
-                    for (i, s) in sharded.iter().enumerate() {
-                        assert_eq!(
-                            s.put(&k, &v),
-                            expect_prev,
-                            "{}",
-                            ctx(&format!("shards[{i}]"))
-                        );
-                    }
+                    assert_eq!(map.put(&k, &v).unwrap(), expect_prev, "{ctx}");
                     if expect_prev.is_some() {
                         model.insert(k, v);
                     }
                 }
                 3 => {
-                    assert_eq!(
-                        single.upsert(&k, &v).unwrap(),
-                        expect_prev,
-                        "{}",
-                        ctx("single")
-                    );
-                    for (i, s) in sharded.iter().enumerate() {
-                        assert_eq!(
-                            s.upsert(&k, &v).unwrap(),
-                            expect_prev,
-                            "{}",
-                            ctx(&format!("shards[{i}]"))
-                        );
-                    }
+                    assert_eq!(map.upsert(&k, &v).unwrap(), expect_prev, "{ctx}");
                     model.insert(k, v);
                 }
                 _ => {
-                    assert_eq!(single.remove(&k), expect_prev, "{}", ctx("single"));
-                    for (i, s) in sharded.iter().enumerate() {
-                        assert_eq!(
-                            s.remove(&k),
-                            expect_prev,
-                            "{}",
-                            ctx(&format!("shards[{i}]"))
-                        );
-                    }
+                    assert_eq!(map.remove(&k), expect_prev, "{ctx}");
                     model.remove(&k);
                 }
             }
         }
-        assert_eq!(single.len(), model.len(), "seed {seed}");
-        for s in &sharded {
-            assert_eq!(
-                s.len(),
-                model.len(),
-                "seed {seed} ({} shards)",
-                s.num_shards()
-            );
-            for (k, v) in &model {
-                assert_eq!(s.get(k), Some(*v), "seed {seed}");
-            }
+        assert_eq!(map.len(), model.len(), "seed {seed}");
+        for (k, v) in &model {
+            assert_eq!(map.get(k), Some(*v), "seed {seed}");
         }
     }
 }
