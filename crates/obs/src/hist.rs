@@ -436,6 +436,21 @@ mod tests {
     }
 
     #[test]
+    fn buckets_are_monotonic_in_value() {
+        // A larger sample never lands in a lower bin: every small value,
+        // then values stepping by ~1/64 of their magnitude up to u64::MAX.
+        let mut last = bucket_of(0);
+        let mut ns = 0u64;
+        while ns < u64::MAX {
+            let b = bucket_of(ns);
+            assert!(b >= last, "sample {ns}: bin {b} < {last}");
+            last = b;
+            ns = ns.saturating_add(if ns < 4096 { 1 } else { ns >> 6 });
+        }
+        assert_eq!(bucket_of(u64::MAX), BINS - 1);
+    }
+
+    #[test]
     fn atomic_and_local_agree() {
         let atomic = AtomicHistogram::new();
         let mut local = LocalHistogram::new();
