@@ -1,8 +1,8 @@
 //! # dlht-audit
 //!
 //! A source-level static analyzer that machine-checks the repository's
-//! `unsafe`/atomics discipline (see `docs/CORRECTNESS.md`). Its only
-//! dependency is `dlht-obs`, for the workspace's one JSON codec.
+//! `unsafe`/atomics discipline (see `docs/CORRECTNESS.md`). It has no
+//! dependencies.
 //!
 //! **Per-file rules** (pass over each file independently):
 //!
@@ -25,27 +25,22 @@
 //! with delimiter pairing) → [`parse`] (items, signatures, `#[cfg(test)]`
 //! scoping) → rules. No `syn`: the repository builds fully offline.
 //!
-//! Diagnostics serialize to a schema-versioned JSON document ([`json`]) and
-//! gate CI through a suppression [`baseline`] (`audit.baseline.json`): only
-//! findings *not* in the baseline fail a run.
-//!
-//! Run it with `cargo run -p dlht-audit` from the workspace root; see
-//! `main.rs` for the CLI (`--format json`, `--update-baseline`, ...).
+//! There is one gate: any finding fails. Run it with
+//! `cargo run -p dlht-audit -- .` from the workspace root; `main.rs` prints
+//! one `file:line: [rule] message` line per finding and exits 1 if there is
+//! any.
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod crossfile;
 pub mod inventory;
-pub mod json;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod tokens;
 
-pub use baseline::Baseline;
 pub use inventory::AnalyzedFile;
-pub use rules::{check_file, check_source, FileKind, Finding, Rule, Severity, ALL_RULES};
+pub use rules::{check_source, FileKind, Finding, Rule};
 
 use std::path::{Path, PathBuf};
 

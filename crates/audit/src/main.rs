@@ -1,80 +1,38 @@
 //! `dlht_audit` — run the unsafe/atomics audit over the workspace.
 //!
 //! ```text
-//! dlht_audit [ROOT] [--format text|json] [--baseline FILE]
-//!            [--no-baseline] [--update-baseline]
+//! dlht_audit [ROOT]
 //! ```
 //!
 //! * `ROOT` defaults to the current directory and must contain `Cargo.toml`.
-//! * The baseline defaults to `ROOT/audit.baseline.json` (a missing file is
-//!   an empty baseline). `--no-baseline` ignores it; `--update-baseline`
-//!   rewrites it from the current findings and exits 0.
-//! * **Diff-mode exit semantics**: findings matched by the baseline are
-//!   reported (as `note:` lines in text mode, `"baselined": true` in JSON)
-//!   but do not gate. Exit status is 1 only when *new* findings exist,
-//!   0 when clean or fully baselined, 2 on usage/IO errors.
-//! * `--format json` prints a schema-versioned `dlht-audit/v2` document on
-//!   stdout (the CI artifact); the human summary stays on stderr.
+//! * Prints one `file:line: [rule] message` line per finding on stdout and a
+//!   one-line summary on stderr.
+//! * Exit status: 0 when clean, 1 on any finding, 2 on a usage or IO error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: dlht_audit [ROOT] [--format text|json] [--baseline FILE] \
-[--no-baseline] [--update-baseline]
+const USAGE: &str = "usage: dlht_audit [ROOT]
 
 Audits every .rs file under ROOT (default: .) for the unsafe/atomics rules
-described in docs/CORRECTNESS.md. Findings present in the baseline file
-(default: ROOT/audit.baseline.json) are reported but do not fail the run.";
+described in docs/CORRECTNESS.md. Any finding fails the run.";
 
-struct Options {
-    root: PathBuf,
-    json: bool,
-    baseline_path: Option<PathBuf>,
-    no_baseline: bool,
-    update_baseline: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        root: PathBuf::from("."),
-        json: false,
-        baseline_path: None,
-        no_baseline: false,
-        update_baseline: false,
-    };
-    let mut root_set = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => opts.json = false,
-                Some("json") => opts.json = true,
-                other => return Err(format!("--format expects text|json, got {other:?}")),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => opts.baseline_path = Some(PathBuf::from(p)),
-                None => return Err("--baseline expects a file path".to_string()),
-            },
-            "--no-baseline" => opts.no_baseline = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "-h" | "--help" => return Err(String::new()),
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
-            path if !root_set => {
-                opts.root = PathBuf::from(path);
-                root_set = true;
-            }
-            extra => return Err(format!("unexpected argument {extra:?}")),
-        }
+fn parse_args(args: &[String]) -> Result<PathBuf, String> {
+    match args {
+        [] => Ok(PathBuf::from(".")),
+        [flag] if flag == "-h" || flag == "--help" => Err(String::new()),
+        [flag, ..] if flag.starts_with('-') => Err(format!("unknown flag {flag:?}")),
+        [root] => Ok(PathBuf::from(root)),
+        [_, extra, ..] => Err(format!("unexpected argument {extra:?}")),
     }
-    Ok(opts)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
+    let root = match parse_args(&args) {
+        Ok(root) => root,
         Err(msg) => {
             if !msg.is_empty() {
                 eprintln!("dlht_audit: {msg}\n");
@@ -83,88 +41,29 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if !opts.root.join("Cargo.toml").exists() {
+    if !root.join("Cargo.toml").exists() {
         eprintln!(
             "dlht_audit: {} does not look like a workspace root (no Cargo.toml)",
-            opts.root.display()
+            root.display()
         );
         return ExitCode::from(2);
     }
 
-    let findings = match dlht_audit::audit_workspace(&opts.root) {
+    let findings = match dlht_audit::audit_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("dlht_audit: IO error: {e}");
             return ExitCode::from(2);
         }
     };
-
-    let baseline_path = opts
-        .baseline_path
-        .clone()
-        .unwrap_or_else(|| opts.root.join(dlht_audit::baseline::DEFAULT_FILE));
-
-    if opts.update_baseline {
-        let b = dlht_audit::Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, b.to_json()) {
-            eprintln!("dlht_audit: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "dlht_audit: wrote {} entr{} to {}",
-            b.entries.len(),
-            if b.entries.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        println!("{f}");
     }
-
-    let baseline = if opts.no_baseline {
-        dlht_audit::Baseline::empty()
-    } else {
-        match dlht_audit::Baseline::load(&baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("dlht_audit: bad baseline: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    };
-    let (new, baselined) = baseline.partition(&findings);
-
-    if opts.json {
-        let tagged: Vec<(&dlht_audit::Finding, bool)> =
-            findings.iter().map(|f| (f, baseline.matches(f))).collect();
-        print!("{}", dlht_audit::json::findings_to_json(&tagged));
-    } else {
-        for f in &baselined {
-            println!("note: {f} [baselined]");
-        }
-        for f in &new {
-            println!("{f}");
-        }
-    }
-
-    if new.is_empty() {
-        if baselined.is_empty() {
-            eprintln!("dlht_audit: clean");
-        } else {
-            eprintln!(
-                "dlht_audit: clean ({} baselined finding(s) reported)",
-                baselined.len()
-            );
-        }
+    if findings.is_empty() {
+        eprintln!("dlht_audit: clean");
         ExitCode::SUCCESS
     } else {
-        eprintln!(
-            "dlht_audit: {} new finding(s){}",
-            new.len(),
-            if baselined.is_empty() {
-                String::new()
-            } else {
-                format!(" (+{} baselined)", baselined.len())
-            }
-        );
+        eprintln!("dlht_audit: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

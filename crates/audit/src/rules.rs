@@ -25,8 +25,8 @@
 //!
 //! Rules 6–8 (`acquire-release-pairing`, `guard-escape`,
 //! `no-panic-hot-path`) need the whole-workspace inventory and live in
-//! [`crate::crossfile`]; this module also defines the shared [`Rule`],
-//! [`Severity`], and [`Finding`] vocabulary for all eight.
+//! [`crate::crossfile`]; this module also defines the shared [`Rule`] and
+//! [`Finding`] vocabulary for all eight.
 
 use crate::lexer::LexedFile;
 use crate::parse::ParsedFile;
@@ -69,50 +69,6 @@ impl Rule {
             Rule::NoPanicHotPath => "no-panic-hot-path",
         }
     }
-
-    /// Parse a kebab-case rule name (inverse of [`Rule::name`]).
-    pub fn from_name(name: &str) -> Option<Rule> {
-        ALL_RULES.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// Diagnostic severity: `acquire-release-pairing` is a *warning* (its
-    /// field-name pooling is a documented heuristic); every other rule states
-    /// a fact about the flagged line and is an *error*.
-    pub fn severity(self) -> Severity {
-        match self {
-            Rule::AcquireReleasePairing => Severity::Warning,
-            _ => Severity::Error,
-        }
-    }
-}
-
-/// Every rule, in rule-number order.
-pub const ALL_RULES: &[Rule] = &[
-    Rule::UnsafeNeedsSafety,
-    Rule::AtomicNeedsOrdering,
-    Rule::SeqCstNeedsRationale,
-    Rule::BannedConstruct,
-    Rule::CrateRootLintHeader,
-    Rule::AcquireReleasePairing,
-    Rule::GuardEscape,
-    Rule::NoPanicHotPath,
-];
-
-/// How certain a diagnostic is (serialized into the JSON output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    Error,
-    Warning,
-}
-
-impl Severity {
-    /// Stable lowercase name used in diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
 }
 
 /// One diagnostic: `file:line: [rule] message`.
@@ -122,18 +78,16 @@ pub struct Finding {
     /// 1-based line number.
     pub line: usize,
     pub rule: Rule,
-    pub severity: Severity,
     pub message: String,
 }
 
 impl Finding {
-    /// Build a finding; the severity is derived from the rule.
+    /// Build a finding.
     pub fn new(file: &str, line: usize, rule: Rule, message: impl Into<String>) -> Finding {
         Finding {
             file: file.to_string(),
             line,
             rule,
-            severity: rule.severity(),
             message: message.into(),
         }
     }
@@ -172,15 +126,6 @@ const ATOMIC_METHODS: &[&str] = &[
 /// Free functions whose call sites must name an ordering.
 const ATOMIC_FNS: &[&str] = &["fence", "compiler_fence"];
 
-/// Audit one lexed file. `file` is the path used in diagnostics.
-///
-/// Convenience wrapper over [`check_parsed`] that parses internally; the
-/// two-pass workspace driver parses once and calls [`check_parsed`] directly.
-pub fn check_file(file: &str, lexed: &LexedFile, kind: FileKind) -> Vec<Finding> {
-    let parsed = crate::parse::parse_lexed(lexed.clone(), kind == FileKind::Test);
-    check_parsed(file, &parsed, kind)
-}
-
 /// Audit one parsed file with the per-file rules (1–5). Test scoping uses the
 /// parser's item-accurate regions: a `#[cfg(test)]` module at any depth, a
 /// `#[test]` fn, or a `#[cfg(test)]` impl block.
@@ -203,10 +148,11 @@ pub fn check_parsed(file: &str, parsed: &ParsedFile, kind: FileKind) -> Vec<Find
     findings
 }
 
-/// Convenience for tests and fixtures: lex + check a source string with every
-/// rule that can run on a single file (the per-file rules 1–5).
+/// Convenience for tests and fixtures: lex, parse and check a source string
+/// with every rule that can run on a single file (the per-file rules 1–5).
 pub fn check_source(file: &str, source: &str, kind: FileKind) -> Vec<Finding> {
-    check_file(file, &crate::lexer::lex(source), kind)
+    let parsed = crate::parse::parse_source(source, kind == FileKind::Test);
+    check_parsed(file, &parsed, kind)
 }
 
 // ---------------------------------------------------------------------------

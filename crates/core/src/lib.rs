@@ -77,7 +77,6 @@ pub mod engine;
 pub mod error;
 pub mod header;
 pub mod index;
-pub mod iter;
 pub mod kv;
 pub mod pipeline;
 pub mod prefetch;

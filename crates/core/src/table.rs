@@ -146,11 +146,6 @@ impl DlhtMap {
         crate::Session::new(self)
     }
 
-    /// Iterate over a weakly-consistent snapshot of the map.
-    pub fn iter(&self) -> crate::iter::Iter<'_> {
-        crate::iter::Iter::new(self)
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &DlhtConfig {
         &self.config
@@ -1348,6 +1343,52 @@ mod tests {
     }
 
     #[test]
+    fn iterates_all_pairs_exactly_once() {
+        let t = DlhtMap::with_config(DlhtConfig::new(128));
+        for k in 0..64u64 {
+            let _ = t.insert(k, k + 1).unwrap();
+        }
+        let mut seen = std::collections::HashSet::new();
+        t.for_each(|k, v| {
+            assert_eq!(v, k + 1);
+            assert!(seen.insert(k), "key {k} yielded twice");
+        });
+        assert_eq!(seen.len(), 64);
+    }
+
+    #[test]
+    fn concurrent_iteration_sees_stable_keys() {
+        let t = std::sync::Arc::new(DlhtMap::with_config(DlhtConfig::new(512)));
+        for k in 0..100u64 {
+            let _ = t.insert(k, 1).unwrap();
+        }
+        std::thread::scope(|s| {
+            // Churn on a disjoint key range.
+            {
+                let t = std::sync::Arc::clone(&t);
+                s.spawn(move || {
+                    for round in 0..50u64 {
+                        for k in 1_000..1_050u64 {
+                            let _ = t.insert(k, round).unwrap();
+                        }
+                        for k in 1_000..1_050u64 {
+                            t.delete(k);
+                        }
+                    }
+                });
+            }
+            for _ in 0..4 {
+                let t = std::sync::Arc::clone(&t);
+                s.spawn(move || {
+                    let mut stable = 0;
+                    t.for_each(|k, _| stable += usize::from(k < 100));
+                    assert_eq!(stable, 100, "stable keys must always be present");
+                });
+            }
+        });
+    }
+
+    #[test]
     fn concurrent_inserts_one_winner_per_key() {
         use std::sync::atomic::AtomicUsize;
         let t = std::sync::Arc::new(DlhtMap::with_config(
@@ -1527,21 +1568,6 @@ mod tests {
             }
         }
         assert!(saw_full);
-    }
-
-    #[test]
-    fn iterator_yields_all_pairs() {
-        let m = DlhtMap::with_capacity(64);
-        for k in 0..40u64 {
-            let _ = m.insert(k, k * k).unwrap();
-        }
-        let mut items: Vec<_> = m.iter().collect();
-        items.sort_unstable();
-        assert_eq!(items.len(), 40);
-        for (i, (k, v)) in items.iter().enumerate() {
-            assert_eq!(*k, i as u64);
-            assert_eq!(*v, (i * i) as u64);
-        }
     }
 
     #[test]
