@@ -143,12 +143,6 @@ impl BatchPolicy {
     pub fn stops_on_failure(self) -> bool {
         matches!(self, BatchPolicy::StopOnFailure)
     }
-
-    /// Whether the backend is allowed (not required) to reorder execution.
-    #[inline]
-    pub fn allows_reordering(self) -> bool {
-        matches!(self, BatchPolicy::Unordered)
-    }
 }
 
 /// A reusable batch of requests that owns its response storage.
@@ -267,6 +261,35 @@ impl Batch {
         self.responses.reserve(self.requests.len());
         (&self.requests, &mut self.responses)
     }
+
+    /// Run the queued requests through `step` strictly in submission order,
+    /// one [`Response`] per request into the batch's response storage. Under
+    /// [`BatchPolicy::StopOnFailure`] the first request that does not succeed
+    /// ends the batch: every later slot is [`Response::Skipped`] and `step`
+    /// never sees its request. DLHT's no-reorder guarantee holds under
+    /// [`BatchPolicy::Unordered`] too (§5.3.3).
+    ///
+    /// This is the one execution loop behind every table's batch entry
+    /// point; each table supplies only the per-request step.
+    // HOT: per-batch path under Pipeline::flush — must not panic.
+    #[inline]
+    pub(crate) fn run_in_order(
+        &mut self,
+        policy: BatchPolicy,
+        mut step: impl FnMut(Request) -> Response,
+    ) {
+        let (requests, responses) = self.begin_execution();
+        let mut stopped = false;
+        for &req in requests {
+            if stopped {
+                responses.push(Response::Skipped);
+                continue;
+            }
+            let resp = step(req);
+            stopped = policy.stops_on_failure() && !resp.succeeded();
+            responses.push(resp);
+        }
+    }
 }
 
 impl From<&[Request]> for Batch {
@@ -297,58 +320,13 @@ impl DlhtMap {
     /// Execute the queued requests of `batch` in order, writing one
     /// [`Response`] per request into the batch's own response storage.
     ///
-    /// Memory latencies of the requests are overlapped by prefetching every
-    /// request's bin up front, and the enter/leave index-GC announcement is
-    /// paid once for the whole batch (§3.3). A warm (reused) batch executes
-    /// with zero heap allocations.
+    /// Opens a [`crate::Session`] and runs [`crate::Session::execute`]:
+    /// every request's bin is prefetched up front, and the enter/leave
+    /// index-GC announcement is paid once for the whole batch (§3.3). A warm
+    /// (reused) batch executes with zero heap allocations.
     #[inline]
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.entered(|start| self.execute_entered(start, batch, policy, true));
-    }
-
-    /// Batch execution body, starting from an already-announced index
-    /// generation (shared by [`DlhtMap::execute`] and [`crate::Session`]).
-    /// The sweep is skipped on the pipeline's flush path
-    /// ([`crate::Session::execute_prefetched`]), whose requests were
-    /// prefetched at submit time.
-    ///
-    /// The caller must hold the `EnterGuard` that produced `start` for the
-    /// whole call.
-    // HOT: per-batch path under Pipeline::flush — must not panic.
-    pub(crate) fn execute_entered(
-        &self,
-        start: *mut crate::index::Index,
-        batch: &mut Batch,
-        policy: BatchPolicy,
-        prefetch_sweep: bool,
-    ) {
-        // SAFETY: the caller's guard keeps the entered index generation (and
-        // the chain forward from it) alive.
-        let idx = unsafe { &*start };
-        let (requests, responses) = batch.begin_execution();
-        // Prefetch sweep: one software prefetch per request bin (skipped when
-        // the caller prefetched at submit time).
-        if prefetch_sweep {
-            for req in requests {
-                idx.prefetch_bin(idx.bin_of(req.key()));
-            }
-        }
-        // Execute strictly in order — DLHT's no-reorder guarantee holds even
-        // under `BatchPolicy::Unordered` (§5.3.3). The guarded variants reuse
-        // the caller's single enter/leave announcement, which is exactly how
-        // the paper amortizes the index-GC notifications over a batch (§3.3).
-        let mut stopped = false;
-        for req in requests {
-            if stopped {
-                responses.push(Response::Skipped);
-                continue;
-            }
-            let resp = self.exec_guarded(start, *req);
-            if policy.stops_on_failure() && !resp.succeeded() {
-                stopped = true;
-            }
-            responses.push(resp);
-        }
+        self.session().execute(batch, policy);
     }
 
     /// Execute one request starting from an already-announced index
@@ -367,22 +345,13 @@ impl DlhtMap {
             Request::Delete(k) => Response::Deleted(self.delete_guarded(start, k)),
         }
     }
-
-    /// One-shot convenience over [`DlhtMap::execute`]: builds a temporary
-    /// [`Batch`] from `requests` and returns the responses. Allocates per
-    /// call; hot loops should hold a reusable [`Batch`] instead.
-    #[inline]
-    pub fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        let mut batch = Batch::from(requests);
-        self.execute(&mut batch, policy);
-        batch.into_responses()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DlhtConfig;
+    use crate::KvBackend;
 
     fn table() -> DlhtMap {
         DlhtMap::with_config(DlhtConfig::new(256))

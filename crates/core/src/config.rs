@@ -36,8 +36,6 @@ pub struct DlhtConfig {
     /// Store per-pair key/value sizes so every pair may have a different size
     /// (§3.4.1).
     pub variable_size: bool,
-    /// Maximum number of threads that may concurrently use the table.
-    pub max_threads: usize,
 }
 
 impl Default for DlhtConfig {
@@ -50,7 +48,6 @@ impl Default for DlhtConfig {
             chunk_bins: DEFAULT_CHUNK_BINS,
             namespaces: false,
             variable_size: false,
-            max_threads: crate::registry::MAX_THREADS,
         }
     }
 }
@@ -131,12 +128,6 @@ impl DlhtConfig {
         self
     }
 
-    /// Cap the number of registered threads.
-    pub fn with_max_threads(mut self, threads: usize) -> Self {
-        self.max_threads = threads.max(1);
-        self
-    }
-
     /// Number of link buckets for an index with `bins` bins under this config.
     pub fn link_buckets_for(&self, bins: usize) -> usize {
         (bins / self.link_ratio).max(1)
@@ -200,8 +191,7 @@ mod tests {
             .with_resizing(false)
             .with_chunk_bins(64)
             .with_namespaces(true)
-            .with_variable_size(true)
-            .with_max_threads(4);
+            .with_variable_size(true);
         assert_eq!(c.num_bins, 128);
         assert_eq!(c.link_ratio, 5);
         assert_eq!(c.hash, HashKind::WyHash);
@@ -209,7 +199,6 @@ mod tests {
         assert_eq!(c.chunk_bins, 64);
         assert!(c.namespaces);
         assert!(c.variable_size);
-        assert_eq!(c.max_threads, 4);
         assert_eq!(c.link_buckets_for(100), 20);
     }
 }

@@ -189,24 +189,12 @@ pub trait KvBackend: Send + Sync {
 /// (e.g. the MICA-like baseline) delegate here so the batch contract lives in
 /// one place.
 pub fn execute_serial<B: KvBackend + ?Sized>(backend: &B, batch: &mut Batch, policy: BatchPolicy) {
-    let (requests, out) = batch.begin_execution();
-    let mut stopped = false;
-    for req in requests {
-        if stopped {
-            out.push(Response::Skipped);
-            continue;
-        }
-        let resp = match *req {
-            Request::Get(k) => Response::Value(backend.get(k)),
-            Request::Put(k, v) => Response::Updated(backend.put(k, v)),
-            Request::Insert(k, v) => Response::Inserted(backend.insert(k, v)),
-            Request::Delete(k) => Response::Deleted(backend.delete(k)),
-        };
-        if policy.stops_on_failure() && !resp.succeeded() {
-            stopped = true;
-        }
-        out.push(resp);
-    }
+    batch.run_in_order(policy, |req| match req {
+        Request::Get(k) => Response::Value(backend.get(k)),
+        Request::Put(k, v) => Response::Updated(backend.put(k, v)),
+        Request::Insert(k, v) => Response::Inserted(backend.insert(k, v)),
+        Request::Delete(k) => Response::Deleted(backend.delete(k)),
+    });
 }
 
 /// Blanket impls so `Arc<M>` and `Box<M>` can be used wherever a backend is
@@ -266,9 +254,9 @@ macro_rules! forward_kv_backend {
 forward_kv_backend!(Arc, Box);
 
 /// `DlhtMap` and `ShardedTable` through the unified API: every method
-/// calls the table's inherent method of the same name, batches go to the
-/// table's own prefetched batch engine, and the per-thread engine is the
-/// table's session. `name` is computed from the table bound to `$this`.
+/// calls the table's inherent method of the same name, batches run through
+/// a session of the table, and the per-thread engine is the table's
+/// session. `name` is computed from the table bound to `$this`.
 macro_rules! native_kv_backend {
     ($($table:ident, |$this:ident| $name:expr);+) => {$(
         impl KvBackend for $table {
@@ -315,15 +303,12 @@ macro_rules! native_kv_backend {
             fn engine(&self) -> Box<dyn Engine + '_> {
                 Box::new($table::session(self))
             }
-            fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-                $table::execute_batch(self, requests, policy)
-            }
         }
     )+};
 }
 
-// The sharded front has the same per-key semantics as `DlhtMap`, with
-// shard-local (independent) resizes and per-shard-run batch execution.
+// The sharded front has the same per-key and batch semantics as `DlhtMap`,
+// with shard-local (independent) resizes.
 native_kv_backend!(
     DlhtMap, |_map| "DLHT";
     ShardedTable, |table| sharded_display_name(table.num_shards())

@@ -155,18 +155,21 @@ impl<'t> Session<'t> {
         self.hint.get().prefetch(key);
     }
 
-    /// Execute `batch` in order with the prefetch sweep, reusing the batch's
-    /// response storage — see [`DlhtMap::execute`]. One enter/leave
-    /// announcement (through the cached slot) covers the whole batch.
+    /// Execute `batch` in order, reusing the batch's response storage:
+    /// prefetch every request's bin through [`Session::prefetch`], then
+    /// [`Session::execute_prefetched`].
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.entered(|start| self.table.execute_entered(start, batch, policy, true));
+        for req in batch.requests() {
+            self.prefetch(req.key());
+        }
+        self.execute_prefetched(batch, policy);
     }
 
-    /// [`Session::execute`] without the up-front prefetch sweep, for batches
-    /// whose requests were already prefetched one by one (the pipeline's
-    /// flush path).
+    /// Execute a batch whose requests were already prefetched (the
+    /// pipeline's flush path) strictly in submission order. One enter/leave
+    /// announcement (through the cached slot) covers the whole batch.
     pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.entered(|start| self.table.execute_entered(start, batch, policy, false));
+        self.entered(|start| batch.run_in_order(policy, |req| self.table.exec_guarded(start, req)));
     }
 
     /// Open a bounded prefetch [`Pipeline`] of `depth` in-flight requests

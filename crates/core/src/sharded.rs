@@ -29,16 +29,16 @@
 //!
 //! ## Batch semantics
 //!
-//! [`ShardedTable::execute`] splits a batch into per-shard runs:
+//! [`ShardedTable::execute`] opens a [`ShardedSession`], which holds one
+//! [`Session`] per shard and routes each request to its shard's session. A
+//! batch enters every shard once, then runs through the same in-order loop
+//! as a single [`DlhtMap`]:
 //!
-//! * Under [`BatchPolicy::RunAll`] / [`BatchPolicy::StopOnFailure`] requests
-//!   execute strictly in submission order (runs interleave exactly as
-//!   submitted), and a failure under `StopOnFailure` skips every later
+//! * requests execute strictly in submission order under every policy,
+//!   [`BatchPolicy::Unordered`] included, as they do on a [`DlhtMap`]
+//!   (§5.3.3);
+//! * a failure under [`BatchPolicy::StopOnFailure`] skips every later
 //!   request **across all shards**.
-//! * Under [`BatchPolicy::Unordered`] the runs execute shard-by-shard —
-//!   cross-shard reordering that batches each shard's memory traffic —
-//!   while requests *within* one shard keep their relative order and every
-//!   response still lands in its submission slot.
 //!
 //! ```
 //! use dlht_core::{Batch, BatchPolicy, KvBackend, Response, ShardedTable};
@@ -54,7 +54,7 @@
 //! assert_eq!(table.shard_stats().len(), 4);
 //! ```
 
-use crate::batch::{Batch, BatchPolicy, Request, Response};
+use crate::batch::{Batch, BatchPolicy};
 use crate::config::DlhtConfig;
 use crate::engine::Engine;
 use crate::error::{DlhtError, InsertOutcome};
@@ -81,13 +81,6 @@ pub fn sharded_display_name(shards: usize) -> &'static str {
         16 => "DLHT-16shards",
         _ => "DLHT-Sharded",
     }
-}
-
-thread_local! {
-    /// Per-request shard indexes of the batch currently executing on this
-    /// thread, so routing (hash + mix) is computed once per request instead
-    /// of once per sweep/pass — and without a per-batch allocation once warm.
-    static ROUTE_SCRATCH: RefCell<Vec<u16>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A hashtable partitioned over independent [`DlhtMap`] shards (module docs
@@ -241,102 +234,15 @@ impl ShardedTable {
     }
 
     // ------------------------------------------------------------------
-    // Batch execution (per-shard runs; see module docs)
+    // Batch execution (through a session; see module docs)
     // ------------------------------------------------------------------
 
-    /// Execute the queued requests of `batch` (with the up-front prefetch
-    /// sweep), writing one [`Response`] per request into the batch's own
-    /// response storage — the sharded counterpart of [`DlhtMap::execute`].
-    /// Each shard's enter/leave announcement is paid once per batch.
+    /// Execute the queued requests of `batch` in order, writing one
+    /// [`crate::Response`] per request into the batch's own response storage
+    /// — the sharded counterpart of [`DlhtMap::execute`]. Opens a
+    /// [`ShardedSession`] and runs [`ShardedSession::execute`].
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        if self.shards.len() == 1 {
-            return self.shards[0].execute(batch, policy);
-        }
-        let guards: Vec<EnterGuard<'_>> = self.shards.iter().map(|s| s.enter()).collect();
-        self.execute_with_guards(&guards, batch, policy, true);
-    }
-
-    /// One-shot convenience over [`ShardedTable::execute`] (allocates per
-    /// call; hot loops should hold a reusable [`Batch`]).
-    pub fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        let mut batch = Batch::from(requests);
-        self.execute(&mut batch, policy);
-        batch.into_responses()
-    }
-
-    /// Batch execution body over already-entered shards: `guards[s]` must be
-    /// a live guard on shard `s` (one per shard, held by the caller for the
-    /// whole call). Shared by [`ShardedTable::execute`] and
-    /// [`ShardedSession`], which differ only in how the guards were obtained.
-    pub(crate) fn execute_with_guards(
-        &self,
-        guards: &[EnterGuard<'_>],
-        batch: &mut Batch,
-        policy: BatchPolicy,
-        prefetch_sweep: bool,
-    ) {
-        debug_assert_eq!(guards.len(), self.shards.len());
-        ROUTE_SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut routes) => {
-                self.execute_routed(guards, batch, policy, prefetch_sweep, &mut routes)
-            }
-            // Re-entrant execution on the same thread (a guard-protected
-            // callback executing another batch) falls back to a local buffer.
-            Err(_) => self.execute_routed(guards, batch, policy, prefetch_sweep, &mut Vec::new()),
-        })
-    }
-
-    fn execute_routed(
-        &self,
-        guards: &[EnterGuard<'_>],
-        batch: &mut Batch,
-        policy: BatchPolicy,
-        prefetch_sweep: bool,
-        routes: &mut Vec<u16>,
-    ) {
-        let (requests, responses) = batch.begin_execution();
-        // Route every request once; the sweep and both execution paths below
-        // reuse the result instead of re-hashing per pass.
-        routes.clear();
-        routes.extend(requests.iter().map(|r| self.shard_of(r.key()) as u16));
-        if prefetch_sweep {
-            for (req, &s) in requests.iter().zip(routes.iter()) {
-                // SAFETY: guards[s] pins shard s's entered index generation.
-                let idx = unsafe { &*guards[s as usize].index_ptr() };
-                idx.prefetch_bin(idx.bin_of(req.key()));
-            }
-        }
-        if policy.allows_reordering() {
-            // Cross-shard reordering: run shard-by-shard so each shard's
-            // memory traffic batches together; within one shard submission
-            // order is kept, and responses scatter back to submission slots.
-            // `Unordered` never stops on failure, so no skip handling here.
-            responses.resize(requests.len(), Response::Skipped);
-            for (s, guard) in guards.iter().enumerate() {
-                let start = guard.index_ptr();
-                for (i, req) in requests.iter().enumerate() {
-                    if routes[i] as usize == s {
-                        responses[i] = self.shards[s].exec_guarded(start, *req);
-                    }
-                }
-            }
-        } else {
-            // Submission order across shards; a StopOnFailure failure skips
-            // every later request regardless of which shard it routes to.
-            let mut stopped = false;
-            for (req, &s) in requests.iter().zip(routes.iter()) {
-                if stopped {
-                    responses.push(Response::Skipped);
-                    continue;
-                }
-                let s = s as usize;
-                let resp = self.shards[s].exec_guarded(guards[s].index_ptr(), *req);
-                if policy.stops_on_failure() && !resp.succeeded() {
-                    stopped = true;
-                }
-                responses.push(resp);
-            }
-        }
+        self.session().execute(batch, policy);
     }
 
     /// Open a per-thread [`ShardedSession`] with one cached registry slot per
@@ -444,16 +350,6 @@ impl<'t> ShardedSession<'t> {
         }
     }
 
-    /// Enter every shard through the cached slots, run `batch`, and release
-    /// the announcements, reusing the guard buffer across calls.
-    fn run_entered(&self, batch: &mut Batch, policy: BatchPolicy, prefetch_sweep: bool) {
-        let mut guards = self.guards.borrow_mut();
-        guards.extend(self.sessions.iter().map(|s| s.enter()));
-        self.table
-            .execute_with_guards(&guards, batch, policy, prefetch_sweep);
-        guards.clear();
-    }
-
     /// The table this session operates on.
     pub fn table(&self) -> &'t ShardedTable {
         self.table
@@ -494,17 +390,28 @@ impl<'t> ShardedSession<'t> {
         self.session_for(key).prefetch(key)
     }
 
-    /// Execute `batch` with the prefetch sweep — same per-shard run
-    /// semantics as [`ShardedTable::execute`], but every shard is entered
-    /// through this session's cached slots.
+    /// Execute `batch` in order, reusing the batch's response storage:
+    /// prefetch every request's bin through [`ShardedSession::prefetch`],
+    /// then [`ShardedSession::execute_prefetched`].
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.run_entered(batch, policy, true);
+        for req in batch.requests() {
+            self.prefetch(req.key());
+        }
+        self.execute_prefetched(batch, policy);
     }
 
-    /// [`ShardedSession::execute`] without the up-front prefetch sweep (the
-    /// pipeline's flush path).
+    /// Execute a batch whose requests were already prefetched (the
+    /// pipeline's flush path) strictly in submission order. Every shard is
+    /// entered once through its session's cached slot, and each request runs
+    /// on the index its shard entered.
     pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.run_entered(batch, policy, false);
+        let mut guards = self.guards.borrow_mut();
+        guards.extend(self.sessions.iter().map(Session::enter));
+        batch.run_in_order(policy, |req| {
+            let shard = self.table.shard_of(req.key());
+            self.table.shards[shard].exec_guarded(guards[shard].index_ptr(), req)
+        });
+        guards.clear();
     }
 
     /// Open a bounded prefetch [`Pipeline`] of `depth` in-flight requests
@@ -538,6 +445,7 @@ impl Engine for ShardedSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{Request, Response};
     use dlht_hash::HashKind;
 
     fn small(shards: usize) -> ShardedTable {

@@ -283,30 +283,15 @@ impl SingleThreadMap {
     /// calls — see [`crate::Batch`].
     pub fn execute(&mut self, batch: &mut crate::batch::Batch, policy: crate::batch::BatchPolicy) {
         use crate::batch::{Request, Response};
-        // Split the borrow up front: the request slice stays untouched while
-        // the operations below mutate the bins.
-        let (requests, out) = batch.begin_execution();
-        for req in requests {
-            let bin_no = self.bin_of(req.key());
-            prefetch_read(&self.bins[bin_no] as *const StBin);
+        for req in batch.requests() {
+            prefetch_read(&self.bins[self.bin_of(req.key())] as *const StBin);
         }
-        let mut stopped = false;
-        for req in requests {
-            if stopped {
-                out.push(Response::Skipped);
-                continue;
-            }
-            let resp = match *req {
-                Request::Get(k) => Response::Value(self.get(k)),
-                Request::Put(k, v) => Response::Updated(self.put(k, v)),
-                Request::Insert(k, v) => Response::Inserted(self.insert(k, v)),
-                Request::Delete(k) => Response::Deleted(self.delete(k)),
-            };
-            if policy.stops_on_failure() && !resp.succeeded() {
-                stopped = true;
-            }
-            out.push(resp);
-        }
+        batch.run_in_order(policy, |req| match req {
+            Request::Get(k) => Response::Value(self.get(k)),
+            Request::Put(k, v) => Response::Updated(self.put(k, v)),
+            Request::Insert(k, v) => Response::Inserted(self.insert(k, v)),
+            Request::Delete(k) => Response::Deleted(self.delete(k)),
+        });
     }
 
     /// One-shot convenience over [`SingleThreadMap::execute`] (allocates per

@@ -113,7 +113,7 @@ impl DlhtMap {
         let initial = Box::into_raw(Box::new(Index::new(config.num_bins, &config, 0)));
         DlhtMap {
             current: AtomicPtr::new(initial),
-            registry: ThreadRegistry::with_capacity(config.max_threads),
+            registry: ThreadRegistry::new(),
             config,
             retired: Mutex::new(VecDeque::new()),
             resizes: AtomicU64::new(0),

@@ -69,14 +69,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The elements, if this is an array.
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
@@ -488,7 +480,7 @@ mod tests {
             Some(2)
         );
         assert_eq!(v.get("b").and_then(Json::as_str), Some("x\n\"y\""));
-        assert_eq!(v.get("c").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
         assert_eq!(v.get("d"), Some(&Json::Null));
     }
 

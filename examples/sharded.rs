@@ -42,9 +42,9 @@ fn main() {
         );
     }
 
-    // ShardedTable implements the full KvBackend contract, so batches split
-    // into per-shard runs while responses keep submission order — and a
-    // bounded prefetch pipeline rides on the same session machinery.
+    // ShardedTable implements the full KvBackend contract: batches run in
+    // submission order through a per-shard session each, and a bounded
+    // prefetch pipeline rides on the same sessions.
     let mut batch = Batch::with_capacity(4);
     batch.push_get(0);
     batch.push_put(0, 7);

@@ -58,10 +58,19 @@ fn warm_batch_reexecution_allocates_nothing() {
     // Ample capacity: the InsDel pattern below never triggers a resize, and
     // the link-bucket pool is preallocated with the index.
     let map = DlhtMap::with_capacity(100_000);
+    let sharded = ShardedTable::with_capacity(4, 100_000);
     for k in 0..10_000u64 {
         let _ = map.insert(k, k).unwrap();
+        let _ = sharded.insert(k, k).unwrap();
     }
+    assert_warm_batches_allocate_nothing(|batch| map.execute(batch, BatchPolicy::RunAll));
+    // A sharded session enters every shard per batch into a guard buffer it
+    // keeps across batches.
+    let session = sharded.session();
+    assert_warm_batches_allocate_nothing(|batch| session.execute(batch, BatchPolicy::RunAll));
+}
 
+fn assert_warm_batches_allocate_nothing(mut execute: impl FnMut(&mut Batch)) {
     let mut batch = Batch::with_capacity(64);
     let fill = |batch: &mut Batch, round: u64| {
         batch.clear();
@@ -76,16 +85,16 @@ fn warm_batch_reexecution_allocates_nothing() {
         batch.push_delete(fresh);
     };
 
-    // Warm-up: claims the registry slot, grows the response vector once.
+    // Warm-up: claims the registry slots, grows the response vector once.
     for round in 0..4u64 {
         fill(&mut batch, round);
-        map.execute(&mut batch, BatchPolicy::RunAll);
+        execute(&mut batch);
     }
 
     let before = allocations();
     for round in 0..100u64 {
         fill(&mut batch, round);
-        map.execute(&mut batch, BatchPolicy::RunAll);
+        execute(&mut batch);
         assert_eq!(batch.responses().len(), 34);
     }
     let after = allocations();
