@@ -157,7 +157,10 @@ pub trait KvBackend: Send + Sync {
     /// [`BatchPolicy::Unordered`]).
     ///
     /// This is the steady-state entry point: a warm [`Batch`] executes with
-    /// zero heap allocations. The default implementation loops over the
+    /// zero heap allocations. The exception is a multi-shard
+    /// [`crate::ShardedTable`], which opens a session per call (one
+    /// allocation); a long-lived [`crate::ShardedSession`] runs its warm
+    /// batches without one. The default implementation loops over the
     /// single-request operations (see [`execute_serial`]); designs with
     /// software prefetching override it.
     fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {

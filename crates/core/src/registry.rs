@@ -147,6 +147,8 @@ impl ThreadRegistry {
     /// resizer's scan (hazard-pointer style).
     #[inline]
     pub fn announce(&self, slot: usize, index_ptr: usize) {
+        #[cfg(test)]
+        announce_count::record();
         // ORDERING: SeqCst — the hazard-pointer publish must be totally
         // ordered against the retirer's `anyone_announces` scan; with anything
         // weaker the store and the scan could both miss each other and a live
@@ -324,5 +326,27 @@ mod tests {
             .unwrap()
         });
         assert!(overflowed);
+    }
+}
+
+/// Counts the announcements (enters) each thread makes, on any registry,
+/// for tests that check how often a batch enters a table.
+#[cfg(test)]
+pub(crate) mod announce_count {
+    use std::cell::Cell;
+
+    thread_local! {
+        static ANNOUNCES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn record() {
+        ANNOUNCES.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Announcements the current thread makes while running `f`.
+    pub(crate) fn during(f: impl FnOnce()) -> u64 {
+        let before = ANNOUNCES.with(Cell::get);
+        f();
+        ANNOUNCES.with(Cell::get) - before
     }
 }

@@ -155,14 +155,25 @@ impl<'t> Session<'t> {
         self.hint.get().prefetch(key);
     }
 
-    /// Execute `batch` in order, reusing the batch's response storage:
-    /// prefetch every request's bin through [`Session::prefetch`], then
-    /// [`Session::execute_prefetched`].
+    /// Prefetch `key`'s bin in the index this session last entered, with no
+    /// check against the current index: for a sweep run while the caller
+    /// holds that entry, which makes the hint the entered index.
+    #[inline]
+    pub(crate) fn prefetch_entered(&self, key: u64) {
+        self.hint.get().prefetch(key);
+    }
+
+    /// Execute `batch` in order, reusing the batch's response storage: one
+    /// enter/leave announcement covers the whole batch (§3.3). Every
+    /// request's bin is prefetched from the entered index, then the requests
+    /// run as in [`Session::execute_prefetched`].
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        for req in batch.requests() {
-            self.prefetch(req.key());
-        }
-        self.execute_prefetched(batch, policy);
+        self.entered(|start| {
+            for req in batch.requests() {
+                self.prefetch_entered(req.key());
+            }
+            batch.run_in_order(policy, |req| self.table.exec_guarded(start, req))
+        });
     }
 
     /// Execute a batch whose requests were already prefetched (the

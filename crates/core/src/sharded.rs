@@ -30,9 +30,10 @@
 //! ## Batch semantics
 //!
 //! [`ShardedTable::execute`] opens a [`ShardedSession`], which holds one
-//! [`Session`] per shard and routes each request to its shard's session. A
-//! batch enters every shard once, then runs through the same in-order loop
-//! as a single [`DlhtMap`]:
+//! [`Session`] per shard and routes each request to its shard's session (a
+//! one-shard table runs on its shard directly). A batch enters every shard
+//! once, prefetches each request's bin from the index its shard entered,
+//! then runs through the same in-order loop as a single [`DlhtMap`]:
 //!
 //! * requests execute strictly in submission order under every policy,
 //!   [`BatchPolicy::Unordered`] included, as they do on a [`DlhtMap`]
@@ -58,12 +59,13 @@ use crate::batch::{Batch, BatchPolicy};
 use crate::config::DlhtConfig;
 use crate::engine::Engine;
 use crate::error::{DlhtError, InsertOutcome};
+use crate::index::Index;
 use crate::pipeline::Pipeline;
 use crate::session::Session;
 use crate::stats::TableStats;
 use crate::table::{DlhtMap, EnterGuard};
 use dlht_hash::mix64;
-use std::cell::RefCell;
+use std::cell::Cell;
 
 /// Upper bound on the shard count (sanity cap, far above any useful fan-out).
 pub const MAX_SHARDS: usize = 1 << 12;
@@ -240,8 +242,13 @@ impl ShardedTable {
     /// Execute the queued requests of `batch` in order, writing one
     /// [`crate::Response`] per request into the batch's own response storage
     /// — the sharded counterpart of [`DlhtMap::execute`]. Opens a
-    /// [`ShardedSession`] and runs [`ShardedSession::execute`].
+    /// [`ShardedSession`] and runs [`ShardedSession::execute`]; that session
+    /// is one allocation per call, which a long-lived session avoids. A
+    /// one-shard table runs on its shard directly and allocates nothing.
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+        if let [shard] = &*self.shards {
+            return shard.execute(batch, policy);
+        }
         self.session().execute(batch, policy);
     }
 
@@ -334,19 +341,32 @@ impl ShardedTable {
 /// [`Pipeline`] or a wire service drives over a sharded table.
 pub struct ShardedSession<'t> {
     table: &'t ShardedTable,
-    sessions: Box<[Session<'t>]>,
-    /// Reused guard storage for batch execution: cleared (announcements
-    /// dropped) after every batch, capacity kept — so a warm session
-    /// executes batches without touching the allocator.
-    guards: RefCell<Vec<EnterGuard<'t>>>,
+    /// One slot per shard, in routing order.
+    shards: Box<[ShardSlot<'t>]>,
+}
+
+/// One shard of a [`ShardedSession`]: the shard's session and the entry a
+/// running batch holds on it. Kept in one allocation with its siblings, so
+/// a session executes batches without touching the allocator.
+struct ShardSlot<'t> {
+    session: Session<'t>,
+    /// The announcement a running batch holds on this shard; `None` between
+    /// batches.
+    guard: Cell<Option<EnterGuard<'t>>>,
+    /// The index `guard` entered: where this shard's requests start.
+    start: Cell<*mut Index>,
 }
 
 impl<'t> ShardedSession<'t> {
     pub(crate) fn new(table: &'t ShardedTable) -> Self {
+        let shards = table.shards.iter().map(|shard| ShardSlot {
+            session: Session::new(shard),
+            guard: Cell::new(None),
+            start: Cell::new(std::ptr::null_mut()),
+        });
         ShardedSession {
             table,
-            sessions: table.shards.iter().map(Session::new).collect(),
-            guards: RefCell::new(Vec::with_capacity(table.num_shards())),
+            shards: shards.collect(),
         }
     }
 
@@ -357,7 +377,7 @@ impl<'t> ShardedSession<'t> {
 
     #[inline]
     fn session_for(&self, key: u64) -> &Session<'t> {
-        &self.sessions[self.table.shard_of(key)]
+        &self.shards[self.table.shard_of(key)].session
     }
 
     /// Look up `key` through the shard-local cached slot.
@@ -390,14 +410,17 @@ impl<'t> ShardedSession<'t> {
         self.session_for(key).prefetch(key)
     }
 
-    /// Execute `batch` in order, reusing the batch's response storage:
-    /// prefetch every request's bin through [`ShardedSession::prefetch`],
-    /// then [`ShardedSession::execute_prefetched`].
+    /// Execute `batch` in order, reusing the batch's response storage. Every
+    /// shard is entered once for the whole batch, every request's bin is
+    /// prefetched from the index its shard entered, then the requests run as
+    /// in [`ShardedSession::execute_prefetched`].
     pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        for req in batch.requests() {
-            self.prefetch(req.key());
-        }
-        self.execute_prefetched(batch, policy);
+        self.entered(|| {
+            for req in batch.requests() {
+                self.session_for(req.key()).prefetch_entered(req.key());
+            }
+            self.run_entered(batch, policy);
+        });
     }
 
     /// Execute a batch whose requests were already prefetched (the
@@ -405,13 +428,30 @@ impl<'t> ShardedSession<'t> {
     /// entered once through its session's cached slot, and each request runs
     /// on the index its shard entered.
     pub fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        let mut guards = self.guards.borrow_mut();
-        guards.extend(self.sessions.iter().map(Session::enter));
+        self.entered(|| self.run_entered(batch, policy));
+    }
+
+    /// Run `f` with every shard entered through its session, each entry held
+    /// in its [`ShardSlot`] until `f` returns.
+    fn entered(&self, f: impl FnOnce()) {
+        for slot in self.shards.iter() {
+            let guard = slot.session.enter();
+            slot.start.set(guard.index_ptr());
+            slot.guard.set(Some(guard));
+        }
+        f();
+        for slot in self.shards.iter() {
+            drop(slot.guard.take());
+        }
+    }
+
+    /// The in-order loop, each request on the index its shard entered. Only
+    /// called inside [`ShardedSession::entered`].
+    fn run_entered(&self, batch: &mut Batch, policy: BatchPolicy) {
         batch.run_in_order(policy, |req| {
             let shard = self.table.shard_of(req.key());
-            self.table.shards[shard].exec_guarded(guards[shard].index_ptr(), req)
+            self.table.shards[shard].exec_guarded(self.shards[shard].start.get(), req)
         });
-        guards.clear();
     }
 
     /// Open a bounded prefetch [`Pipeline`] of `depth` in-flight requests
@@ -455,6 +495,34 @@ mod tests {
                 .with_hash(HashKind::WyHash)
                 .with_chunk_bins(4),
         )
+    }
+
+    #[test]
+    fn a_batch_enters_each_table_once() {
+        use crate::registry::announce_count::during;
+        let mut batch: Batch = (0..32u64).map(Request::Get).collect();
+        // Fresh sessions included: a session's first prefetch must not enter.
+        let map = DlhtMap::with_capacity(64);
+        assert_eq!(during(|| map.execute(&mut batch, BatchPolicy::RunAll)), 1);
+        let session = map.session();
+        assert_eq!(
+            during(|| session.execute(&mut batch, BatchPolicy::RunAll)),
+            1
+        );
+        for shards in [1, 4] {
+            let t = small(shards);
+            let n = shards as u64;
+            assert_eq!(during(|| t.execute(&mut batch, BatchPolicy::RunAll)), n);
+            let session = t.session();
+            assert_eq!(
+                during(|| session.execute(&mut batch, BatchPolicy::RunAll)),
+                n
+            );
+            assert_eq!(
+                during(|| session.execute_prefetched(&mut batch, BatchPolicy::RunAll)),
+                n
+            );
+        }
     }
 
     #[test]
