@@ -2,8 +2,8 @@
 //!
 //! `DlhtMap` and `ShardedTable` implement [`KvBackend`] directly (as `DLHT`
 //! and `DLHT-<n>shards`). This wrapper exists because the NoBatch variant
-//! really does behave differently: its batch entry point is a plain
-//! per-request loop, so memory latencies are not overlapped.
+//! really does behave differently: its engine is a plain per-request loop,
+//! so memory latencies are not overlapped.
 
 use dlht_core::{
     DlhtConfig, DlhtError, DlhtMap, InsertOutcome, KvBackend, MapFeatures, TableStats,
@@ -80,15 +80,22 @@ impl KvBackend for DlhtNoBatchAdapter {
         self.map.retired_indexes()
     }
 
-    // supports_batching stays false, and execute and engine stay the default
-    // per-request loop: no prefetch sweep, no enter/leave amortization.
+    // supports_batching and engine stay the default per-request loop: no
+    // prefetch sweep, no enter/leave amortization.
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conformance;
-    use dlht_core::{Batch, BatchPolicy, Request, Response};
+    use dlht_core::{Batch, BatchPolicy, Engine, Request, Response};
+
+    /// Run `reqs` as one batch through `map`'s engine.
+    fn run(map: &dyn KvBackend, reqs: &[Request]) -> Vec<Response> {
+        let mut batch = Batch::from(reqs);
+        map.engine().execute(&mut batch, BatchPolicy::RunAll);
+        batch.into_responses()
+    }
 
     #[test]
     fn adapter_basic_semantics() {
@@ -112,7 +119,7 @@ mod tests {
             Request::Delete(1),
             Request::Get(1),
         ];
-        let out = m.execute_batch(&reqs, BatchPolicy::RunAll);
+        let out = run(&m, &reqs);
         assert_eq!(out[1], Response::Value(Some(10)));
         assert_eq!(out[2], Response::Updated(Some(10)));
         assert_eq!(out[3], Response::Value(Some(11)));
@@ -124,22 +131,20 @@ mod tests {
     fn nobatch_adapter_still_answers_batches_without_prefetching() {
         let m = DlhtNoBatchAdapter::with_capacity(64);
         assert!(!m.supports_batching());
-        let out = m.execute_batch(
-            &[Request::Insert(5, 50), Request::Get(5)],
-            BatchPolicy::RunAll,
-        );
+        let out = run(&m, &[Request::Insert(5, 50), Request::Get(5)]);
         assert_eq!(out[1], Response::Value(Some(50)));
     }
 
     #[test]
     fn adapter_reuses_batch_storage() {
         let m = DlhtMap::with_capacity(256);
+        let engine = m.engine();
         let mut batch = Batch::with_capacity(2);
         for round in 0..4u64 {
             batch.clear();
             batch.push_insert(round, round);
             batch.push_get(round);
-            m.execute(&mut batch, BatchPolicy::RunAll);
+            engine.execute(&mut batch, BatchPolicy::RunAll);
             assert_eq!(batch.responses()[1], Response::Value(Some(round)));
         }
         assert_eq!(m.len(), 4);

@@ -103,51 +103,29 @@ impl KvBackend for DramhitLikeMap {
         true
     }
 
-    /// Batched execution with prefetching, but — faithfully to DRAMHiT — the
-    /// requests are **reordered** (grouped by home cell) to maximize overlap.
-    /// Results are written back in submission order, but their effects may
-    /// interleave differently than submitted, which is what can deadlock a
-    /// lock manager built on top (§5.3.3). For the same reason,
-    /// [`BatchPolicy::StopOnFailure`] cannot be honored: dependent batches
-    /// are not supported by a reordering engine, so every request executes
-    /// regardless of policy. [`BatchPolicy::Unordered`] is this engine's
-    /// native mode.
-    fn execute(&self, batch: &mut Batch, _policy: BatchPolicy) {
-        self.execute_reordered(batch, true)
-    }
-
     fn engine(&self) -> Box<dyn Engine + '_> {
         Box::new(self)
     }
 }
 
-/// The map is its own engine: the home cell is prefetched at submit time.
+/// The map is its own engine: a batch prefetches every home cell, then runs
+/// through the reordering engine.
 impl Engine for DramhitLikeMap {
     fn prefetch(&self, key: u64) {
         dlht_core::prefetch::prefetch_read(self.cells.home_cell_ptr(key));
     }
 
-    /// Pipeline flushes arrive with every home cell already prefetched —
-    /// skip the sweep, keep the reordering engine.
+    /// Faithfully to DRAMHiT, the requests are **reordered** (grouped by
+    /// home cell) to maximize overlap. Results are written back in
+    /// submission order, but their effects may interleave differently than
+    /// submitted, which is what can deadlock a lock manager built on top
+    /// (§5.3.3). For the same reason, [`BatchPolicy::StopOnFailure`] cannot
+    /// be honored: dependent batches are not supported by a reordering
+    /// engine, so every request executes regardless of policy.
+    /// [`BatchPolicy::Unordered`] is this engine's native mode.
     fn execute_prefetched(&self, batch: &mut Batch, _policy: BatchPolicy) {
-        self.execute_reordered(batch, false)
-    }
-
-    fn live_keys(&self) -> u64 {
-        self.cells.live() as u64
-    }
-}
-
-impl DramhitLikeMap {
-    /// The reordering engine behind both batch entry points.
-    fn execute_reordered(&self, batch: &mut Batch, prefetch_sweep: bool) {
         let (requests, out) = batch.begin_execution();
         out.resize(requests.len(), Response::Value(None));
-        if prefetch_sweep {
-            for req in requests {
-                dlht_core::prefetch::prefetch_read(self.cells.home_cell_ptr(req.key()));
-            }
-        }
         // Reorder by home-cell address (asynchronous engine emulation).
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| self.cells.home_cell_ptr(requests[i].key()) as usize);
@@ -159,6 +137,10 @@ impl DramhitLikeMap {
                 Request::Delete(k) => Response::Deleted(self.delete(k)),
             };
         }
+    }
+
+    fn live_keys(&self) -> u64 {
+        self.cells.live() as u64
     }
 }
 
@@ -197,7 +179,9 @@ mod tests {
             let _ = m.insert(k, k).unwrap();
         }
         let reqs: Vec<Request> = (0..50u64).rev().map(Request::Get).collect();
-        let out = m.execute_batch(&reqs, BatchPolicy::Unordered);
+        let mut batch = Batch::from(&reqs[..]);
+        m.execute(&mut batch, BatchPolicy::Unordered);
+        let out = batch.responses();
         for (i, r) in out.iter().enumerate() {
             let expected_key = 49 - i as u64;
             assert_eq!(*r, Response::Value(Some(expected_key)));
@@ -210,8 +194,10 @@ mod tests {
         // out of order — demonstrate the behavioural difference from DLHT by
         // checking a dependent sequence is NOT guaranteed to succeed.
         let m = DramhitLikeMap::with_capacity(256);
-        let reqs = vec![Request::Insert(10, 1), Request::Get(10)];
-        let out = m.execute_batch(&reqs, BatchPolicy::RunAll);
+        let reqs = [Request::Insert(10, 1), Request::Get(10)];
+        let mut batch = Batch::from(&reqs[..]);
+        m.execute(&mut batch, BatchPolicy::RunAll);
+        let out = batch.responses();
         // Whatever the internal order, results land in submission slots.
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], Response::Inserted(_)));

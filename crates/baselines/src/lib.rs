@@ -285,7 +285,9 @@ mod tests {
                 Request::Delete(1),
                 Request::Get(1),
             ];
-            let out = map.execute_batch(&reqs, BatchPolicy::RunAll);
+            let mut batch = Batch::from(&reqs[..]);
+            map.engine().execute(&mut batch, BatchPolicy::RunAll);
+            let out = batch.responses();
             assert_eq!(out.len(), 4, "{}", kind.name());
             assert_eq!(out[1], Response::Value(Some(10)), "{}", kind.name());
             assert_eq!(out[3], Response::Value(None), "{}", kind.name());
@@ -296,12 +298,13 @@ mod tests {
     fn every_kind_reuses_a_batch_buffer() {
         for kind in MapKind::all() {
             let map = kind.build(4_096);
+            let engine = map.engine();
             let mut batch = Batch::with_capacity(2);
             for round in 0..4u64 {
                 batch.clear();
                 batch.push_insert(round, round * 2);
                 batch.push_get(round);
-                map.execute(&mut batch, BatchPolicy::RunAll);
+                engine.execute(&mut batch, BatchPolicy::RunAll);
                 assert_eq!(
                     batch.responses()[1],
                     Response::Value(Some(round * 2)),

@@ -115,29 +115,19 @@ impl KvBackend for MicaLikeMap {
         true
     }
 
-    /// Batched execution with a prefetch sweep (MICA pioneered this
-    /// technique); requests then execute in order through the shared serial
-    /// loop, so the batch contract lives in one place.
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        for req in batch.requests() {
-            self.prefetch(req.key());
-        }
-        dlht_core::kv::execute_serial(self, batch, policy)
-    }
-
     fn engine(&self) -> Box<dyn Engine + '_> {
         Box::new(self)
     }
 }
 
-/// The map is its own engine: the bucket is prefetched at submit time.
+/// The map is its own engine: a batch prefetches every bucket (MICA
+/// pioneered this technique), then executes in order through the shared
+/// serial loop, so the batch contract lives in one place.
 impl Engine for MicaLikeMap {
     fn prefetch(&self, key: u64) {
         dlht_core::prefetch::prefetch_read(self.bucket_of(key) as *const Bucket);
     }
 
-    /// Pipeline flushes arrive with every bucket already prefetched — skip
-    /// the sweep.
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         dlht_core::kv::execute_serial(self, batch, policy)
     }
@@ -178,14 +168,16 @@ mod tests {
     #[test]
     fn batch_executes_in_order() {
         let m = MicaLikeMap::with_capacity(64);
-        let reqs = vec![
+        let reqs = [
             Request::Insert(1, 1),
             Request::Put(1, 2),
             Request::Get(1),
             Request::Delete(1),
             Request::Get(1),
         ];
-        let out = m.execute_batch(&reqs, dlht_core::BatchPolicy::RunAll);
+        let mut batch = Batch::from(&reqs[..]);
+        m.execute(&mut batch, BatchPolicy::RunAll);
+        let out = batch.responses();
         assert_eq!(out[1], Response::Updated(Some(1)));
         assert_eq!(out[2], Response::Value(Some(2)));
         assert_eq!(out[3], Response::Deleted(Some(2)));

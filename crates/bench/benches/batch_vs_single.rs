@@ -29,9 +29,11 @@ fn main() {
     }
     const WIDTHS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 
-    // Batched execution through one reused Batch (zero steady-state allocs).
+    // Batched execution through one session and one reused Batch (zero
+    // steady-state allocs).
     for &width in &WIDTHS {
         let mut rng = Xoshiro256::new(1);
+        let session = map.session();
         let mut batch = Batch::with_capacity(width);
         let ns = microbench_ns(
             &format!("batched_get/{width} (per batch)"),
@@ -41,7 +43,7 @@ fn main() {
                 for _ in 0..width {
                     batch.push_get(rng.next_below(keys));
                 }
-                map.execute(&mut batch, BatchPolicy::RunAll);
+                session.execute(&mut batch, BatchPolicy::RunAll);
                 black_box(batch.responses());
             },
         );

@@ -17,6 +17,7 @@ fn run_concurrent_map(
     batched: bool,
     rng: &mut Xoshiro256,
 ) -> f64 {
+    let session = map.session();
     let mut batch = Batch::with_capacity(BATCH);
     let t = Instant::now();
     match workload {
@@ -28,7 +29,7 @@ fn run_concurrent_map(
                     for _ in 0..BATCH {
                         batch.push_get(rng.next_below(keys));
                     }
-                    map.execute(&mut batch, BatchPolicy::RunAll);
+                    session.execute(&mut batch, BatchPolicy::RunAll);
                     std::hint::black_box(batch.responses());
                     done += BATCH as u64;
                 }
@@ -50,7 +51,7 @@ fn run_concurrent_map(
                         batch.push_delete(next);
                         next += 1;
                     }
-                    map.execute(&mut batch, BatchPolicy::RunAll);
+                    session.execute(&mut batch, BatchPolicy::RunAll);
                     std::hint::black_box(batch.responses());
                     done += BATCH as u64;
                 }

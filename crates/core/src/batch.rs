@@ -15,21 +15,22 @@
 //!   so steady-state batch execution performs zero heap allocations;
 //! * [`BatchPolicy`] — what happens when a request in the batch fails.
 //!
-//! One-shot callers can use the slice convenience
-//! [`crate::KvBackend::execute_batch`]; hot loops should hold a [`Batch`]
-//! (or a [`crate::Pipeline`]) and re-fill it:
+//! Every batch runs through a per-thread [`crate::Engine`] — a table's
+//! session, or [`crate::KvBackend::engine`] for any backend. Hot loops hold
+//! the engine and a [`Batch`] (or a [`crate::Pipeline`]) and re-fill it:
 //!
 //! ```
 //! use dlht_core::{Batch, BatchPolicy, DlhtMap, Response};
 //!
 //! let map = DlhtMap::with_capacity(1024);
+//! let session = map.session(); // one per worker thread
 //! let mut batch = Batch::with_capacity(3);
 //! for round in 0..10u64 {
 //!     batch.clear(); // keeps the allocations
 //!     batch.push_insert(round, round * 10);
 //!     batch.push_get(round);
 //!     batch.push_delete(round);
-//!     map.execute(&mut batch, BatchPolicy::RunAll);
+//!     session.execute(&mut batch, BatchPolicy::RunAll);
 //!     assert_eq!(batch.responses()[1], Response::Value(Some(round * 10)));
 //! }
 //! ```
@@ -148,17 +149,15 @@ impl BatchPolicy {
 /// A reusable batch of requests that owns its response storage.
 ///
 /// `Batch` is the repository's steady-state submission buffer: push requests,
-/// hand the batch to [`crate::KvBackend::execute`] (or
+/// hand the batch to [`crate::Engine::execute`] (or
 /// [`crate::Session::execute`]), read [`Batch::responses`], then
 /// [`Batch::clear`] and re-fill. Both internal `Vec`s retain their capacity
-/// across `clear`, so a warm batch executes without touching the allocator —
-/// unlike the PR-1 `execute_batch(&[Request], bool) -> Vec<Response>` shape,
-/// which allocated a fresh response vector per call.
+/// across `clear`, so a warm batch executes without touching the allocator.
 ///
 /// Response slot `i` always corresponds to request slot `i`, for every
 /// backend (even the reordering DRAMHiT-like baseline writes results back in
 /// submission order).
-#[must_use = "a Batch does nothing until executed (KvBackend::execute / Session::execute)"]
+#[must_use = "a Batch does nothing until executed (Engine::execute / Session::execute)"]
 #[derive(Debug, Default, Clone)]
 pub struct Batch {
     requests: Vec<Request>,
@@ -253,7 +252,7 @@ impl Batch {
     /// Split the batch for an executor: clears (and pre-reserves) the
     /// response vector and returns `(requests, responses)`.
     ///
-    /// **Executor contract** (for [`crate::KvBackend::execute`]
+    /// **Executor contract** (for [`crate::Engine::execute_prefetched`]
     /// implementations only): push exactly one [`Response`] per request, in
     /// submission-slot order. Regular callers never need this.
     pub fn begin_execution(&mut self) -> (&[Request], &mut Vec<Response>) {
@@ -317,18 +316,6 @@ impl Extend<Request> for Batch {
 }
 
 impl DlhtMap {
-    /// Execute the queued requests of `batch` in order, writing one
-    /// [`Response`] per request into the batch's own response storage.
-    ///
-    /// Opens a [`crate::Session`] and runs [`crate::Session::execute`]:
-    /// every request's bin is prefetched up front, and the enter/leave
-    /// index-GC announcement is paid once for the whole batch (§3.3). A warm
-    /// (reused) batch executes with zero heap allocations.
-    #[inline]
-    pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.session().execute(batch, policy);
-    }
-
     /// Execute one request starting from an already-announced index
     /// generation (the caller holds the `EnterGuard` that produced `start`).
     #[inline]
@@ -351,10 +338,16 @@ impl DlhtMap {
 mod tests {
     use super::*;
     use crate::config::DlhtConfig;
-    use crate::KvBackend;
 
     fn table() -> DlhtMap {
         DlhtMap::with_config(DlhtConfig::new(256))
+    }
+
+    /// Run `reqs` as one batch through a session of `t`.
+    fn run(t: &DlhtMap, reqs: &[Request], policy: BatchPolicy) -> Vec<Response> {
+        let mut batch = Batch::from(reqs);
+        t.session().execute(&mut batch, policy);
+        batch.into_responses()
     }
 
     #[test]
@@ -368,7 +361,7 @@ mod tests {
             Request::Delete(1),
             Request::Get(1),
         ];
-        let resps = t.execute_batch(&reqs, BatchPolicy::RunAll);
+        let resps = run(&t, &reqs, BatchPolicy::RunAll);
         assert_eq!(resps[1], Response::Value(Some(10)));
         assert_eq!(resps[2], Response::Updated(Some(10)));
         assert_eq!(resps[3], Response::Value(Some(11)));
@@ -386,7 +379,7 @@ mod tests {
             Request::Insert(8, 80),
             Request::Delete(7),
         ];
-        let resps = t.execute_batch(&reqs, BatchPolicy::StopOnFailure);
+        let resps = run(&t, &reqs, BatchPolicy::StopOnFailure);
         assert_eq!(resps[0], Response::Value(Some(70)));
         assert_eq!(resps[1], Response::Value(None));
         assert_eq!(resps[2], Response::Skipped);
@@ -405,7 +398,7 @@ mod tests {
             Request::Insert(1, 0), // lock already held -> failure
             Request::Insert(2, 0),
         ];
-        let resps = t.execute_batch(&reqs, BatchPolicy::StopOnFailure);
+        let resps = run(&t, &reqs, BatchPolicy::StopOnFailure);
         assert!(resps[0].succeeded());
         assert!(!resps[1].succeeded());
         assert_eq!(resps[2], Response::Skipped);
@@ -426,7 +419,7 @@ mod tests {
             let _ = t.insert(k, k * 2).unwrap();
         }
         let reqs: Vec<Request> = (0..256u64).map(Request::Get).collect();
-        let resps = t.execute_batch(&reqs, BatchPolicy::RunAll);
+        let resps = run(&t, &reqs, BatchPolicy::RunAll);
         for k in 0..256u64 {
             let expected = if k < 128 { Some(k * 2) } else { None };
             assert_eq!(resps[k as usize], Response::Value(expected));
@@ -436,13 +429,14 @@ mod tests {
     #[test]
     fn reused_batch_keeps_capacity_and_clears_responses() {
         let t = table();
+        let session = t.session();
         let mut batch = Batch::with_capacity(4);
         for round in 0..16u64 {
             batch.clear();
             batch.push_insert(round, round);
             batch.push_get(round);
             batch.push_delete(round);
-            t.execute(&mut batch, BatchPolicy::RunAll);
+            session.execute(&mut batch, BatchPolicy::RunAll);
             assert_eq!(batch.responses().len(), 3);
             assert_eq!(batch.responses()[1], Response::Value(Some(round)));
         }
@@ -463,7 +457,7 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        t.execute(&mut batch, BatchPolicy::Unordered);
+        t.session().execute(&mut batch, BatchPolicy::Unordered);
         assert_eq!(batch.responses()[1], Response::Value(Some(90)));
         assert_eq!(batch.responses()[3], Response::Value(None));
     }

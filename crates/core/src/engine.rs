@@ -1,16 +1,16 @@
-//! The per-thread engine: the one interface a [`crate::Pipeline`], a wire
-//! service and the workload runner drive a table through. The paper issues
-//! prefetches through the per-thread batch interface and pays one
-//! enter/leave per batch, not per key (§3.2.5, §3.3); an [`Engine`] is that
-//! interface, and [`KvBackend::engine`] hands one out.
+//! The per-thread engine: the one way to run a batch, and the interface a
+//! [`crate::Pipeline`], a wire service and the workload runner drive a table
+//! through. The paper issues prefetches through the per-thread batch
+//! interface and pays one enter/leave per batch, not per key (§3.2.5, §3.3);
+//! an [`Engine`] is that interface, and [`KvBackend::engine`] hands one out.
 
 use crate::batch::{Batch, BatchPolicy};
-use crate::kv::KvBackend;
+use crate::kv::{execute_serial, KvBackend};
 use crate::stats::TableStats;
 use std::ops::Deref;
 
-/// Prefetch a key, execute a prefetched batch, and answer the `STATS`/`LEN`
-/// questions a server asks — what a [`crate::Pipeline`] or a wire service
+/// Prefetch a key, execute a batch, and answer the `STATS`/`LEN` questions a
+/// server asks — what a caller, a [`crate::Pipeline`] or a wire service
 /// drives.
 ///
 /// Engines need not be `Send`: a session is pinned to its creating thread.
@@ -20,6 +20,19 @@ pub trait Engine {
     /// Issue a software prefetch for wherever `key` lives (best effort; a
     /// no-op for engines without prefetch support).
     fn prefetch(&self, key: u64);
+
+    /// Execute `batch`, one [`crate::Response`] per request into its (reused)
+    /// response storage in submission-slot order. Requests execute **in
+    /// submission order** unless a design documents otherwise (DRAMHiT-like
+    /// reordering), and a warm [`Batch`] on a warm engine allocates nothing.
+    /// The default prefetches every request, then runs
+    /// [`Engine::execute_prefetched`]; DLHT's sessions enter once for both.
+    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+        for req in batch.requests() {
+            self.prefetch(req.key());
+        }
+        self.execute_prefetched(batch, policy);
+    }
 
     /// Execute a batch whose requests were already prefetched one by one via
     /// [`Engine::prefetch`], filling its response storage in submission-slot
@@ -58,6 +71,9 @@ macro_rules! forward_engine {
             fn prefetch(&self, key: u64) {
                 (**self).prefetch(key)
             }
+            fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+                (**self).execute(batch, policy)
+            }
             fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
                 (**self).execute_prefetched(batch, policy)
             }
@@ -80,7 +96,8 @@ macro_rules! forward_engine {
 forward_engine!(&E, Box<E>);
 
 /// The engine of a backend without one of its own: it issues no prefetch
-/// and runs [`KvBackend::execute`]. `P` is any pointer to a backend — a
+/// and runs the backend's single-request operations in order
+/// ([`execute_serial`]). `P` is any pointer to a backend — a
 /// reference, an `Arc<dyn KvBackend>`, a `Box`.
 pub struct BackendEngine<P>(pub P);
 
@@ -91,7 +108,7 @@ where
     fn prefetch(&self, _key: u64) {}
 
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.0.execute(batch, policy)
+        execute_serial(&*self.0, batch, policy)
     }
 
     fn table_stats(&self) -> TableStats {

@@ -1,13 +1,15 @@
 //! The unified operations API: one [`KvBackend`] trait implemented by every
 //! table in the repository — DLHT's own modes and all the baseline
 //! hashtables — so workloads, benchmarks, and applications drive any of them
-//! interchangeably through the same `Request`/`Response` batch vocabulary.
+//! interchangeably. Batches of the shared `Request`/`Response` vocabulary
+//! run through the per-thread [`Engine`] that [`KvBackend::engine`] hands
+//! out.
 //!
 //! This replaces the historical split where `dlht-baselines` carried a second,
 //! incompatible `ConcurrentMap` + `BatchOp`/`BatchResult` interface next to
 //! the core's `Request`/`Response`. The trait is deliberately the paper's
-//! operation set (§3.2): Get / Insert / Put / Delete, plus the
-//! order-preserving batch entry point of §3.3.
+//! operation set (§3.2): Get / Insert / Put / Delete; the order-preserving
+//! batch entry point of §3.3 is [`Engine::execute`].
 
 use crate::batch::{Batch, BatchPolicy, Request, Response};
 use crate::engine::{BackendEngine, Engine};
@@ -70,8 +72,8 @@ impl MapFeatures {
 ///   the previous value, or `None` when the key is absent or the design
 ///   cannot express a pure update (e.g. CLHT).
 /// * [`KvBackend::delete`] returns the removed value when present.
-/// * [`KvBackend::execute_batch`] executes requests **in submission order**
-///   unless a design documents otherwise (DRAMHiT-like reordering).
+///
+/// Batches run through [`KvBackend::engine`] (see [`Engine::execute`]).
 pub trait KvBackend: Send + Sync {
     /// Look up `key`.
     fn get(&self, key: u64) -> Option<u64>;
@@ -144,53 +146,26 @@ pub trait KvBackend: Send + Sync {
         0
     }
 
-    /// Whether [`KvBackend::execute`] actually overlaps memory accesses
-    /// (software prefetching) rather than falling back to a loop.
+    /// Whether the [`KvBackend::engine`]'s batches actually overlap memory
+    /// accesses (software prefetching) rather than falling back to a loop.
     fn supports_batching(&self) -> bool {
         false
-    }
-
-    /// Execute the queued requests of `batch`, one [`Response`] per request
-    /// in submission-slot order, into the batch's own (reused) response
-    /// storage. Execution itself follows submission order unless the design
-    /// documents otherwise (DRAMHiT-like reordering under
-    /// [`BatchPolicy::Unordered`]).
-    ///
-    /// This is the steady-state entry point: a warm [`Batch`] executes with
-    /// zero heap allocations. The exception is a multi-shard
-    /// [`crate::ShardedTable`], which opens a session per call (one
-    /// allocation); a long-lived [`crate::ShardedSession`] runs its warm
-    /// batches without one. The default implementation loops over the
-    /// single-request operations (see [`execute_serial`]); designs with
-    /// software prefetching override it.
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        execute_serial(self, batch, policy)
     }
 
     /// A per-thread [`Engine`] over this backend, for a [`crate::Pipeline`]
     /// or a wire service to drive. Take one per worker thread: DLHT's tables
     /// return a session, designs with their own prefetch engine return
     /// themselves, and the default is the [`BackendEngine`] adapter (no
-    /// prefetch, [`KvBackend::execute`] on flush).
+    /// prefetch, the single-request operations in order).
     fn engine(&self) -> Box<dyn Engine + '_> {
         Box::new(BackendEngine(self))
-    }
-
-    /// One-shot convenience over [`KvBackend::execute`]: copies `requests`
-    /// into a temporary [`Batch`] and returns its responses. Allocates per
-    /// call — hot paths should hold a reusable [`Batch`] instead.
-    fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-        let mut batch = Batch::from(requests);
-        self.execute(&mut batch, policy);
-        batch.into_responses()
     }
 }
 
 /// Execute a batch serially through `backend`'s single-request operations,
-/// honoring the [`BatchPolicy`] contract. This is the body of the default
-/// [`KvBackend::execute`]; overriders that only add a prefetch sweep
-/// (e.g. the MICA-like baseline) delegate here so the batch contract lives in
-/// one place.
+/// honoring the [`BatchPolicy`] contract: the batch loop of every engine
+/// over a backend's single-request operations ([`BackendEngine`], the
+/// MICA-like baseline), so the batch contract lives in one place.
 pub fn execute_serial<B: KvBackend + ?Sized>(backend: &B, batch: &mut Batch, policy: BatchPolicy) {
     batch.run_in_order(policy, |req| match req {
         Request::Get(k) => Response::Value(backend.get(k)),
@@ -241,14 +216,8 @@ macro_rules! forward_kv_backend {
             fn supports_batching(&self) -> bool {
                 (**self).supports_batching()
             }
-            fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-                (**self).execute(batch, policy)
-            }
             fn engine(&self) -> Box<dyn Engine + '_> {
                 (**self).engine()
-            }
-            fn execute_batch(&self, requests: &[Request], policy: BatchPolicy) -> Vec<Response> {
-                (**self).execute_batch(requests, policy)
             }
         }
     )+};
@@ -257,9 +226,9 @@ macro_rules! forward_kv_backend {
 forward_kv_backend!(Arc, Box);
 
 /// `DlhtMap` and `ShardedTable` through the unified API: every method
-/// calls the table's inherent method of the same name, batches run through
-/// a session of the table, and the per-thread engine is the table's
-/// session. `name` is computed from the table bound to `$this`.
+/// calls the table's inherent method of the same name, and the per-thread
+/// engine is the table's session. `name` is computed from the table bound
+/// to `$this`.
 macro_rules! native_kv_backend {
     ($($table:ident, |$this:ident| $name:expr);+) => {$(
         impl KvBackend for $table {
@@ -300,9 +269,6 @@ macro_rules! native_kv_backend {
             fn supports_batching(&self) -> bool {
                 true
             }
-            fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-                $table::execute(self, batch, policy)
-            }
             fn engine(&self) -> Box<dyn Engine + '_> {
                 Box::new($table::session(self))
             }
@@ -320,7 +286,7 @@ native_kv_backend!(
 /// The HashSet mode through the unified API: values are ignored on insert
 /// (stored as the given word) and a member key reads back its stored word.
 /// `put` is not meaningful for a set and returns `None` — and batches go
-/// through the serial default so `execute(Put(..))` agrees with `put`
+/// through the serial engine so a batched `Put` agrees with `put`
 /// (delegating to the raw table would let a batch update a member's stored
 /// word, which the single-request surface cannot express). Callers that want
 /// the prefetched batch engine underneath can drop to [`DlhtSet::raw`].
@@ -358,9 +324,8 @@ impl KvBackend for DlhtSet {
     fn retired_indexes(&self) -> usize {
         self.raw().retired_indexes()
     }
-    // `supports_batching` stays false, and `execute` and `engine` stay the
-    // serial defaults so the batch surface matches the single-request one
-    // (no Puts on sets).
+    // `supports_batching` and `engine` stay the serial defaults so the batch
+    // surface matches the single-request one (no Puts on sets).
 }
 
 #[cfg(test)]
@@ -413,7 +378,9 @@ mod tests {
             Request::Insert(1, 0), // duplicate -> failure
             Request::Insert(2, 0),
         ];
-        let out = KvBackend::execute_batch(&set, &reqs, BatchPolicy::StopOnFailure);
+        let mut batch = Batch::from(&reqs[..]);
+        set.engine().execute(&mut batch, BatchPolicy::StopOnFailure);
+        let out = batch.into_responses();
         assert!(out[0].succeeded());
         assert!(!out[1].succeeded());
         assert_eq!(out[2], Response::Skipped);
@@ -424,12 +391,13 @@ mod tests {
     fn trait_execute_reuses_batch_storage() {
         let map = DlhtMap::with_capacity(256);
         let backend: &dyn KvBackend = &map;
+        let engine = backend.engine();
         let mut batch = Batch::with_capacity(2);
         for round in 0..8u64 {
             batch.clear();
             batch.push_insert(round, round * 7);
             batch.push_get(round);
-            backend.execute(&mut batch, BatchPolicy::RunAll);
+            engine.execute(&mut batch, BatchPolicy::RunAll);
             assert_eq!(batch.responses()[1], Response::Value(Some(round * 7)));
         }
         assert_eq!(map.len(), 8);
@@ -453,7 +421,11 @@ mod tests {
         assert_eq!(b.insert(u64::MAX, 1), Err(DlhtError::ReservedKey));
         assert_eq!(b.insert(u64::MAX - 1, 1), Err(DlhtError::ReservedKey));
         assert_eq!(b.upsert(u64::MAX, 1), Err(DlhtError::ReservedKey));
-        let out = b.execute_batch(&[Request::Insert(u64::MAX, 1)], BatchPolicy::RunAll);
-        assert_eq!(out[0], Response::Inserted(Err(DlhtError::ReservedKey)));
+        let mut batch = Batch::from(&[Request::Insert(u64::MAX, 1)][..]);
+        b.engine().execute(&mut batch, BatchPolicy::RunAll);
+        assert_eq!(
+            batch.responses()[0],
+            Response::Inserted(Err(DlhtError::ReservedKey))
+        );
     }
 }

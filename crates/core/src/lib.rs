@@ -32,9 +32,10 @@
 //! | [`ShardedTable`] | sharded front | 8 B | 8 B; N independent shards, shard-local resizes |
 //!
 //! All concurrent modes (and every baseline in `dlht-baselines`) implement
-//! the single [`KvBackend`] operations trait, whose batch entry point speaks
-//! the [`Request`]/[`Response`] vocabulary below — one API from micro-bench
-//! to application workloads.
+//! the single [`KvBackend`] operations trait. Batches of the
+//! [`Request`]/[`Response`] vocabulary below run through the per-thread
+//! [`Engine`] it hands out — one API from micro-bench to application
+//! workloads.
 //!
 //! ## Quick start
 //!
@@ -44,19 +45,19 @@
 //! let map = DlhtMap::with_capacity(10_000);
 //! map.insert(7, 700).unwrap();
 //!
-//! // Batched execution with software prefetching (order preserving). The
-//! // batch owns request and response storage; clear() + re-push makes
-//! // steady-state execution allocation-free.
+//! // Batched execution with software prefetching (order preserving), through
+//! // a per-thread session. The batch owns request and response storage;
+//! // clear() + re-push makes steady-state execution allocation-free.
+//! let session = map.session();
 //! let mut batch = Batch::with_capacity(3);
 //! batch.push_get(7);
 //! batch.push_put(7, 701);
 //! batch.push_get(7);
-//! map.execute(&mut batch, BatchPolicy::RunAll);
+//! session.execute(&mut batch, BatchPolicy::RunAll);
 //! assert_eq!(batch.responses()[2], Response::Value(Some(701)));
 //!
 //! // Or keep a stream of operations in flight with a bounded pipeline:
 //! // prefetch at submit, order-preserving completion.
-//! let session = map.session();
 //! let mut pipe = session.pipeline(16);
 //! pipe.submit(Request::Get(7));
 //! assert_eq!(pipe.drain()[0], Response::Value(Some(701)));

@@ -194,6 +194,9 @@ impl Engine for Session<'_> {
     fn prefetch(&self, key: u64) {
         Session::prefetch(self, key);
     }
+    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+        Session::execute(self, batch, policy);
+    }
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         Session::execute_prefetched(self, batch, policy);
     }

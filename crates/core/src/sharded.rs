@@ -12,10 +12,9 @@
 //! * **Contention is partitioned.** Registry announcements, link-bucket
 //!   allocation, and retire/GC bookkeeping are all per shard.
 //! * **The operations API is unchanged.** `ShardedTable` implements the full
-//!   [`crate::KvBackend`] contract — including the batch entry points, and a
-//!   [`ShardedSession`] as the engine a [`Pipeline`] drives — so every
-//!   workload, benchmark, and example drives it interchangeably with a
-//!   single table.
+//!   [`crate::KvBackend`] contract, with a [`ShardedSession`] as the engine
+//!   its batches and a [`Pipeline`] run through, so every workload,
+//!   benchmark, and example drives it interchangeably with a single table.
 //!
 //! ## Routing
 //!
@@ -29,11 +28,11 @@
 //!
 //! ## Batch semantics
 //!
-//! [`ShardedTable::execute`] opens a [`ShardedSession`], which holds one
-//! [`Session`] per shard and routes each request to its shard's session (a
-//! one-shard table runs on its shard directly). A batch enters every shard
-//! once, prefetches each request's bin from the index its shard entered,
-//! then runs through the same in-order loop as a single [`DlhtMap`]:
+//! Batches run through a per-thread [`ShardedSession`], which holds one
+//! [`Session`] per shard and routes each request to its shard's session.
+//! [`ShardedSession::execute`] enters every shard once, prefetches each
+//! request's bin from the index its shard entered, then runs through the
+//! same in-order loop as a single [`DlhtMap`]:
 //!
 //! * requests execute strictly in submission order under every policy,
 //!   [`BatchPolicy::Unordered`] included, as they do on a [`DlhtMap`]
@@ -42,15 +41,16 @@
 //!   request **across all shards**.
 //!
 //! ```
-//! use dlht_core::{Batch, BatchPolicy, KvBackend, Response, ShardedTable};
+//! use dlht_core::{Batch, BatchPolicy, Response, ShardedTable};
 //!
 //! let table = ShardedTable::with_capacity(4, 10_000);
 //! table.insert(7, 700).unwrap();
 //!
+//! let session = table.session(); // one per worker thread
 //! let mut batch = Batch::with_capacity(2);
 //! batch.push_get(7);
 //! batch.push_put(7, 701);
-//! table.execute(&mut batch, BatchPolicy::RunAll);
+//! session.execute(&mut batch, BatchPolicy::RunAll);
 //! assert_eq!(batch.responses()[0], Response::Value(Some(700)));
 //! assert_eq!(table.shard_stats().len(), 4);
 //! ```
@@ -170,6 +170,13 @@ impl ShardedTable {
         &self.shards[self.shard_of(key)]
     }
 
+    /// Open a per-thread [`ShardedSession`] with one cached registry slot per
+    /// shard — the entry point for batches (see module docs) and the bounded
+    /// prefetch [`Pipeline`] over a sharded table.
+    pub fn session(&self) -> ShardedSession<'_> {
+        ShardedSession::new(self)
+    }
+
     // ------------------------------------------------------------------
     // Single-request operations (route + delegate)
     // ------------------------------------------------------------------
@@ -233,30 +240,6 @@ impl ShardedTable {
     #[inline]
     pub fn commit_shadow(&self, key: u64, commit: bool) -> bool {
         self.route(key).commit_shadow(key, commit)
-    }
-
-    // ------------------------------------------------------------------
-    // Batch execution (through a session; see module docs)
-    // ------------------------------------------------------------------
-
-    /// Execute the queued requests of `batch` in order, writing one
-    /// [`crate::Response`] per request into the batch's own response storage
-    /// — the sharded counterpart of [`DlhtMap::execute`]. Opens a
-    /// [`ShardedSession`] and runs [`ShardedSession::execute`]; that session
-    /// is one allocation per call, which a long-lived session avoids. A
-    /// one-shard table runs on its shard directly and allocates nothing.
-    pub fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
-        if let [shard] = &*self.shards {
-            return shard.execute(batch, policy);
-        }
-        self.session().execute(batch, policy);
-    }
-
-    /// Open a per-thread [`ShardedSession`] with one cached registry slot per
-    /// shard — the entry point for reusable batches and the bounded prefetch
-    /// [`Pipeline`] over a sharded table.
-    pub fn session(&self) -> ShardedSession<'_> {
-        ShardedSession::new(self)
     }
 
     // ------------------------------------------------------------------
@@ -465,6 +448,9 @@ impl Engine for ShardedSession<'_> {
     fn prefetch(&self, key: u64) {
         ShardedSession::prefetch(self, key);
     }
+    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+        ShardedSession::execute(self, batch, policy);
+    }
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         ShardedSession::execute_prefetched(self, batch, policy);
     }
@@ -500,19 +486,25 @@ mod tests {
     #[test]
     fn a_batch_enters_each_table_once() {
         use crate::registry::announce_count::during;
+        use crate::KvBackend;
         let mut batch: Batch = (0..32u64).map(Request::Get).collect();
         // Fresh sessions included: a session's first prefetch must not enter.
+        // The boxed engine of the unified API must keep the sessions'
+        // enter-once `execute`, not fall back to prefetch-then-execute.
         let map = DlhtMap::with_capacity(64);
-        assert_eq!(during(|| map.execute(&mut batch, BatchPolicy::RunAll)), 1);
         let session = map.session();
         assert_eq!(
             during(|| session.execute(&mut batch, BatchPolicy::RunAll)),
             1
         );
+        let engine = KvBackend::engine(&map);
+        assert_eq!(
+            during(|| engine.execute(&mut batch, BatchPolicy::RunAll)),
+            1
+        );
         for shards in [1, 4] {
             let t = small(shards);
             let n = shards as u64;
-            assert_eq!(during(|| t.execute(&mut batch, BatchPolicy::RunAll)), n);
             let session = t.session();
             assert_eq!(
                 during(|| session.execute(&mut batch, BatchPolicy::RunAll)),
@@ -520,6 +512,11 @@ mod tests {
             );
             assert_eq!(
                 during(|| session.execute_prefetched(&mut batch, BatchPolicy::RunAll)),
+                n
+            );
+            let engine = KvBackend::engine(&t);
+            assert_eq!(
+                during(|| engine.execute(&mut batch, BatchPolicy::RunAll)),
                 n
             );
         }

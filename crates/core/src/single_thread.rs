@@ -293,18 +293,6 @@ impl SingleThreadMap {
             Request::Delete(k) => Response::Deleted(self.delete(k)),
         });
     }
-
-    /// One-shot convenience over [`SingleThreadMap::execute`] (allocates per
-    /// call).
-    pub fn execute_batch(
-        &mut self,
-        requests: &[crate::batch::Request],
-        policy: crate::batch::BatchPolicy,
-    ) -> Vec<crate::batch::Response> {
-        let mut batch = crate::batch::Batch::from(requests);
-        self.execute(&mut batch, policy);
-        batch.into_responses()
-    }
 }
 
 #[cfg(test)]
@@ -378,17 +366,18 @@ mod tests {
 
     #[test]
     fn batch_api_without_synchronization() {
-        use crate::batch::{BatchPolicy, Request, Response};
+        use crate::batch::{Batch, BatchPolicy, Request, Response};
         let mut m = SingleThreadMap::with_capacity(64);
-        let resps = m.execute_batch(
-            &[
-                Request::Insert(1, 1),
-                Request::Get(1),
-                Request::Get(2),
-                Request::Insert(2, 2),
-            ],
-            BatchPolicy::StopOnFailure,
-        );
+        let mut batch: Batch = [
+            Request::Insert(1, 1),
+            Request::Get(1),
+            Request::Get(2),
+            Request::Insert(2, 2),
+        ]
+        .into_iter()
+        .collect();
+        m.execute(&mut batch, BatchPolicy::StopOnFailure);
+        let resps = batch.responses();
         assert_eq!(resps[1], Response::Value(Some(1)));
         assert_eq!(resps[2], Response::Value(None));
         assert_eq!(resps[3], Response::Skipped);

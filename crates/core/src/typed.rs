@@ -64,7 +64,7 @@ fn get_many_inline<K: KvCodec, V: KvCodec>(map: &DlhtMap, keys: &[K], out: &mut 
         for k in keys {
             batch.push_get(k.encode_word());
         }
-        map.execute(batch, BatchPolicy::RunAll);
+        map.session().execute(batch, BatchPolicy::RunAll);
         out.extend(batch.responses().iter().map(|r| match r {
             Response::Value(v) => v.map(V::decode_word),
             _ => None,
@@ -514,7 +514,7 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
     ) -> Result<(), DlhtError> {
         match &self.inner {
             Inner::Inline(map) => {
-                map.execute(&mut batch.raw, policy);
+                map.session().execute(&mut batch.raw, policy);
                 Ok(())
             }
             Inner::Alloc(_) => Err(DlhtError::UnsupportedInMode),

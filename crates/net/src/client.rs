@@ -309,7 +309,7 @@ impl<S: Read + Write> DlhtClient<S> {
 
     /// Execute `batch` remotely under an explicit [`BatchPolicy`] (one
     /// `BATCH` frame, one `RESP_BATCH` frame back), filling the batch's own
-    /// response storage exactly like a local `KvBackend::execute`.
+    /// response storage exactly like a local `Engine::execute`.
     ///
     /// Batches larger than one frame can carry ([`wire::MAX_PAYLOAD`], about
     /// 61k requests) are split transparently; under

@@ -11,16 +11,15 @@
 //! flush is processed as one drain.
 //!
 //! [`LoopbackBackend`] closes the loop for the test suites: it implements
-//! [`KvBackend`] by driving any inner backend *through the wire*, so the
-//! model-differential oracle validates the protocol path with the same
-//! random sequences it replays against the tables directly.
+//! [`KvBackend`] and [`Engine`] by driving any inner backend *through the
+//! wire*, so the model-differential oracle validates the protocol path with
+//! the same random sequences it replays against the tables directly.
 
 use crate::client::{DlhtClient, NetError};
 use crate::service::Service;
 use crate::wire::RemoteStats;
 use dlht_core::{
-    BackendEngine, Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures,
-    TableStats,
+    Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures, TableStats,
 };
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -118,7 +117,28 @@ pub fn loopback_client<E: Engine>(engine: E) -> DlhtClient<LoopbackTransport<E>>
     DlhtClient::new(LoopbackTransport::new(engine))
 }
 
-type LoopbackClient = DlhtClient<LoopbackTransport<BackendEngine<Arc<dyn KvBackend>>>>;
+/// The server side of a [`LoopbackBackend`]: each batch runs on a fresh
+/// engine of the served backend (a test harness can afford one per batch),
+/// so the wire keeps that backend's own batch semantics, reordering included.
+struct Served(Arc<dyn KvBackend>);
+
+impl Engine for Served {
+    fn prefetch(&self, _key: u64) {}
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
+        self.0.engine().execute(batch, policy);
+    }
+    fn table_stats(&self) -> TableStats {
+        self.0.stats()
+    }
+    fn retired_index_count(&self) -> usize {
+        self.0.retired_indexes()
+    }
+    fn live_keys(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+type LoopbackClient = DlhtClient<LoopbackTransport<Served>>;
 
 /// Any [`KvBackend`] served **through the wire protocol** in-process: every
 /// operation is encoded into frames, decoded by the server-side [`Service`],
@@ -126,10 +146,11 @@ type LoopbackClient = DlhtClient<LoopbackTransport<BackendEngine<Arc<dyn KvBacke
 ///
 /// `name()` and `features()` pass through to the inner backend so
 /// capability-probing test harnesses (the model-differential oracle) treat
-/// the wrapped table exactly like the bare one. Batch execution defaults to
-/// one explicit `BATCH` frame; [`LoopbackBackend::with_pipelined_singles`]
-/// instead sends `RunAll` batches as pipelined plain frames, exercising the
-/// server-side drain-into-batch path.
+/// the wrapped table exactly like the bare one. The backend is its own
+/// [`Engine`]: a batch travels as one explicit `BATCH` frame by default;
+/// [`LoopbackBackend::with_pipelined_singles`] instead sends `RunAll`
+/// batches as pipelined plain frames, exercising the server-side
+/// drain-into-batch path.
 pub struct LoopbackBackend {
     name: &'static str,
     features: MapFeatures,
@@ -156,7 +177,7 @@ impl LoopbackBackend {
         LoopbackBackend {
             name: backend.name(),
             features: backend.features(),
-            client: Mutex::new(loopback_client(BackendEngine(backend))),
+            client: Mutex::new(loopback_client(Served(backend))),
             pipelined_singles,
         }
     }
@@ -219,7 +240,15 @@ impl KvBackend for LoopbackBackend {
         true
     }
 
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+    fn engine(&self) -> Box<dyn Engine + '_> {
+        Box::new(self)
+    }
+}
+
+/// Nothing to prefetch on this side of the wire: a batch is one round trip.
+impl Engine for LoopbackBackend {
+    fn prefetch(&self, _key: u64) {}
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         if self.pipelined_singles && policy == BatchPolicy::RunAll {
             let (requests, responses) = batch.begin_execution();
             self.with_client(|c| c.pipelined_into(requests, responses));
@@ -227,12 +256,27 @@ impl KvBackend for LoopbackBackend {
             self.with_client(|c| c.execute(batch, policy));
         }
     }
+    fn table_stats(&self) -> TableStats {
+        self.remote_stats().table
+    }
+    fn retired_index_count(&self) -> usize {
+        self.remote_stats().retired as usize
+    }
+    fn live_keys(&self) -> u64 {
+        self.with_client(|c| c.server_len())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dlht_core::{Request, Response, ShardedTable};
+
+    fn run(lb: &LoopbackBackend, reqs: &[Request], policy: BatchPolicy) -> Vec<Response> {
+        let mut batch = Batch::from(reqs);
+        lb.engine().execute(&mut batch, policy);
+        batch.into_responses()
+    }
 
     fn loopback(pipelined: bool) -> LoopbackBackend {
         let table: Arc<dyn KvBackend> = Arc::new(ShardedTable::with_capacity(2, 1024));
@@ -267,7 +311,7 @@ mod tests {
                 Request::Delete(1),
                 Request::Get(1),
             ];
-            let out = lb.execute_batch(&reqs, BatchPolicy::RunAll);
+            let out = run(&lb, &reqs, BatchPolicy::RunAll);
             assert_eq!(out[1], Response::Value(Some(10)), "pipelined={pipelined}");
             assert_eq!(out[3], Response::Value(Some(11)), "pipelined={pipelined}");
             assert_eq!(out[5], Response::Value(None), "pipelined={pipelined}");
@@ -278,7 +322,8 @@ mod tests {
     fn stop_on_failure_skips_over_the_wire() {
         for pipelined in [false, true] {
             let lb = loopback(pipelined);
-            let out = lb.execute_batch(
+            let out = run(
+                &lb,
                 &[
                     Request::Insert(1, 1),
                     Request::Get(999),
@@ -308,13 +353,14 @@ mod tests {
     #[test]
     fn reusable_batches_stay_consistent_across_reuse() {
         let lb = loopback(true);
+        let engine = lb.engine();
         let mut batch = Batch::with_capacity(3);
         for round in 0..10u64 {
             batch.clear();
             batch.push_insert(round, round * 7);
             batch.push_get(round);
             batch.push_delete(round);
-            lb.execute(&mut batch, BatchPolicy::RunAll);
+            engine.execute(&mut batch, BatchPolicy::RunAll);
             assert_eq!(batch.responses()[1], Response::Value(Some(round * 7)));
         }
         assert_eq!(lb.len(), 0);

@@ -8,8 +8,9 @@
 //! behind a lock. `RemoteBackend` therefore keeps **one connection per
 //! (thread, backend)** in a thread-local registry — mirroring the server's
 //! thread-per-connection model, so an N-thread workload run exercises N
-//! server connections. Batch execution maps to one `BATCH` frame (one round
-//! trip per batch: wire batching ≙ table batching).
+//! server connections. The backend is its own [`Engine`]: a batch maps to
+//! one `BATCH` frame (one round trip per batch: wire batching ≙ table
+//! batching).
 //!
 //! Network failures inside the `KvBackend` surface (which has no error
 //! channel for Gets/Puts/Deletes) **panic** with context rather than
@@ -18,7 +19,9 @@
 
 use crate::client::{DlhtClient, NetError};
 use crate::wire::RemoteStats;
-use dlht_core::{Batch, BatchPolicy, DlhtError, InsertOutcome, KvBackend, MapFeatures, TableStats};
+use dlht_core::{
+    Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures, TableStats,
+};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -150,8 +153,26 @@ impl KvBackend for RemoteBackend {
         true
     }
 
-    fn execute(&self, batch: &mut Batch, policy: BatchPolicy) {
+    fn engine(&self) -> Box<dyn Engine + '_> {
+        Box::new(self)
+    }
+}
+
+/// Nothing to prefetch on this side of the wire: a batch is one round trip
+/// on this thread's connection.
+impl Engine for RemoteBackend {
+    fn prefetch(&self, _key: u64) {}
+    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         self.with_conn(|c| c.execute(batch, policy));
+    }
+    fn table_stats(&self) -> TableStats {
+        self.remote_stats().table
+    }
+    fn retired_index_count(&self) -> usize {
+        self.remote_stats().retired as usize
+    }
+    fn live_keys(&self) -> u64 {
+        self.with_conn(|c| c.server_len())
     }
 }
 
@@ -225,10 +246,11 @@ mod tests {
             }
         });
         assert_eq!(remote.len(), 1 + 150);
-        let out = remote.execute_batch(
-            &[Request::Get(1), Request::Delete(1), Request::Get(1)],
-            BatchPolicy::RunAll,
-        );
+        let mut batch: Batch = [Request::Get(1), Request::Delete(1), Request::Get(1)]
+            .into_iter()
+            .collect();
+        remote.engine().execute(&mut batch, BatchPolicy::RunAll);
+        let out = batch.responses();
         assert_eq!(out[0], Response::Value(Some(10)));
         assert_eq!(out[2], Response::Value(None));
         let counters = server.shutdown();

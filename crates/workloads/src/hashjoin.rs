@@ -75,8 +75,9 @@ pub fn run_hash_join_on(
             s.spawn(move || {
                 let mut local_matches = 0u64;
                 let mut probe = t;
-                // One reusable batch per thread: the probe loop allocates
-                // nothing once the buffers are warm.
+                // One engine and one reusable batch per thread: the probe loop
+                // allocates nothing once the buffers are warm.
+                let engine = map.engine();
                 let mut batch = Batch::with_capacity(batch_size.max(1));
                 while probe < s_tuples {
                     if batched {
@@ -85,7 +86,7 @@ pub fn run_hash_join_on(
                             batch.push_get(probe % r_tuples);
                             probe += threads;
                         }
-                        map.execute(&mut batch, BatchPolicy::RunAll);
+                        engine.execute(&mut batch, BatchPolicy::RunAll);
                         for resp in batch.responses() {
                             match resp {
                                 Response::Value(Some(_)) => local_matches += 1,

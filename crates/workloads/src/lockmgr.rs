@@ -66,6 +66,7 @@ pub fn run_lock_manager_on(
             let acquired = &acquired;
             let conflicted = &conflicted;
             s.spawn(move || {
+                let engine = locks.engine();
                 let mut rng = Xoshiro256::new(0x10C4 + t as u64);
                 let mut ops = 0u64;
                 let mut ok = 0u64;
@@ -91,7 +92,7 @@ pub fn run_lock_manager_on(
                         for &k in &keys {
                             lock_batch.push_insert(k, 0);
                         }
-                        locks.execute(&mut lock_batch, BatchPolicy::StopOnFailure);
+                        engine.execute(&mut lock_batch, BatchPolicy::StopOnFailure);
                         let mut all = true;
                         unlock_batch.clear();
                         for (&k, resp) in keys.iter().zip(lock_batch.responses()) {
@@ -110,7 +111,7 @@ pub fn run_lock_manager_on(
                         }
                         if !unlock_batch.is_empty() {
                             ops += unlock_batch.len() as u64;
-                            locks.execute(&mut unlock_batch, BatchPolicy::RunAll);
+                            engine.execute(&mut unlock_batch, BatchPolicy::RunAll);
                         }
                         all
                     } else {

@@ -206,12 +206,13 @@ pub fn prepopulate(map: &dyn KvBackend, n: u64) {
     }
 }
 
-/// [`prepopulate`] through the batch path, `chunk` inserts per
-/// `execute_batch` call. Same final contents; essential for remote backends
+/// [`prepopulate`] through the batch path, `chunk` inserts per batch on
+/// one engine. Same final contents; essential for remote backends
 /// (`dlht-net`'s `--server` mode), where each batch is one network round
 /// trip instead of `n` of them.
 pub fn prepopulate_batched(map: &dyn KvBackend, n: u64, chunk: usize) {
     let chunk = (chunk.max(1) as u64).min(n.max(1));
+    let engine = map.engine();
     let mut batch = Batch::with_capacity(chunk as usize);
     let mut k = 0u64;
     while k < n {
@@ -220,7 +221,7 @@ pub fn prepopulate_batched(map: &dyn KvBackend, n: u64, chunk: usize) {
             batch.push_insert(k, k);
             k += 1;
         }
-        map.execute(&mut batch, BatchPolicy::RunAll);
+        engine.execute(&mut batch, BatchPolicy::RunAll);
     }
 }
 
@@ -296,10 +297,12 @@ fn run_thread(
     // Reused across every iteration: steady-state execution touches the
     // allocator only while the buffers warm up.
     let mut batch = Batch::with_capacity(batch_size * 2);
-    // One per-thread engine (a session for DLHT's tables) carries every
-    // pipelined submission: one enter/leave per flush, none per prefetch.
+    // One per-thread engine (a session for DLHT's tables) carries every batch
+    // and every pipelined submission: one enter/leave per batch or flush,
+    // none per prefetch.
+    let engine = map.engine();
     let mut pipeline =
-        (spec.pipeline_depth > 0).then(|| Pipeline::new(map.engine(), spec.pipeline_depth));
+        (spec.pipeline_depth > 0).then(|| Pipeline::new(&engine, spec.pipeline_depth));
     let mix = spec.mix;
 
     while !stop.load(Ordering::Relaxed) {
@@ -348,7 +351,7 @@ fn run_thread(
             }
         } else if batching {
             spin_ns(spec.remote_latency_ns); // one exposed miss per batch
-            map.execute(&mut batch, BatchPolicy::RunAll);
+            engine.execute(&mut batch, BatchPolicy::RunAll);
             std::hint::black_box(batch.responses());
         } else {
             for req in batch.requests() {

@@ -22,8 +22,9 @@ fn main() {
     }
     let build_time = start.elapsed();
 
-    // Probe pass 1: discrete batches of 32 through one reused buffer — the
-    // steady-state loop performs zero heap allocations.
+    // Probe pass 1: discrete batches of 32 through one reused buffer on the
+    // per-thread engine both passes share — zero steady-state allocations.
+    let engine = map.engine();
     let probe_start = Instant::now();
     let mut matches = 0u64;
     let mut join_sum = 0u64;
@@ -36,7 +37,7 @@ fn main() {
             batch.push_get(s % r_tuples);
             s += 1;
         }
-        map.execute(&mut batch, BatchPolicy::RunAll);
+        engine.execute(&mut batch, BatchPolicy::RunAll);
         for resp in batch.responses() {
             if let Response::Value(Some(row)) = resp {
                 matches += 1;
@@ -50,7 +51,7 @@ fn main() {
     // submit, order-preserving completion, no window boundaries.
     let pipe_start = Instant::now();
     let mut pipe_matches = 0u64;
-    let mut pipe = Pipeline::new(map.engine(), 32);
+    let mut pipe = Pipeline::new(&engine, 32);
     let mut count_match = |resp: Response| {
         if matches!(resp, Response::Value(Some(_))) {
             pipe_matches += 1;

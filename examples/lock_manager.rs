@@ -3,8 +3,9 @@
 //! releases the lock, and order-preserving batches implement two-phase
 //! locking without deadlocks.
 //!
-//! Each worker reuses one [`Batch`] for its lock phase and one for its unlock
-//! phase, so the steady-state transaction loop performs no heap allocations;
+//! Each worker holds one engine and reuses one [`Batch`] for its lock phase
+//! and one for its unlock phase, so the steady-state transaction loop
+//! performs no heap allocations;
 //! [`BatchPolicy::StopOnFailure`] expresses "stop at the first busy lock",
 //! and skipped slots (never attempted) are handled explicitly.
 //!
@@ -31,6 +32,7 @@ fn main() {
                     seed ^= seed << 17;
                     seed
                 };
+                let engine = locks.engine();
                 let mut lock_batch = Batch::with_capacity(4);
                 let mut unlock_batch = Batch::with_capacity(4);
                 for _ in 0..10_000 {
@@ -46,7 +48,7 @@ fn main() {
                     for &r in &records {
                         lock_batch.push_insert(r, t);
                     }
-                    locks.execute(&mut lock_batch, BatchPolicy::StopOnFailure);
+                    engine.execute(&mut lock_batch, BatchPolicy::StopOnFailure);
 
                     // Release exactly what was acquired: skipped slots were
                     // never attempted, failed slots were busy — neither holds
@@ -66,7 +68,7 @@ fn main() {
                         aborted.fetch_add(1, Ordering::Relaxed);
                     }
                     if !unlock_batch.is_empty() {
-                        locks.execute(&mut unlock_batch, BatchPolicy::RunAll);
+                        engine.execute(&mut unlock_batch, BatchPolicy::RunAll);
                     }
                 }
             });

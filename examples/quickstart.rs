@@ -55,15 +55,17 @@ fn main() {
     assert_eq!(tbatch.response(1), Some(TypedResponse::Value(Some(1))));
 
     // The same table through the unified KvBackend trait — the interface the
-    // workload runner drives every table (DLHT and baselines) with. The
-    // Batch owns request *and* response storage: clear() + refill executes
-    // with zero steady-state allocations.
+    // workload runner drives every table (DLHT and baselines) with. Batches
+    // run through the per-thread engine it hands out. The Batch owns request
+    // *and* response storage: clear() + refill executes with zero
+    // steady-state allocations.
     let backend: &dyn KvBackend = ids.inline_map().unwrap();
+    let engine = backend.engine();
     let mut batch = Batch::with_capacity(32);
     for k in 0..32u64 {
         batch.push_get(k * 100);
     }
-    backend.execute(&mut batch, BatchPolicy::RunAll);
+    engine.execute(&mut batch, BatchPolicy::RunAll);
     let hits = batch
         .responses()
         .iter()

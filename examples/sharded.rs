@@ -43,17 +43,17 @@ fn main() {
     }
 
     // ShardedTable implements the full KvBackend contract: batches run in
-    // submission order through a per-shard session each, and a bounded
-    // prefetch pipeline rides on the same sessions.
+    // submission order through a per-thread session that holds one session
+    // per shard, and a bounded prefetch pipeline rides on the same session.
+    let session = map.session();
     let mut batch = Batch::with_capacity(4);
     batch.push_get(0);
     batch.push_put(0, 7);
     batch.push_get(0);
     batch.push_delete(0);
-    map.execute(&mut batch, BatchPolicy::RunAll);
+    session.execute(&mut batch, BatchPolicy::RunAll);
     assert_eq!(batch.responses()[2], Response::Value(Some(7)));
 
-    let session = map.session();
     let mut pipe = session.pipeline(16);
     let mut hits = 0usize;
     for k in 1..10_000u64 {

@@ -41,12 +41,12 @@
 //! exercise(&docs, "answer".to_string(), vec![42u8; 100]).unwrap();
 //! ```
 //!
-//! And the unified batch-and-pipeline API works on any backend. A reusable
-//! [`Batch`] owns request *and* response storage (zero allocations once
-//! warm), [`BatchPolicy`] replaces the old `stop_on_failure: bool`, and a
-//! bounded [`Pipeline`] keeps a stream of prefetched operations in flight
-//! with order-preserving completion, over the per-thread [`Engine`] any
-//! backend hands out:
+//! And the unified batch-and-pipeline API works on any backend, through the
+//! per-thread [`Engine`] every backend hands out. A reusable [`Batch`] owns
+//! request *and* response storage (zero allocations once warm),
+//! [`BatchPolicy`] replaces the old `stop_on_failure: bool`, and a bounded
+//! [`Pipeline`] keeps a stream of prefetched operations in flight with
+//! order-preserving completion:
 //!
 //! ```
 //! use dlht::{Batch, BatchPolicy, DlhtMap, KvBackend, Pipeline, Request, Response};
@@ -55,12 +55,13 @@
 //! let backend: &dyn KvBackend = &map;
 //! backend.insert(1, 100).unwrap();
 //!
+//! let engine = backend.engine(); // one per worker thread
 //! let mut batch = Batch::with_capacity(1);
 //! batch.push_get(1);
-//! backend.execute(&mut batch, BatchPolicy::RunAll);
+//! engine.execute(&mut batch, BatchPolicy::RunAll);
 //! assert_eq!(batch.responses()[0], Response::Value(Some(100)));
 //!
-//! let mut pipe = Pipeline::new(backend.engine(), 8);
+//! let mut pipe = Pipeline::new(&engine, 8);
 //! pipe.submit(Request::Get(1));
 //! assert_eq!(pipe.drain()[0], Response::Value(Some(100)));
 //! ```

@@ -69,12 +69,13 @@ fn batched_execution_matches_sequential_execution() {
     let expected = sequential_reference(&stream);
     for window in [1usize, 3, 16, 64, 1_000] {
         let map = DlhtMap::with_capacity(4_096);
+        let session = map.session();
         let mut batch = Batch::with_capacity(window);
         let mut got = Vec::with_capacity(stream.len());
         for chunk in stream.chunks(window) {
             batch.clear();
             batch.extend(chunk.iter().copied());
-            map.execute(&mut batch, BatchPolicy::RunAll);
+            session.execute(&mut batch, BatchPolicy::RunAll);
             got.extend_from_slice(batch.responses());
         }
         assert_eq!(got, expected, "batch window {window} diverged");
@@ -86,25 +87,26 @@ fn cleared_batch_refills_without_stale_state() {
     // Aliasing check: a batch reused across wildly different shapes must
     // never leak requests or responses from a previous round.
     let map = DlhtMap::with_capacity(1_024);
+    let session = map.session();
     let mut batch = Batch::new();
 
     batch.push_insert(1, 10);
     batch.push_insert(2, 20);
     batch.push_insert(3, 30);
-    map.execute(&mut batch, BatchPolicy::RunAll);
+    session.execute(&mut batch, BatchPolicy::RunAll);
     assert_eq!(batch.len(), 3);
     assert_eq!(batch.responses().len(), 3);
 
     // Smaller refill: lengths shrink, old slots are gone.
     batch.clear();
     batch.push_get(2);
-    map.execute(&mut batch, BatchPolicy::RunAll);
+    session.execute(&mut batch, BatchPolicy::RunAll);
     assert_eq!(batch.requests(), &[Request::Get(2)]);
     assert_eq!(batch.responses(), &[Response::Value(Some(20))]);
 
     // Executing the SAME batch again without clearing re-runs the same
     // requests and overwrites the responses (no accumulation).
-    map.execute(&mut batch, BatchPolicy::RunAll);
+    session.execute(&mut batch, BatchPolicy::RunAll);
     assert_eq!(batch.responses(), &[Response::Value(Some(20))]);
 
     // Larger refill after clear.
@@ -112,7 +114,7 @@ fn cleared_batch_refills_without_stale_state() {
     for k in 0..10u64 {
         batch.push_get(k);
     }
-    map.execute(&mut batch, BatchPolicy::RunAll);
+    session.execute(&mut batch, BatchPolicy::RunAll);
     assert_eq!(batch.responses().len(), 10);
     assert_eq!(batch.responses()[1], Response::Value(Some(10)));
     assert_eq!(batch.responses()[5], Response::Value(None));
@@ -152,15 +154,4 @@ fn pipeline_over_trait_objects_works() {
     assert_eq!(out.len(), 20);
     assert!(out.iter().all(|r| r.succeeded()));
     assert_eq!(map.len(), 20);
-}
-
-#[test]
-fn one_shot_slice_wrapper_agrees_with_reusable_batch() {
-    let stream = request_stream(200);
-    let map_a = DlhtMap::with_capacity(1_024);
-    let map_b = DlhtMap::with_capacity(1_024);
-    let one_shot = map_a.execute_batch(&stream, BatchPolicy::RunAll);
-    let mut batch: Batch = stream.iter().copied().collect();
-    map_b.execute(&mut batch, BatchPolicy::RunAll);
-    assert_eq!(one_shot.as_slice(), batch.responses());
 }

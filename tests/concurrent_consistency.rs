@@ -109,9 +109,9 @@ fn batches_interleaved_with_singles_agree() {
             let map = &map;
             s.spawn(move || {
                 let base = t * 1_000_000;
-                let reqs: Vec<Request> = (0..500).map(|i| Request::Insert(base + i, i)).collect();
-                let resps = map.execute_batch(&reqs, BatchPolicy::RunAll);
-                assert!(resps.iter().all(|r| r.succeeded()));
+                let mut batch: Batch = (0..500).map(|i| Request::Insert(base + i, i)).collect();
+                map.session().execute(&mut batch, BatchPolicy::RunAll);
+                assert!(batch.responses().iter().all(|r| r.succeeded()));
                 // Read them back through the single-request path.
                 for i in 0..500u64 {
                     assert_eq!(map.get(base + i), Some(i));
@@ -121,9 +121,9 @@ fn batches_interleaved_with_singles_agree() {
     });
     assert_eq!(map.len(), 2_000);
     // And via a batch of gets.
-    let gets: Vec<Request> = (0..500).map(Request::Get).collect();
-    let out = map.execute_batch(&gets, BatchPolicy::RunAll);
-    for (i, r) in out.iter().enumerate() {
+    let mut gets: Batch = (0..500).map(Request::Get).collect();
+    map.session().execute(&mut gets, BatchPolicy::RunAll);
+    for (i, r) in gets.responses().iter().enumerate() {
         assert_eq!(*r, Response::Value(Some(i as u64)));
     }
 }
@@ -147,6 +147,7 @@ fn reused_batches_race_deletes_and_resizes_with_order_preserved() {
             let map = &map;
             s.spawn(move || {
                 let base = 10_000_000 * (t + 1);
+                let session = map.session();
                 let mut batch = Batch::with_capacity(24);
                 for round in 0..400u64 {
                     batch.clear();
@@ -159,7 +160,7 @@ fn reused_batches_race_deletes_and_resizes_with_order_preserved() {
                         batch.push_delete(k);
                         batch.push_get(k);
                     }
-                    map.execute(&mut batch, BatchPolicy::RunAll);
+                    session.execute(&mut batch, BatchPolicy::RunAll);
                     let resps = batch.responses();
                     assert_eq!(resps.len(), 24);
                     for i in 0..4usize {

@@ -19,7 +19,7 @@
 //! CI stress step runs these suites that way.
 
 use dlht::{
-    BatchPolicy, DlhtConfig, DlhtMap, DlhtSet, InsertOutcome, KvBackend, Pipeline, Request,
+    Batch, BatchPolicy, DlhtConfig, DlhtMap, DlhtSet, InsertOutcome, KvBackend, Pipeline, Request,
     Response, ShardedTable, SingleThreadMap,
 };
 use dlht_baselines::MapKind;
@@ -258,23 +258,30 @@ fn batch_requests(rng: &mut u64, len: usize, caps: &Caps) -> Vec<Request> {
         .collect()
 }
 
-/// Replay `ops` random operations (singles + one-shot batches under every
-/// policy) against `map`, validating every response against the model.
+/// Replay `ops` random operations (singles + batches under every policy,
+/// through one engine) against `map`, validating every response against the
+/// model.
 fn differential_run(map: &dyn KvBackend, seed: u64, ops: usize) {
     let caps = probe_caps(map);
+    let engine = map.engine();
+    let run = |reqs: &[Request], policy| {
+        let mut batch = Batch::from(reqs);
+        engine.execute(&mut batch, policy);
+        batch.into_responses()
+    };
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rng = 0xD1FF ^ (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let name = map.name();
     for step in 0..ops {
         let ctx = format!("{name} seed {seed} step {step}");
         match splitmix(&mut rng) % 100 {
-            // One-shot batches, cycling through the three policies.
+            // Batches, cycling through the three policies.
             0..=9 => {
                 let len = 2 + (splitmix(&mut rng) % 7) as usize;
                 match splitmix(&mut rng) % 3 {
                     0 => {
                         let reqs = batch_requests(&mut rng, len, &caps);
-                        let out = map.execute_batch(&reqs, BatchPolicy::RunAll);
+                        let out = run(&reqs, BatchPolicy::RunAll);
                         assert_eq!(out.len(), reqs.len(), "{ctx}");
                         for (req, resp) in reqs.iter().zip(&out) {
                             check_response(&mut model, &caps, *req, *resp, &ctx);
@@ -282,7 +289,7 @@ fn differential_run(map: &dyn KvBackend, seed: u64, ops: usize) {
                     }
                     1 => {
                         let reqs = batch_requests(&mut rng, len, &caps);
-                        let out = map.execute_batch(&reqs, BatchPolicy::StopOnFailure);
+                        let out = run(&reqs, BatchPolicy::StopOnFailure);
                         let mut stopped = false;
                         for (i, (req, resp)) in reqs.iter().zip(&out).enumerate() {
                             if stopped {
@@ -308,7 +315,7 @@ fn differential_run(map: &dyn KvBackend, seed: u64, ops: usize) {
                         let reqs: Vec<Request> = (0..len)
                             .map(|_| Request::Get(sample_key(&mut rng)))
                             .collect();
-                        let out = map.execute_batch(&reqs, BatchPolicy::Unordered);
+                        let out = run(&reqs, BatchPolicy::Unordered);
                         for (req, resp) in reqs.iter().zip(&out) {
                             check_response(&mut model, &caps, *req, *resp, &ctx);
                         }
@@ -417,7 +424,7 @@ fn differential_loopback_wire_backends() {
     // The same oracle, but every backend is served **through the wire**: the
     // dlht-net loopback transport encodes every operation into frames, the
     // server-side Service decodes and executes them, and the response frames
-    // decode back — so the whole protocol path (singles, one-shot batches
+    // decode back — so the whole protocol path (singles, batches
     // under all three BatchPolicy values, upserts, reserved keys) is
     // validated against the BTreeMap model. `name()` passes through, so the
     // capability probing treats each wrapped table like the bare one.

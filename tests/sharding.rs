@@ -38,6 +38,13 @@ fn shard_assignment_is_stable_across_resizes() {
     }
 }
 
+/// Run `reqs` as one batch through `backend`'s engine.
+fn run(backend: &dyn KvBackend, reqs: &[Request], policy: BatchPolicy) -> Vec<Response> {
+    let mut batch = Batch::from(reqs);
+    backend.engine().execute(&mut batch, policy);
+    batch.into_responses()
+}
+
 /// Drive the same seeded operation sequence (singles + batches under every
 /// policy) through two backends and assert identical observable behaviour.
 fn assert_behaviorally_identical(a: &dyn KvBackend, b: &dyn KvBackend, seed: u64, ops: usize) {
@@ -74,8 +81,8 @@ fn assert_behaviorally_identical(a: &dyn KvBackend, b: &dyn KvBackend, seed: u64
                 _ => BatchPolicy::Unordered,
             };
             assert_eq!(
-                a.execute_batch(&reqs, policy),
-                b.execute_batch(&reqs, policy),
+                run(a, &reqs, policy),
+                run(b, &reqs, policy),
                 "{ctx} ({policy:?})"
             );
         }
@@ -151,7 +158,8 @@ fn cross_shard_batches_keep_submission_slot_order_under_every_policy() {
         for &k in &keys {
             batch.push_delete(k);
         }
-        table.execute(&mut batch, BatchPolicy::RunAll);
+        let session = table.session();
+        session.execute(&mut batch, BatchPolicy::RunAll);
         let n = keys.len();
         for (i, &k) in keys.iter().enumerate() {
             assert!(
@@ -163,15 +171,15 @@ fn cross_shard_batches_keep_submission_slot_order_under_every_policy() {
             assert_eq!(batch.responses()[3 * n + i], Response::Deleted(Some(k + 2)));
         }
 
-        // Unordered: cross-shard reordering is allowed, but responses land
-        // in submission slots and within-shard order holds (the insert at a
-        // lower slot is visible to the same key's get at a higher slot).
+        // Unordered: sharded batches run in submission order under every
+        // policy, so each key's insert at a lower slot is visible to its get
+        // at a higher slot, and responses land in submission slots.
         let mut batch = Batch::new();
         for &k in &keys {
             batch.push_insert(k, k * 10);
             batch.push_get(k);
         }
-        table.execute(&mut batch, BatchPolicy::Unordered);
+        session.execute(&mut batch, BatchPolicy::Unordered);
         for (i, &k) in keys.iter().enumerate() {
             assert!(
                 matches!(batch.responses()[2 * i], Response::Inserted(Ok(o)) if o.inserted()),
@@ -197,7 +205,7 @@ fn cross_shard_batches_keep_submission_slot_order_under_every_policy() {
             Request::Insert(keys[1], 9), // other shard -> must be skipped
             Request::Get(keys[2]),       // third shard -> must be skipped
         ];
-        let out = table.execute_batch(&reqs, BatchPolicy::StopOnFailure);
+        let out = run(&table, &reqs, BatchPolicy::StopOnFailure);
         assert_eq!(out[0], Response::Value(Some(5)));
         assert!(!out[1].succeeded());
         assert!(!out[1].is_skipped(), "the failing request itself executed");
@@ -241,7 +249,7 @@ fn sharded_session_pipeline_matches_serial_execution() {
         }
         // The pipeline must behave exactly like serial execution of the same
         // stream on an identical table.
-        let serial_out = serial.execute_batch(&submitted, BatchPolicy::RunAll);
+        let serial_out = run(&serial, &submitted, BatchPolicy::RunAll);
         assert_eq!(piped, serial_out, "depth {depth}");
         // Keep the tables in lockstep for the next depth.
         for k in 0..48u64 {

@@ -4,12 +4,19 @@
 //! identity property test for the `Inline8` encoding.
 
 use dlht::{
-    impl_inline8_codec, BatchPolicy, Dlht, DlhtError, DlhtMap, Inline8, KvBackend, KvCodec,
+    impl_inline8_codec, Batch, BatchPolicy, Dlht, DlhtError, DlhtMap, Inline8, KvBackend, KvCodec,
     Request, Response, TypedBatch, TypedResponse,
 };
 use dlht_util::splitmix64 as splitmix;
 
 const RESERVED: [u64; 2] = [u64::MAX, u64::MAX - 1];
+
+/// Run `reqs` as one batch through `backend`'s engine.
+fn run(backend: &dyn KvBackend, reqs: &[Request], policy: BatchPolicy) -> Vec<Response> {
+    let mut batch = Batch::from(reqs);
+    backend.engine().execute(&mut batch, policy);
+    batch.into_responses()
+}
 
 // ---- reserved-key rejection through every entry point ----------------------
 
@@ -67,7 +74,8 @@ fn reserved_keys_rejected_through_the_batch_path() {
     let map = DlhtMap::with_capacity(64);
     let backend: &dyn KvBackend = &map;
     for k in RESERVED {
-        let out = backend.execute_batch(
+        let out = run(
+            backend,
             &[
                 Request::Insert(k, 1),
                 Request::Get(k),
@@ -86,7 +94,8 @@ fn reserved_keys_rejected_through_the_batch_path() {
         assert_eq!(out[3], Response::Deleted(None), "{k}");
     }
     // With StopOnFailure, the reserved-key insert terminates the batch.
-    let out = backend.execute_batch(
+    let out = run(
+        backend,
         &[Request::Insert(u64::MAX, 1), Request::Insert(7, 70)],
         BatchPolicy::StopOnFailure,
     );
@@ -197,7 +206,11 @@ fn typed_inline_facade_matches_trait_view() {
     assert_eq!(backend.get(3), Some(33));
     assert_eq!(backend.get(4), Some(44));
     assert_eq!(backend.len(), typed.len());
-    let out = backend.execute_batch(&[Request::Get(3), Request::Get(4)], BatchPolicy::RunAll);
+    let out = run(
+        backend,
+        &[Request::Get(3), Request::Get(4)],
+        BatchPolicy::RunAll,
+    );
     assert_eq!(out[0], Response::Value(Some(33)));
     assert_eq!(out[1], Response::Value(Some(44)));
 }

@@ -65,23 +65,23 @@ fn warm_batch_reexecution_allocates_nothing() {
         let _ = sharded.insert(k, k).unwrap();
         let _ = one_shard.insert(k, k).unwrap();
     }
-    assert_warm_batches_allocate(0, |batch| map.execute(batch, BatchPolicy::RunAll));
-    // The backend entry point on a one-shard table: no per-call session.
-    let backend: &dyn KvBackend = &one_shard;
-    assert_warm_batches_allocate(0, |batch| backend.execute(batch, BatchPolicy::RunAll));
+    let session = map.session();
+    assert_warm_batches_allocate_nothing(|batch| session.execute(batch, BatchPolicy::RunAll));
     // A sharded session enters every shard per batch and holds each entry in
     // the per-shard slot it keeps across batches.
     let session = sharded.session();
-    assert_warm_batches_allocate(0, |batch| session.execute(batch, BatchPolicy::RunAll));
-    // The documented exception: the multi-shard backend entry point opens a
-    // session per call, and that session is a single allocation.
-    let backend: &dyn KvBackend = &sharded;
-    assert_warm_batches_allocate(1, |batch| backend.execute(batch, BatchPolicy::RunAll));
+    assert_warm_batches_allocate_nothing(|batch| session.execute(batch, BatchPolicy::RunAll));
+    // The engines the unified API hands out, over one shard and over four:
+    // a warm engine is a warm session, whatever the shard count.
+    for table in [&map as &dyn KvBackend, &one_shard, &sharded] {
+        let engine = table.engine();
+        assert_warm_batches_allocate_nothing(|batch| engine.execute(batch, BatchPolicy::RunAll));
+    }
 }
 
-/// Re-execute a warm batch 100 times through `execute` and assert it made
-/// `per_batch` heap allocations each time.
-fn assert_warm_batches_allocate(per_batch: u64, mut execute: impl FnMut(&mut Batch)) {
+/// Re-execute a warm batch 100 times through `execute` and assert it made no
+/// heap allocation.
+fn assert_warm_batches_allocate_nothing(mut execute: impl FnMut(&mut Batch)) {
     let mut batch = Batch::with_capacity(64);
     let fill = |batch: &mut Batch, round: u64| {
         batch.clear();
@@ -111,8 +111,8 @@ fn assert_warm_batches_allocate(per_batch: u64, mut execute: impl FnMut(&mut Bat
     let after = allocations();
     assert_eq!(
         after - before,
-        100 * per_batch,
-        "steady-state Batch re-execution must perform {per_batch} heap allocations per batch"
+        0,
+        "steady-state Batch re-execution must perform zero heap allocations"
     );
 }
 
