@@ -8,6 +8,7 @@ use dlht_core::{
     Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures, Pipeline,
     Request, Response,
 };
+use std::cell::Cell;
 
 const MAX_PROBES: u64 = 256;
 
@@ -29,8 +30,8 @@ impl DramhitLikeMap {
     /// requests in flight, and execute each flushed chunk through the
     /// reordering engine ([`BatchPolicy::Unordered`]). Responses still come
     /// back in submission order; execution within a chunk does not.
-    pub fn pipeline(&self, depth: usize) -> Pipeline<&Self> {
-        Pipeline::with_flush_policy(self, depth, BatchPolicy::Unordered)
+    pub fn pipeline(&self, depth: usize) -> Pipeline<DramhitEngine<'_>> {
+        Pipeline::with_flush_policy(DramhitEngine::new(self), depth, BatchPolicy::Unordered)
     }
 }
 
@@ -104,15 +105,31 @@ impl KvBackend for DramhitLikeMap {
     }
 
     fn engine(&self) -> Box<dyn Engine + '_> {
-        Box::new(self)
+        Box::new(DramhitEngine::new(self))
     }
 }
 
-/// The map is its own engine: a batch prefetches every home cell, then runs
-/// through the reordering engine.
-impl Engine for DramhitLikeMap {
+/// The DRAMHiT-like engine: a batch prefetches every home cell, then runs
+/// reordered. The order buffer is the engine's, so a warm batch on a warm
+/// engine allocates nothing.
+pub struct DramhitEngine<'a> {
+    map: &'a DramhitLikeMap,
+    /// Execution order of the last batch; taken and put back by each one.
+    order: Cell<Vec<usize>>,
+}
+
+impl<'a> DramhitEngine<'a> {
+    fn new(map: &'a DramhitLikeMap) -> Self {
+        DramhitEngine {
+            map,
+            order: Cell::new(Vec::new()),
+        }
+    }
+}
+
+impl Engine for DramhitEngine<'_> {
     fn prefetch(&self, key: u64) {
-        dlht_core::prefetch::prefetch_read(self.cells.home_cell_ptr(key));
+        dlht_core::prefetch::prefetch_read(self.map.cells.home_cell_ptr(key));
     }
 
     /// Faithfully to DRAMHiT, the requests are **reordered** (grouped by
@@ -126,21 +143,29 @@ impl Engine for DramhitLikeMap {
     fn execute_prefetched(&self, batch: &mut Batch, _policy: BatchPolicy) {
         let (requests, out) = batch.begin_execution();
         out.resize(requests.len(), Response::Value(None));
-        // Reorder by home-cell address (asynchronous engine emulation).
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| self.cells.home_cell_ptr(requests[i].key()) as usize);
-        for i in order {
+        // Reorder by home-cell address (asynchronous engine emulation),
+        // ties in submission order. Sorting on (cell, index) gives the order
+        // a stable sort by cell gives, without a stable sort's scratch buffer.
+        let mut order = self.order.take();
+        order.clear();
+        order.extend(0..requests.len());
+        order.sort_unstable_by_key(|&i| {
+            (self.map.cells.home_cell_ptr(requests[i].key()) as usize, i)
+        });
+        let map = self.map;
+        for &i in &order {
             out[i] = match requests[i] {
-                Request::Get(k) => Response::Value(self.get(k)),
-                Request::Put(k, v) => Response::Updated(self.put(k, v)),
-                Request::Insert(k, v) => Response::Inserted(self.insert(k, v)),
-                Request::Delete(k) => Response::Deleted(self.delete(k)),
+                Request::Get(k) => Response::Value(map.get(k)),
+                Request::Put(k, v) => Response::Updated(map.put(k, v)),
+                Request::Insert(k, v) => Response::Inserted(map.insert(k, v)),
+                Request::Delete(k) => Response::Deleted(map.delete(k)),
             };
         }
+        self.order.set(order);
     }
 
     fn live_keys(&self) -> u64 {
-        self.cells.live() as u64
+        self.map.cells.live() as u64
     }
 }
 
@@ -180,7 +205,7 @@ mod tests {
         }
         let reqs: Vec<Request> = (0..50u64).rev().map(Request::Get).collect();
         let mut batch = Batch::from(&reqs[..]);
-        m.execute(&mut batch, BatchPolicy::Unordered);
+        m.engine().execute(&mut batch, BatchPolicy::Unordered);
         let out = batch.responses();
         for (i, r) in out.iter().enumerate() {
             let expected_key = 49 - i as u64;
@@ -196,7 +221,7 @@ mod tests {
         let m = DramhitLikeMap::with_capacity(256);
         let reqs = [Request::Insert(10, 1), Request::Get(10)];
         let mut batch = Batch::from(&reqs[..]);
-        m.execute(&mut batch, BatchPolicy::RunAll);
+        m.engine().execute(&mut batch, BatchPolicy::RunAll);
         let out = batch.responses();
         // Whatever the internal order, results land in submission slots.
         assert_eq!(out.len(), 2);

@@ -37,7 +37,7 @@ mod tbb_like;
 pub use clht::ClhtMap;
 pub use cuckoo::CuckooMap;
 pub use dlht_adapter::DlhtNoBatchAdapter;
-pub use dramhit_like::DramhitLikeMap;
+pub use dramhit_like::{DramhitEngine, DramhitLikeMap};
 pub use folly_like::FollyLikeMap;
 pub use growt_like::GrowtLikeMap;
 pub use leapfrog_like::LeapfrogLikeMap;

@@ -78,8 +78,21 @@ fn run_single_thread_map(
     let t = Instant::now();
     match workload {
         "Get" => {
-            for _ in 0..ops {
-                std::hint::black_box(map.get(rng.next_below(keys)));
+            if batched {
+                let mut done = 0;
+                while done < ops {
+                    batch.clear();
+                    for _ in 0..BATCH {
+                        batch.push_get(rng.next_below(keys));
+                    }
+                    map.execute(&mut batch, BatchPolicy::RunAll);
+                    std::hint::black_box(batch.responses());
+                    done += BATCH as u64;
+                }
+            } else {
+                for _ in 0..ops {
+                    std::hint::black_box(map.get(rng.next_below(keys)));
+                }
             }
         }
         _ => {

@@ -31,6 +31,9 @@ const VERSION_MASK: u64 = (1 << VERSION_BITS) - 1;
 const BIN_STATE_SHIFT: u32 = 32;
 const BIN_STATE_MASK: u64 = 0b11 << BIN_STATE_SHIFT;
 const SLOT_STATE_BASE: u32 = 34;
+/// The low bit of each slot's 2-bit field, once shifted down by
+/// `SLOT_STATE_BASE`: bits 0, 2, .., 28.
+const SLOT_LOW_BITS: u64 = 0x1555_5555;
 
 /// Per-slot state (2 bits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +91,11 @@ impl BinState {
 /// A decoded/encodable view of the 8-byte bin header.
 ///
 /// All mutators return a *new* header value with the version bumped, ready to
-/// be installed with a CAS; the header word in memory is only ever modified
-/// through `AtomicU64::compare_exchange` in the table code.
+/// be installed with a CAS. In a [`crate::DlhtMap`] the header word in memory
+/// is only ever modified through `AtomicU64::compare_exchange`. A
+/// [`crate::SingleThreadMap`] installs the same values with plain `Relaxed`
+/// stores: it mutates only through `&mut self`, so no other access to its
+/// index can run between its load of the header and its store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BinHeader(pub u64);
 
@@ -140,10 +146,18 @@ impl BinHeader {
         BinHeader(cleared | ((state as u64) << BIN_STATE_SHIFT)).bump_version()
     }
 
+    /// One bit per non-`Invalid` slot, at bit `2 * slot`.
+    #[inline]
+    pub(crate) fn live_mask(self) -> u64 {
+        let s = self.0 >> SLOT_STATE_BASE;
+        (s | (s >> 1)) & SLOT_LOW_BITS
+    }
+
     /// Index of the first slot in `Invalid` state, if any.
     #[inline]
     pub fn first_invalid_slot(self) -> Option<usize> {
-        (0..SLOTS_PER_BIN).find(|&i| self.slot_state(i) == SlotState::Invalid)
+        let free = !self.live_mask() & SLOT_LOW_BITS;
+        (free != 0).then(|| free.trailing_zeros() as usize / 2)
     }
 
     /// Number of slots currently in `Valid` or `Shadow` state.

@@ -28,7 +28,7 @@
 //! | [`DlhtMap`] | Inlined — the table itself; the set and Allocator modes wrap it | 8 B | 8 B, stored in the slot |
 //! | [`DlhtAllocMap`] | Allocator | any size | any size, out-of-line record + pointer API |
 //! | [`DlhtSet`] | HashSet | 8 B | none |
-//! | [`SingleThreadMap`] | Single-thread | 8 B | 8 B, no synchronization overhead |
+//! | [`SingleThreadMap`] | Single-thread | 8 B | 8 B, on `DlhtMap`'s bin layout without synchronization |
 //! | [`ShardedTable`] | sharded front | 8 B | 8 B; N independent shards, shard-local resizes |
 //!
 //! All concurrent modes (and every baseline in `dlht-baselines`) implement

@@ -1,85 +1,33 @@
-//! Single-threaded, synchronization-overhead-free variant (§3.4.5).
+//! Single-threaded, synchronization-free mode (§3.4.5).
 //!
-//! When a client opts into single-threaded use, DLHT removes the three
-//! sources of thread-safety overhead: (1) lock-free algorithms become plain
-//! loads/stores, (2) no concurrent-resize checks, and (3) no enter/leave
-//! notifications. The paper keeps the same bin/bucket structure and simply
-//! downgrades the atomics; this module does the same with plain integers.
+//! The paper "keeps the same bin/bucket structure and simply downgrades the
+//! atomics": [`crate::DlhtMap`]'s bin scan, placement and bin walk run here on
+//! an [`Index`] under `&mut self`, so writes are plain `Relaxed` stores and
+//! reads need neither the transfer check nor the version re-read of a probe.
 
-use crate::bucket::is_reserved_key;
+use crate::batch::{Batch, BatchPolicy, Request, Response};
+use crate::bucket::{is_reserved_key, LinkMeta, PrimaryBucket};
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
-use crate::prefetch::prefetch_read;
+use crate::header::{BinHeader, SlotState};
+use crate::index::Index;
+use crate::table::Found;
+use std::sync::atomic::Ordering;
 
-const PRIMARY_SLOTS: usize = 3;
-const LINK_SLOTS: usize = 4;
-const MAX_SLOTS: usize = 15;
-const NO_LINK: u32 = u32::MAX;
-
-/// One bin: a primary bucket worth of slots plus up to three chained link
-/// buckets, mirroring the concurrent layout without any atomics.
-#[derive(Clone)]
-struct StBin {
-    /// Bitmask of occupied slots (bit i = slot i used), 15 bits.
-    used: u16,
-    keys: [u64; PRIMARY_SLOTS],
-    vals: [u64; PRIMARY_SLOTS],
-    link_first: u32,
-    link_pair: u32,
-}
-
-impl StBin {
-    fn new() -> Self {
-        StBin {
-            used: 0,
-            keys: [0; PRIMARY_SLOTS],
-            vals: [0; PRIMARY_SLOTS],
-            link_first: NO_LINK,
-            link_pair: NO_LINK,
-        }
-    }
-}
-
-#[derive(Clone)]
-struct StLink {
-    keys: [u64; LINK_SLOTS],
-    vals: [u64; LINK_SLOTS],
-}
-
-impl StLink {
-    fn new() -> Self {
-        StLink {
-            keys: [0; LINK_SLOTS],
-            vals: [0; LINK_SLOTS],
-        }
-    }
-}
-
-/// Single-threaded DLHT map (Inlined mode).
-///
-/// Functionally equivalent to [`crate::DlhtMap`] for one thread, minus all
-/// synchronization. Resizes are immediate (no transfer protocol needed).
+/// Single-threaded DLHT map (Inlined mode) on [`crate::DlhtMap`]'s layout.
 pub struct SingleThreadMap {
-    bins: Vec<StBin>,
-    links: Vec<StLink>,
-    links_used: usize,
+    index: Index,
     config: DlhtConfig,
     len: usize,
-    resizes: u64,
 }
 
 impl SingleThreadMap {
     /// Create a map from a configuration.
     pub fn with_config(config: DlhtConfig) -> Self {
-        let num_bins = config.num_bins.max(2);
-        let num_links = config.link_buckets_for(num_bins);
         SingleThreadMap {
-            bins: vec![StBin::new(); num_bins],
-            links: vec![StLink::new(); num_links],
-            links_used: 0,
+            index: Index::new(config.num_bins, &config, 0),
             config,
             len: 0,
-            resizes: 0,
         }
     }
 
@@ -98,77 +46,25 @@ impl SingleThreadMap {
         self.len == 0
     }
 
-    /// Number of resizes performed.
+    /// Number of resizes performed: the generation of the current index.
     pub fn resizes(&self) -> u64 {
-        self.resizes
+        u64::from(self.index.generation())
     }
 
-    #[inline]
-    fn bin_of(&self, key: u64) -> usize {
-        (self.config.hash.hash_u64(key) % self.bins.len() as u64) as usize
-    }
-
-    #[inline]
-    fn slot_key(&self, bin: &StBin, slot: usize) -> u64 {
-        if slot < PRIMARY_SLOTS {
-            bin.keys[slot]
-        } else if slot < PRIMARY_SLOTS + LINK_SLOTS {
-            self.links[bin.link_first as usize].keys[slot - PRIMARY_SLOTS]
-        } else {
-            let rel = slot - PRIMARY_SLOTS - LINK_SLOTS;
-            self.links[bin.link_pair as usize + rel / LINK_SLOTS].keys[rel % LINK_SLOTS]
-        }
-    }
-
-    #[inline]
-    fn slot_val(&self, bin: &StBin, slot: usize) -> u64 {
-        if slot < PRIMARY_SLOTS {
-            bin.vals[slot]
-        } else if slot < PRIMARY_SLOTS + LINK_SLOTS {
-            self.links[bin.link_first as usize].vals[slot - PRIMARY_SLOTS]
-        } else {
-            let rel = slot - PRIMARY_SLOTS - LINK_SLOTS;
-            self.links[bin.link_pair as usize + rel / LINK_SLOTS].vals[rel % LINK_SLOTS]
-        }
-    }
-
-    fn set_slot(&mut self, bin_no: usize, slot: usize, key: u64, val: u64) {
-        let bin = &self.bins[bin_no];
-        if slot < PRIMARY_SLOTS {
-            let bin = &mut self.bins[bin_no];
-            bin.keys[slot] = key;
-            bin.vals[slot] = val;
-        } else if slot < PRIMARY_SLOTS + LINK_SLOTS {
-            let l = bin.link_first as usize;
-            self.links[l].keys[slot - PRIMARY_SLOTS] = key;
-            self.links[l].vals[slot - PRIMARY_SLOTS] = val;
-        } else {
-            let rel = slot - PRIMARY_SLOTS - LINK_SLOTS;
-            let l = bin.link_pair as usize + rel / LINK_SLOTS;
-            self.links[l].keys[rel % LINK_SLOTS] = key;
-            self.links[l].vals[rel % LINK_SLOTS] = val;
-        }
-    }
-
-    /// Slot index of `key` in its bin, if present.
-    fn find(&self, bin_no: usize, key: u64) -> Option<usize> {
-        let bin = &self.bins[bin_no];
-        for slot in 0..MAX_SLOTS {
-            if bin.used & (1 << slot) == 0 {
-                continue;
-            }
-            if self.slot_key(bin, slot) == key {
-                return Some(slot);
-            }
-        }
-        None
+    /// `key`'s bin and its `Valid` slot, if any, by the bin scan both maps share.
+    #[inline(always)]
+    fn find(&self, key: u64) -> (&PrimaryBucket, Option<Found<'_>>) {
+        let bin = self.index.bin(self.index.bin_of(key));
+        let h = BinHeader(bin.header.load(Ordering::Relaxed));
+        let valid = |st| st == SlotState::Valid;
+        let found = self.index.scan_for_key(bin, h, key, valid, None);
+        (bin, found.unwrap_or(None))
     }
 
     /// Look up `key`.
+    #[inline]
     pub fn get(&self, key: u64) -> Option<u64> {
-        let bin_no = self.bin_of(key);
-        let slot = self.find(bin_no, key)?;
-        Some(self.slot_val(&self.bins[bin_no], slot))
+        self.find(key).1.map(|(_, _, v)| v)
     }
 
     /// Whether `key` is present.
@@ -178,113 +74,80 @@ impl SingleThreadMap {
 
     /// Update an existing key; returns the previous value.
     pub fn put(&mut self, key: u64, value: u64) -> Option<u64> {
-        let bin_no = self.bin_of(key);
-        let slot = self.find(bin_no, key)?;
-        let old = self.slot_val(&self.bins[bin_no], slot);
-        self.set_slot(bin_no, slot, key, value);
+        let (_, pair, old) = self.find(key).1?;
+        pair.store(key, value, Ordering::Relaxed);
         Some(old)
     }
 
     /// Delete `key`; the slot is immediately reusable.
+    #[inline]
     pub fn delete(&mut self, key: u64) -> Option<u64> {
-        let bin_no = self.bin_of(key);
-        let slot = self.find(bin_no, key)?;
-        let old = self.slot_val(&self.bins[bin_no], slot);
-        self.bins[bin_no].used &= !(1 << slot);
+        let (bin, found) = self.find(key);
+        let (slot, _, old) = found?;
+        let h = BinHeader(bin.header.load(Ordering::Relaxed));
+        let freed = h.with_slot_state(slot, SlotState::Invalid);
+        bin.header.store(freed.0, Ordering::Relaxed);
         self.len -= 1;
         Some(old)
     }
 
     /// Insert `key -> value`; fails if the key exists.
+    #[inline]
     pub fn insert(&mut self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
         if is_reserved_key(key) {
             return Err(DlhtError::ReservedKey);
         }
         loop {
-            let bin_no = self.bin_of(key);
-            if let Some(slot) = self.find(bin_no, key) {
-                return Ok(InsertOutcome::AlreadyExists(
-                    self.slot_val(&self.bins[bin_no], slot),
-                ));
+            let (bin, found) = self.find(key);
+            if let Some((_, _, existing)) = found {
+                return Ok(InsertOutcome::AlreadyExists(existing));
             }
-            match self.try_place(bin_no, key, value) {
-                Ok(()) => {
-                    self.len += 1;
-                    return Ok(InsertOutcome::Inserted);
-                }
-                Err(()) => {
-                    if !self.config.resizing {
-                        return Err(DlhtError::TableFull);
-                    }
-                    self.grow();
-                }
+            if self.place(bin, key, value).is_some() {
+                self.len += 1;
+                return Ok(InsertOutcome::Inserted);
             }
+            if !self.config.resizing {
+                return Err(DlhtError::TableFull);
+            }
+            self.grow();
         }
     }
 
-    /// Find a free slot in the bin (chaining link buckets as needed) and fill
-    /// it. `Err(())` means the bin or the link pool is exhausted.
-    fn try_place(&mut self, bin_no: usize, key: u64, value: u64) -> Result<(), ()> {
-        for slot in 0..MAX_SLOTS {
-            if self.bins[bin_no].used & (1 << slot) != 0 {
-                continue;
-            }
-            // Chain link buckets on demand.
-            if (PRIMARY_SLOTS..PRIMARY_SLOTS + LINK_SLOTS).contains(&slot) {
-                if self.bins[bin_no].link_first == NO_LINK {
-                    if self.links_used >= self.links.len() {
-                        return Err(());
-                    }
-                    self.bins[bin_no].link_first = self.links_used as u32;
-                    self.links_used += 1;
-                }
-            } else if slot >= PRIMARY_SLOTS + LINK_SLOTS && self.bins[bin_no].link_pair == NO_LINK {
-                if self.links_used + 2 > self.links.len() {
-                    return Err(());
-                }
-                self.bins[bin_no].link_pair = self.links_used as u32;
-                self.links_used += 2;
-            }
-            self.set_slot(bin_no, slot, key, value);
-            self.bins[bin_no].used |= 1 << slot;
-            return Ok(());
-        }
-        Err(())
+    /// Place the pair by `DlhtMap`'s rule, minus the claim; `None` if no room.
+    #[inline]
+    fn place(&self, bin: &PrimaryBucket, key: u64, value: u64) -> Option<()> {
+        let h = BinHeader(bin.header.load(Ordering::Relaxed));
+        let slot = h.first_invalid_slot()?;
+        self.index.ensure_chained(bin, slot).ok()?;
+        let meta = LinkMeta(bin.link.load(Ordering::Relaxed));
+        let pair = self.index.slot_pair(bin, meta, slot)?;
+        pair.store(key, value, Ordering::Relaxed);
+        let valid = h.with_slot_state(slot, SlotState::Valid);
+        bin.header.store(valid.0, Ordering::Relaxed);
+        Some(())
     }
 
-    /// Grow the index by the paper's growth schedule and reinsert every pair.
+    /// Swap in the next generation at the paper's growth factor and reinsert
+    /// every pair; an overflowing reinsertion grows again, as in `DlhtMap`.
+    #[cold]
     fn grow(&mut self) {
-        let factor = DlhtConfig::growth_factor(self.bins.len());
-        let new_bins = self.bins.len() * factor;
-        let mut bigger = SingleThreadMap::with_config(self.config.clone().with_bins(new_bins));
-        self.for_each(|k, v| {
-            let _ = bigger
-                .insert(k, v)
-                .expect("reinsertion into a larger index cannot fail");
-        });
-        bigger.resizes = self.resizes + 1;
-        *self = bigger;
+        let bins = self.index.num_bins();
+        let bins = bins * DlhtConfig::growth_factor(bins);
+        let next = Index::new(bins, &self.config, self.index.generation() + 1);
+        let old = std::mem::replace(&mut self.index, next);
+        self.len = 0;
+        old.for_each_in(&mut |k, v| _ = self.insert(k, v));
     }
 
     /// Visit every live pair.
     pub fn for_each(&self, mut f: impl FnMut(u64, u64)) {
-        for bin in &self.bins {
-            for slot in 0..MAX_SLOTS {
-                if bin.used & (1 << slot) != 0 {
-                    f(self.slot_key(bin, slot), self.slot_val(bin, slot));
-                }
-            }
-        }
+        self.index.for_each_in(&mut f);
     }
 
-    /// Execute the queued requests of `batch` in order with a prefetch
-    /// sweep, mirroring the concurrent batch API (§3.3) without any
-    /// synchronization cost. The batch's response storage is reused across
-    /// calls — see [`crate::Batch`].
-    pub fn execute(&mut self, batch: &mut crate::batch::Batch, policy: crate::batch::BatchPolicy) {
-        use crate::batch::{Request, Response};
+    /// Run `batch` in order after a prefetch sweep, as a [`crate::Session`] does.
+    pub fn execute(&mut self, batch: &mut Batch, policy: BatchPolicy) {
         for req in batch.requests() {
-            prefetch_read(&self.bins[self.bin_of(req.key())] as *const StBin);
+            self.index.prefetch_bin(self.index.bin_of(req.key()));
         }
         batch.run_in_order(policy, |req| match req {
             Request::Get(k) => Response::Value(self.get(k)),
@@ -299,6 +162,7 @@ impl SingleThreadMap {
 mod tests {
     use super::*;
     use dlht_hash::HashKind;
+    use dlht_util::miri_scaled;
 
     #[test]
     fn basic_operations() {
@@ -315,13 +179,20 @@ mod tests {
 
     #[test]
     fn grows_transparently() {
+        let n = miri_scaled(5_000);
         let mut m = SingleThreadMap::with_config(DlhtConfig::new(4).with_hash(HashKind::WyHash));
-        for k in 0..5_000u64 {
+        for k in 0..n {
             assert!(m.insert(k, k * 2).unwrap().inserted());
         }
         assert!(m.resizes() > 0);
-        assert_eq!(m.len(), 5_000);
-        for k in 0..5_000u64 {
+        assert_eq!(m.len() as u64, n);
+        let mut visited = 0;
+        m.for_each(|k, v| {
+            assert_eq!(v, k * 2);
+            visited += 1;
+        });
+        assert_eq!(visited, n);
+        for k in 0..n {
             assert_eq!(m.get(k), Some(k * 2));
         }
     }
@@ -338,7 +209,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..20_000 {
+        for _ in 0..miri_scaled(20_000) {
             let key = rng() % 500;
             match rng() % 4 {
                 0 => {
@@ -412,5 +283,36 @@ mod tests {
             }
         }
         assert_eq!(err, Some(DlhtError::TableFull));
+    }
+
+    /// One layout, one placement rule: fed the same inserts under the same
+    /// config, both modes resize at the same keys and, with resizing off,
+    /// run out of room at the same key.
+    #[test]
+    fn shares_the_layout_of_the_concurrent_map() {
+        for resizing in [true, false] {
+            let cfg = DlhtConfig::new(4)
+                .with_link_ratio(4)
+                .with_hash(HashKind::WyHash)
+                .with_resizing(resizing);
+            let concurrent = crate::DlhtMap::with_config(cfg.clone());
+            let mut single = SingleThreadMap::with_config(cfg);
+            let mut rng = 0x51A7_u64;
+            let mut full_at = None;
+            for i in 0..miri_scaled(4_000) {
+                let key = dlht_util::splitmix64(&mut rng) >> 2;
+                let outcome = single.insert(key, i);
+                assert_eq!(outcome, concurrent.insert(key, i), "insert {i}");
+                assert_eq!(single.resizes(), concurrent.resizes(), "insert {i}");
+                if let Err(e) = outcome {
+                    assert_eq!(e, DlhtError::TableFull);
+                    full_at = Some(i);
+                    break;
+                }
+            }
+            assert_eq!(full_at.is_some(), !resizing, "{full_at:?}");
+            assert_eq!(single.resizes() > 0, resizing);
+            assert_eq!(single.len(), concurrent.len());
+        }
     }
 }

@@ -48,7 +48,7 @@ impl<T> Probe<T> {
 
 /// A `Valid` slot holding the probed key, as a validated probe saw it:
 /// (slot index, its key-value pair, value word).
-type Found<'a> = (usize, &'a AtomicPair, u64);
+pub(crate) type Found<'a> = (usize, &'a AtomicPair, u64);
 
 /// Concurrent hash map with inlined 8-byte keys and values.
 ///
@@ -240,7 +240,7 @@ impl DlhtMap {
             return None;
         }
         self.run(start, |idx| {
-            let found = self.probe(idx, idx.bin(idx.bin_of(key)), key);
+            let found = idx.probe(idx.bin(idx.bin_of(key)), key);
             found.map(|hit| hit.map(|(_, _, v)| v))
         })
     }
@@ -373,69 +373,6 @@ impl DlhtMap {
     // Per-index algorithms
     // ------------------------------------------------------------------
 
-    /// The one probe behind Get, Put and Delete (§3.2.1): a seqlock-style
-    /// scan of `bin` for a `Valid` slot holding `key`, returned only if the
-    /// header version did not move meanwhile. Usually a single cache line /
-    /// memory access.
-    // HOT: the per-request probe loop — must not panic.
-    #[inline(always)]
-    fn probe<'a>(
-        &self,
-        idx: &'a Index,
-        bin: &'a PrimaryBucket,
-        key: u64,
-    ) -> Probe<Option<Found<'a>>> {
-        loop {
-            let h = BinHeader(bin.header.load(Ordering::Acquire));
-            match h.bin_state() {
-                BinState::InTransfer => return Probe::Busy,
-                BinState::DoneTransfer => return Probe::Moved,
-                BinState::NoTransfer | BinState::Snapshot => {}
-            }
-            // No fill key: a slot whose insert has not written its key yet is
-            // simply absent here.
-            let found = self.scan_for_key(idx, bin, h, key, |st| st == SlotState::Valid, None);
-            let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-            if h2.version() == h.version() {
-                return Probe::Done(found.unwrap_or(None));
-            }
-        }
-    }
-
-    /// Scan `bin` (under header snapshot `h`) for `key` among slots whose
-    /// state passes `visible`. `Err(())` when a visible slot holds `fill`: an
-    /// insert has published it but not yet written its key, so the answer is
-    /// not known yet — reload the header and scan again.
-    // HOT: inner bin scan shared by every probe.
-    #[inline(always)]
-    fn scan_for_key<'a>(
-        &self,
-        idx: &'a Index,
-        bin: &'a PrimaryBucket,
-        h: BinHeader,
-        key: u64,
-        visible: impl Fn(SlotState) -> bool,
-        fill: Option<u64>,
-    ) -> Result<Option<Found<'a>>, ()> {
-        let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-        for slot in 0..h.occupied_extent() {
-            if !visible(h.slot_state(slot)) {
-                continue;
-            }
-            let Some(pair) = idx.slot_pair(bin, meta, slot) else {
-                continue;
-            };
-            let k = pair.load_lo(Ordering::Acquire);
-            if k == key {
-                return Ok(Some((slot, pair, pair.load_hi(Ordering::Acquire))));
-            }
-            if Some(k) == fill {
-                return Err(());
-            }
-        }
-        Ok(None)
-    }
-
     /// Lock-free Insert à la CLHT with bounded chaining (§3.2.2).
     ///
     /// The claimed slot holds the bin's fill key until it is published; the
@@ -463,7 +400,7 @@ impl DlhtMap {
                 BinState::NoTransfer => {}
             }
             // Step 2: the key must not already exist (shadow entries count).
-            match self.scan_for_key(idx, bin, h, key, visible, Some(fill)) {
+            match idx.scan_for_key(bin, h, key, visible, Some(fill)) {
                 Ok(None) => {}
                 Ok(Some((_, _, existing))) => {
                     // Validate the snapshot the same way a Get does.
@@ -493,7 +430,7 @@ impl DlhtMap {
             }
             // Chain link buckets if the claimed slot lives in one (§3.2.2
             // "Chaining buckets").
-            match self.ensure_chained(idx, bin, slot) {
+            match idx.ensure_chained(bin, slot) {
                 Ok(()) => {}
                 Err(()) => {
                     self.release_slot(bin, slot);
@@ -525,7 +462,7 @@ impl DlhtMap {
                 // Re-run the duplicate check (paper: "start over from step 1,
                 // but skip steps 3 and 4"); our own TryInsert slot is not
                 // visible to it.
-                match self.scan_for_key(idx, bin, h2, key, visible, Some(fill)) {
+                match idx.scan_for_key(bin, h2, key, visible, Some(fill)) {
                     Ok(None) => {}
                     Ok(Some((_, _, existing))) => {
                         self.release_slot(bin, slot);
@@ -548,57 +485,6 @@ impl DlhtMap {
                     return Probe::Done(InsertOutcome::Inserted);
                 }
             }
-        }
-    }
-
-    /// Make sure the link bucket(s) needed to address `slot` are chained to
-    /// the bin, allocating from the index's pool if necessary. `Err(())`
-    /// means the pool is exhausted and a resize is needed.
-    fn ensure_chained(&self, idx: &Index, bin: &PrimaryBucket, slot: usize) -> Result<(), ()> {
-        let need = crate::bucket::required_chain(slot);
-        if need == 0 {
-            return Ok(());
-        }
-        loop {
-            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-            let missing_first = need >= 1 && meta.first() == NO_LINK;
-            let missing_pair = need >= 2 && meta.pair() == NO_LINK;
-            if need == 1 && !missing_first {
-                return Ok(());
-            }
-            if need == 2 && !missing_pair {
-                return Ok(());
-            }
-            if missing_first && need == 1 {
-                let Some(l) = idx.alloc_link_buckets(1) else {
-                    return Err(());
-                };
-                let new_meta = meta.with_first(l);
-                // If the CAS fails someone else chained concurrently; the
-                // allocated bucket is abandoned (bounded waste, as in the
-                // paper's fetch-add allocation scheme).
-                let _ = bin.link.compare_exchange(
-                    meta.0,
-                    new_meta.0,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-                continue;
-            }
-            if missing_pair {
-                let Some(l) = idx.alloc_link_buckets(2) else {
-                    return Err(());
-                };
-                let new_meta = meta.with_pair(l);
-                let _ = bin.link.compare_exchange(
-                    meta.0,
-                    new_meta.0,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-                continue;
-            }
-            return Ok(());
         }
     }
 
@@ -637,7 +523,7 @@ impl DlhtMap {
             return Probe::Done(Err(None));
         }
         loop {
-            let (slot, pair, v) = match self.probe(idx, bin, key) {
+            let (slot, pair, v) = match idx.probe(bin, key) {
                 Probe::Done(Some(f)) if expected.is_none_or(|e| e == f.2) => f,
                 other => return other.map(|found| Err(found.map(|(_, _, v)| v))),
             };
@@ -717,7 +603,7 @@ impl DlhtMap {
                 BinState::NoTransfer => {}
             }
             let fill = fill_key_for_bin(bin_no);
-            let slot = match self.scan_for_key(idx, bin, h, key, shadow, Some(fill)) {
+            let slot = match idx.scan_for_key(bin, h, key, shadow, Some(fill)) {
                 Ok(Some((slot, _, _))) => slot,
                 Ok(None) => {
                     let h2 = BinHeader(bin.header.load(Ordering::Acquire));
@@ -921,50 +807,10 @@ impl DlhtMap {
             while !idx_ptr.is_null() {
                 // SAFETY: `entered` pins the chain from the entered index on.
                 let idx = unsafe { &*idx_ptr };
-                self.for_each_in(idx, &mut f);
+                idx.for_each_in(&mut f);
                 idx_ptr = idx.next_ptr();
             }
         })
-    }
-
-    fn for_each_in(&self, idx: &Index, f: &mut impl FnMut(u64, u64)) {
-        for bin_no in 0..idx.num_bins() {
-            let bin = idx.bin(bin_no);
-            loop {
-                let h = BinHeader(bin.header.load(Ordering::Acquire));
-                match h.bin_state() {
-                    // Transferred bins are visited through the next index.
-                    BinState::DoneTransfer => break,
-                    BinState::InTransfer => {
-                        std::hint::spin_loop();
-                        continue;
-                    }
-                    BinState::NoTransfer | BinState::Snapshot => {}
-                }
-                let meta = LinkMeta(bin.link.load(Ordering::Acquire));
-                let mut pairs: Vec<(u64, u64)> = Vec::new();
-                for slot in 0..h.occupied_extent() {
-                    if h.slot_state(slot) != SlotState::Valid {
-                        continue;
-                    }
-                    let Some(pair) = idx.slot_pair(bin, meta, slot) else {
-                        continue;
-                    };
-                    let k = pair.load_lo(Ordering::Acquire);
-                    if is_reserved_key(k) {
-                        continue;
-                    }
-                    pairs.push((k, pair.load_hi(Ordering::Acquire)));
-                }
-                let h2 = BinHeader(bin.header.load(Ordering::Acquire));
-                if h2.version() == h.version() {
-                    for (k, v) in pairs {
-                        f(k, v);
-                    }
-                    break;
-                }
-            }
-        }
     }
 
     /// Number of live keys (linear scan; weakly consistent under concurrency).
@@ -1014,6 +860,173 @@ impl DlhtMap {
     pub fn current_generation(&self) -> u32 {
         // SAFETY: `entered` pins the index for the closure.
         self.entered(|idx| unsafe { (*idx).generation() })
+    }
+}
+
+// ----------------------------------------------------------------------
+// Bin scan, chaining and walk, shared with the single-thread map
+// ----------------------------------------------------------------------
+
+/// The bin reads and the link-bucket chaining use no [`DlhtMap`] state, so
+/// [`crate::SingleThreadMap`] runs on them too: both modes find a key by one
+/// scan, place it by one rule and walk a bin one way. Only the seqlock and
+/// transfer checks of [`Index::probe`] are the concurrent map's alone.
+impl Index {
+    /// The one probe behind Get, Put and Delete (§3.2.1): a seqlock-style
+    /// scan of `bin` for a `Valid` slot holding `key`, returned only if the
+    /// header version did not move meanwhile. Usually a single cache line /
+    /// memory access.
+    // HOT: the per-request probe loop — must not panic.
+    #[inline(always)]
+    fn probe<'a>(&'a self, bin: &'a PrimaryBucket, key: u64) -> Probe<Option<Found<'a>>> {
+        loop {
+            let h = BinHeader(bin.header.load(Ordering::Acquire));
+            match h.bin_state() {
+                BinState::InTransfer => return Probe::Busy,
+                BinState::DoneTransfer => return Probe::Moved,
+                BinState::NoTransfer | BinState::Snapshot => {}
+            }
+            // No fill key: a slot whose insert has not written its key yet is
+            // simply absent here.
+            let found = self.scan_for_key(bin, h, key, |st| st == SlotState::Valid, None);
+            let h2 = BinHeader(bin.header.load(Ordering::Acquire));
+            if h2.version() == h.version() {
+                return Probe::Done(found.unwrap_or(None));
+            }
+        }
+    }
+
+    /// Scan `bin` (under header snapshot `h`) for `key` among slots whose
+    /// state passes `visible`. `Err(())` when a visible slot holds `fill`: an
+    /// insert has published it but not yet written its key, so the answer is
+    /// not known yet — reload the header and scan again.
+    // HOT: inner bin scan shared by every probe.
+    #[inline(always)]
+    pub(crate) fn scan_for_key<'a>(
+        &'a self,
+        bin: &'a PrimaryBucket,
+        h: BinHeader,
+        key: u64,
+        visible: impl Fn(SlotState) -> bool,
+        fill: Option<u64>,
+    ) -> Result<Option<Found<'a>>, ()> {
+        let meta = LinkMeta(bin.link.load(Ordering::Acquire));
+        // Only the slots that are not `Invalid`, lowest first.
+        let mut live = h.live_mask();
+        while live != 0 {
+            let slot = live.trailing_zeros() as usize / 2;
+            live &= live - 1;
+            if !visible(h.slot_state(slot)) {
+                continue;
+            }
+            let Some(pair) = self.slot_pair(bin, meta, slot) else {
+                continue;
+            };
+            let k = pair.load_lo(Ordering::Acquire);
+            if k == key {
+                return Ok(Some((slot, pair, pair.load_hi(Ordering::Acquire))));
+            }
+            if Some(k) == fill {
+                return Err(());
+            }
+        }
+        Ok(None)
+    }
+
+    /// Make sure the link bucket(s) needed to address `slot` are chained to
+    /// the bin, allocating from the index's pool if necessary. `Err(())`
+    /// means the pool is exhausted and a resize is needed.
+    pub(crate) fn ensure_chained(&self, bin: &PrimaryBucket, slot: usize) -> Result<(), ()> {
+        let need = crate::bucket::required_chain(slot);
+        if need == 0 {
+            return Ok(());
+        }
+        loop {
+            let meta = LinkMeta(bin.link.load(Ordering::Acquire));
+            let missing_first = need >= 1 && meta.first() == NO_LINK;
+            let missing_pair = need >= 2 && meta.pair() == NO_LINK;
+            if need == 1 && !missing_first {
+                return Ok(());
+            }
+            if need == 2 && !missing_pair {
+                return Ok(());
+            }
+            if missing_first && need == 1 {
+                let Some(l) = self.alloc_link_buckets(1) else {
+                    return Err(());
+                };
+                let new_meta = meta.with_first(l);
+                // If the CAS fails someone else chained concurrently; the
+                // allocated bucket is abandoned (bounded waste, as in the
+                // paper's fetch-add allocation scheme).
+                let _ = bin.link.compare_exchange(
+                    meta.0,
+                    new_meta.0,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+                continue;
+            }
+            if missing_pair {
+                let Some(l) = self.alloc_link_buckets(2) else {
+                    return Err(());
+                };
+                let new_meta = meta.with_pair(l);
+                let _ = bin.link.compare_exchange(
+                    meta.0,
+                    new_meta.0,
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                );
+                continue;
+            }
+            return Ok(());
+        }
+    }
+
+    /// Visit every `Valid` pair of this index's untransferred bins. Each
+    /// bin's pairs are collected on the stack and handed to `f` only once
+    /// the header version shows the bin did not change meanwhile.
+    pub(crate) fn for_each_in(&self, f: &mut impl FnMut(u64, u64)) {
+        for bin_no in 0..self.num_bins() {
+            let bin = self.bin(bin_no);
+            loop {
+                let h = BinHeader(bin.header.load(Ordering::Acquire));
+                match h.bin_state() {
+                    // Transferred bins are visited through the next index.
+                    BinState::DoneTransfer => break,
+                    BinState::InTransfer => {
+                        std::hint::spin_loop();
+                        continue;
+                    }
+                    BinState::NoTransfer | BinState::Snapshot => {}
+                }
+                let meta = LinkMeta(bin.link.load(Ordering::Acquire));
+                let mut pairs = [(0u64, 0u64); SLOTS_PER_BIN];
+                let mut n = 0;
+                for slot in 0..h.occupied_extent() {
+                    if h.slot_state(slot) != SlotState::Valid {
+                        continue;
+                    }
+                    let Some(pair) = self.slot_pair(bin, meta, slot) else {
+                        continue;
+                    };
+                    let k = pair.load_lo(Ordering::Acquire);
+                    if is_reserved_key(k) {
+                        continue;
+                    }
+                    pairs[n] = (k, pair.load_hi(Ordering::Acquire));
+                    n += 1;
+                }
+                let h2 = BinHeader(bin.header.load(Ordering::Acquire));
+                if h2.version() == h.version() {
+                    for &(k, v) in &pairs[..n] {
+                        f(k, v);
+                    }
+                    break;
+                }
+            }
+        }
     }
 }
 

@@ -6,7 +6,9 @@
 
 use dlht::{
     Batch, BatchPolicy, DlhtMap, Engine, KvBackend, Pipeline, Request, Response, ShardedTable,
+    SingleThreadMap,
 };
+use dlht_baselines::DramhitLikeMap;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -77,6 +79,38 @@ fn warm_batch_reexecution_allocates_nothing() {
         let engine = table.engine();
         assert_warm_batches_allocate_nothing(|batch| engine.execute(batch, BatchPolicy::RunAll));
     }
+    // The reordering engine keeps its order buffer across batches.
+    let dramhit = DramhitLikeMap::with_capacity(100_000);
+    let mut single = SingleThreadMap::with_capacity(100_000);
+    for k in 0..10_000u64 {
+        let _ = dramhit.insert(k, k).unwrap();
+        let _ = single.insert(k, k).unwrap();
+    }
+    let engine = dramhit.engine();
+    assert_warm_batches_allocate_nothing(|batch| engine.execute(batch, BatchPolicy::RunAll));
+    assert_warm_batches_allocate_nothing(|batch| single.execute(batch, BatchPolicy::RunAll));
+}
+
+#[test]
+fn whole_table_scans_allocate_nothing() {
+    let map = DlhtMap::with_capacity(100_000);
+    for k in 0..10_000u64 {
+        let _ = map.insert(k, k).unwrap();
+    }
+    // Warm-up: claims this thread's registry slot.
+    assert_eq!(map.len(), 10_000);
+
+    let before = allocations();
+    let mut sum = 0u64;
+    map.for_each(|_, v| sum += v);
+    assert_eq!(map.len(), 10_000);
+    let after = allocations();
+    assert_eq!(sum, (0..10_000u64).sum::<u64>());
+    assert_eq!(
+        after - before,
+        0,
+        "len() and for_each must not allocate per bin"
+    );
 }
 
 /// Re-execute a warm batch 100 times through `execute` and assert it made no
