@@ -1,132 +1,116 @@
 //! Figure 16: single-threaded application with and without the
 //! synchronization-free optimizations (§3.4.5): InsDel, InsDel-Resize,
-//! InsDel-Resize-NoBatch, and Get.
+//! InsDel-Resize-NoBatch, and Get. Each row runs for the scale's duration
+//! (`DLHT_SECS`), after a warm-up window, whatever the key count.
 
 use dlht_bench::run_scenario;
 use dlht_core::{Batch, BatchPolicy, DlhtConfig, DlhtMap, SingleThreadMap};
 use dlht_workloads::{fmt_mops, Table, Xoshiro256};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const BATCH: usize = 16;
+
+/// Steps between two reads of the clock; a step is [`BATCH`] operations.
+const STEPS_PER_CHECK: u64 = 64;
+
+/// Run `step`, which performs [`BATCH`] operations, until `window` has
+/// passed; returns the throughput in M ops/s.
+fn timed(window: Duration, mut step: impl FnMut()) -> f64 {
+    let t = Instant::now();
+    let mut ops = 0;
+    loop {
+        for _ in 0..STEPS_PER_CHECK {
+            step();
+        }
+        ops += STEPS_PER_CHECK * BATCH as u64;
+        let elapsed = t.elapsed();
+        if elapsed >= window {
+            return ops as f64 / elapsed.as_secs_f64() / 1e6;
+        }
+    }
+}
+
+/// Fill `batch` with one step of `workload`: random Gets, or fresh keys
+/// inserted then deleted (InsDel leaves the population unchanged).
+fn fill(batch: &mut Batch, workload: &str, keys: u64, next: &mut u64, rng: &mut Xoshiro256) {
+    batch.clear();
+    if workload == "Get" {
+        for _ in 0..BATCH {
+            batch.push_get(rng.next_below(keys));
+        }
+    } else {
+        for _ in 0..BATCH / 2 {
+            batch.push_insert(*next, *next);
+            batch.push_delete(*next);
+            *next += 1;
+        }
+    }
+}
 
 fn run_concurrent_map(
     map: &DlhtMap,
     keys: u64,
-    ops: u64,
+    window: Duration,
     workload: &str,
     batched: bool,
     rng: &mut Xoshiro256,
 ) -> f64 {
     let session = map.session();
     let mut batch = Batch::with_capacity(BATCH);
-    let t = Instant::now();
-    match workload {
-        "Get" => {
-            if batched {
-                let mut done = 0;
-                while done < ops {
-                    batch.clear();
-                    for _ in 0..BATCH {
-                        batch.push_get(rng.next_below(keys));
-                    }
-                    session.execute(&mut batch, BatchPolicy::RunAll);
-                    std::hint::black_box(batch.responses());
-                    done += BATCH as u64;
-                }
-            } else {
-                for _ in 0..ops {
-                    std::hint::black_box(map.get(rng.next_below(keys)));
-                }
+    let mut next = keys + 1;
+    timed(window, || {
+        if batched {
+            fill(&mut batch, workload, keys, &mut next, rng);
+            session.execute(&mut batch, BatchPolicy::RunAll);
+            std::hint::black_box(batch.responses());
+        } else if workload == "Get" {
+            for _ in 0..BATCH {
+                std::hint::black_box(map.get(rng.next_below(keys)));
+            }
+        } else {
+            for _ in 0..BATCH / 2 {
+                let _ = map.insert(next, next).unwrap();
+                map.delete(next);
+                next += 1;
             }
         }
-        _ => {
-            // InsDel: insert a fresh key then delete it, optionally batched.
-            if batched {
-                let mut next = keys + 1;
-                let mut done = 0;
-                while done < ops {
-                    batch.clear();
-                    for _ in 0..BATCH / 2 {
-                        batch.push_insert(next, next);
-                        batch.push_delete(next);
-                        next += 1;
-                    }
-                    session.execute(&mut batch, BatchPolicy::RunAll);
-                    std::hint::black_box(batch.responses());
-                    done += BATCH as u64;
-                }
-            } else {
-                for next in keys + 1..keys + 1 + ops / 2 {
-                    let _ = map.insert(next, next).unwrap();
-                    map.delete(next);
-                }
-            }
-        }
-    }
-    ops as f64 / t.elapsed().as_secs_f64() / 1e6
+    })
 }
 
 fn run_single_thread_map(
     map: &mut SingleThreadMap,
     keys: u64,
-    ops: u64,
+    window: Duration,
     workload: &str,
     batched: bool,
     rng: &mut Xoshiro256,
 ) -> f64 {
     let mut batch = Batch::with_capacity(BATCH);
-    let t = Instant::now();
-    match workload {
-        "Get" => {
-            if batched {
-                let mut done = 0;
-                while done < ops {
-                    batch.clear();
-                    for _ in 0..BATCH {
-                        batch.push_get(rng.next_below(keys));
-                    }
-                    map.execute(&mut batch, BatchPolicy::RunAll);
-                    std::hint::black_box(batch.responses());
-                    done += BATCH as u64;
-                }
-            } else {
-                for _ in 0..ops {
-                    std::hint::black_box(map.get(rng.next_below(keys)));
-                }
+    let mut next = keys + 1;
+    timed(window, || {
+        if batched {
+            fill(&mut batch, workload, keys, &mut next, rng);
+            map.execute(&mut batch, BatchPolicy::RunAll);
+            std::hint::black_box(batch.responses());
+        } else if workload == "Get" {
+            for _ in 0..BATCH {
+                std::hint::black_box(map.get(rng.next_below(keys)));
+            }
+        } else {
+            for _ in 0..BATCH / 2 {
+                let _ = map.insert(next, next).unwrap();
+                map.delete(next);
+                next += 1;
             }
         }
-        _ => {
-            if batched {
-                let mut next = keys + 1;
-                let mut done = 0;
-                while done < ops {
-                    batch.clear();
-                    for _ in 0..BATCH / 2 {
-                        batch.push_insert(next, next);
-                        batch.push_delete(next);
-                        next += 1;
-                    }
-                    map.execute(&mut batch, BatchPolicy::RunAll);
-                    std::hint::black_box(batch.responses());
-                    done += BATCH as u64;
-                }
-            } else {
-                for next in keys + 1..keys + 1 + ops / 2 {
-                    let _ = map.insert(next, next).unwrap();
-                    map.delete(next);
-                }
-            }
-        }
-    }
-    ops as f64 / t.elapsed().as_secs_f64() / 1e6
+    })
 }
 
 fn main() {
     run_scenario("fig16_single_thread", |ctx| {
         let scale = ctx.scale.clone();
         let keys = scale.keys;
-        let ops = (keys * 4).max(100_000);
-        let warmup_ops = (ops / 10).max(BATCH as u64);
+        let (warmup, window) = (scale.warmup(), scale.duration());
         let mut table = Table::new(
             "Fig. 16 — single-thread throughput (M req/s)",
             &[
@@ -150,13 +134,11 @@ fn main() {
                 let _ = single.insert(k, k).unwrap();
             }
             let mut rng = scale.stream("fig16");
-            // Warm-up pass (discarded), then the measured pass. InsDel leaves
-            // the population unchanged, so the key space is reusable.
-            let _ = run_concurrent_map(&concurrent, keys, warmup_ops, workload, batched, &mut rng);
-            let base = run_concurrent_map(&concurrent, keys, ops, workload, batched, &mut rng);
-            let _ =
-                run_single_thread_map(&mut single, keys, warmup_ops, workload, batched, &mut rng);
-            let opt = run_single_thread_map(&mut single, keys, ops, workload, batched, &mut rng);
+            // Warm-up window (discarded), then the measured window.
+            let _ = run_concurrent_map(&concurrent, keys, warmup, workload, batched, &mut rng);
+            let base = run_concurrent_map(&concurrent, keys, window, workload, batched, &mut rng);
+            let _ = run_single_thread_map(&mut single, keys, warmup, workload, batched, &mut rng);
+            let opt = run_single_thread_map(&mut single, keys, window, workload, batched, &mut rng);
             let speedup_pct = (opt / base - 1.0) * 100.0;
             for (series, mops) in [("thread-safe", base), ("single-thread", opt)] {
                 ctx.point(series)

@@ -7,34 +7,35 @@
 //! Features implemented here, as described by the paper:
 //!
 //! * **Pointer API** (§3.2.1): a Get can expose the record so the client
-//!   modifies the value in place; [`AllocSession::replace_with`] swaps in a
-//!   whole new record with one Put of its pointer.
+//!   modifies the value in place ([`AllocSession::with_value_ptr`]);
+//!   [`AllocSession::replace_with`] swaps in a whole new record with one Put
+//!   of its pointer.
 //! * **Variable-size keys and values in a single index** (§3.4.1): when
 //!   enabled, every record carries its own key/value lengths.
 //! * **Namespaces** (§3.4.2): a 12-bit namespace id packed in the tagged
 //!   pointer; keys in different namespaces never conflict.
-//! * **Epoch-based GC for deletes** (§3.2.3): deleted records are retired to
-//!   a [`dlht_epoch::Collector`] and freed two epochs later.
+//! * **Epoch-based GC for deletes** (§3.2.3): a deleted or replaced record
+//!   is retired into the table and freed two epoch advances later, by the
+//!   enter/leave protocol that frees old indexes (`registry.rs`).
 //!
-//! Threads interact through an [`AllocSession`], which owns the thread's epoch
-//! handle. Call [`AllocSession::quiesce`] between batches (the paper's
-//! "periodically performs a call from all threads to advance the epoch").
+//! Threads interact through an [`AllocSession`], a [`Session`] on the
+//! index. Each record read happens inside one enter, which keeps the record
+//! alive, so a session between calls holds nothing back.
 
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::record::{key_word, Records};
+use crate::session::Session;
 use crate::stats::TableStats;
-use crate::table::DlhtMap;
+use crate::table::{DlhtMap, EnterGuard};
 use crate::tagged_ptr::TaggedPtr;
 use dlht_alloc::ValueAllocator;
-use dlht_epoch::{Collector, LocalHandle};
 use std::sync::Arc;
 
 /// Concurrent map for out-of-line (≥ 8 B) keys and values.
 pub struct DlhtAllocMap {
     table: DlhtMap,
-    records: Records<()>,
-    collector: Arc<Collector>,
+    records: Arc<Records<()>>,
 }
 
 impl DlhtAllocMap {
@@ -50,10 +51,16 @@ impl DlhtAllocMap {
         fixed_val_len: usize,
     ) -> Self {
         let fixed = (!config.variable_size).then_some((fixed_key_len, fixed_val_len));
+        let records = Arc::new(Records::new(allocator, fixed));
+        let free = {
+            let records = Arc::clone(&records);
+            // SAFETY: the table calls its free hook once per record it
+            // retired, after no reader can reach the record.
+            Arc::new(move |ptr| unsafe { records.free(ptr) })
+        };
         DlhtAllocMap {
-            table: DlhtMap::with_config(config),
-            records: Records::new(allocator, fixed),
-            collector: Arc::new(Collector::new()),
+            table: DlhtMap::for_records(config, free),
+            records,
         }
     }
 
@@ -67,14 +74,12 @@ impl DlhtAllocMap {
         )
     }
 
-    /// Open a per-thread session. Each thread should keep its session for the
-    /// duration of its work and call [`AllocSession::quiesce`] periodically.
+    /// Open a per-thread session (cheap: it caches the thread's slot).
     pub fn session(&self) -> AllocSession<'_> {
-        let handle = self
-            .collector
-            .register()
-            .expect("too many concurrent sessions");
-        AllocSession { map: self, handle }
+        AllocSession {
+            map: self,
+            session: self.table.session(),
+        }
     }
 
     /// Structural statistics of the index.
@@ -90,11 +95,6 @@ impl DlhtAllocMap {
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
-    }
-
-    /// The epoch collector (exposed for coordinated shutdown in tests).
-    pub fn collector(&self) -> &Arc<Collector> {
-        &self.collector
     }
 
     /// The active configuration.
@@ -126,16 +126,18 @@ impl Drop for DlhtAllocMap {
     fn drop(&mut self) {
         self.table.for_each(|_, word| {
             // SAFETY: `&mut self` means no session is open, so no reader can
-            // reach a record; the index links each record once.
+            // reach a record; the index links each record once. Retired
+            // records are not linked: the table's drop frees those.
             unsafe { self.records.free(TaggedPtr(word).ptr()) }
         });
     }
 }
 
-/// Per-thread session over a [`DlhtAllocMap`].
+/// Per-thread session over a [`DlhtAllocMap`]: a [`Session`] on its index,
+/// and like one not `Send`.
 pub struct AllocSession<'a> {
     map: &'a DlhtAllocMap,
-    handle: LocalHandle,
+    session: Session<'a>,
 }
 
 impl AllocSession<'_> {
@@ -144,7 +146,7 @@ impl AllocSession<'_> {
     pub fn insert(&mut self, namespace: u16, key: &[u8], value: &[u8]) -> Result<bool, DlhtError> {
         let tagged = self.map.new_record(namespace, key, value)?;
         let (word, _) = self.map.word(namespace, key);
-        let result = self.map.table.insert(word, tagged.0);
+        let result = self.session.insert(word, tagged.0);
         if !matches!(result, Ok(InsertOutcome::Inserted)) {
             // The paper notes the Insert may fail after allocating; the
             // allocation is released before returning (§3.2.2 Allocator).
@@ -160,33 +162,33 @@ impl AllocSession<'_> {
     /// accesses overlap.
     pub fn prefetch(&mut self, namespace: u16, key: &[u8]) {
         let (word, _) = self.map.word(namespace, key);
-        self.map.table.prefetch(word);
+        self.session.prefetch(word);
     }
 
     /// The key word of `key` and the tagged record pointer it maps to,
     /// verified against the stored key when the word is a fingerprint. The
-    /// record stays readable until this session's next quiescent point
-    /// (epoch GC).
-    fn find(&self, namespace: u16, key: &[u8]) -> Option<(u64, TaggedPtr)> {
+    /// record stays readable while `entered` is held.
+    fn find(&self, entered: &EnterGuard, namespace: u16, key: &[u8]) -> Option<(u64, TaggedPtr)> {
         let (word, exact) = self.map.word(namespace, key);
-        let tagged = TaggedPtr(self.map.table.get(word)?);
-        // SAFETY: the record was published by this map and cannot be freed
-        // before this session's next quiescent point.
+        let tagged = TaggedPtr(entered.get(word)?);
+        // SAFETY: the record was linked in the index after `entered`
+        // announced, so it is not freed before the guard drops.
         let holds = unsafe { self.map.records.holds(tagged.ptr(), key, exact) };
         (tagged.namespace() == namespace && holds).then_some((word, tagged))
     }
 
     /// Look up `key`, invoking `f` on the value bytes without copying them
-    /// (the pointer API of §3.2.1).
+    /// (the pointer API of §3.2.1). The lookup, the key check and `f` run
+    /// inside one enter.
     pub fn get_with<R>(
         &mut self,
         namespace: u16,
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Option<R> {
-        let (_, tagged) = self.find(namespace, key)?;
-        // SAFETY: `find` returns a live record, protected until our next
-        // quiescent point.
+        let entered = self.session.enter();
+        let (_, tagged) = self.find(&entered, namespace, key)?;
+        // SAFETY: `find` returns a record that `entered` keeps alive.
         Some(f(unsafe { self.map.records.value(tagged.ptr()) }))
     }
 
@@ -195,23 +197,27 @@ impl AllocSession<'_> {
         self.get_with(namespace, key, |v| v.to_vec())
     }
 
-    /// Pointer API for in-place modification: returns the raw value pointer
-    /// and length. The caller is responsible for coordinating concurrent
-    /// writers (e.g. with a lock embedded in the value, as the paper's
-    /// transactional clients do) and must not use the pointer after this
-    /// session's next [`AllocSession::quiesce`] call.
-    // ESCAPE: `&mut self` pins this session between quiescent points, which
-    // is the epoch protection here — the record cannot be freed until the
-    // caller's next `quiesce`, exactly the documented pointer lifetime.
-    pub fn get_value_ptr(&mut self, namespace: u16, key: &[u8]) -> Option<(*mut u8, usize)> {
-        let (_, tagged) = self.find(namespace, key)?;
-        // SAFETY: live record under epoch protection (see `find`).
-        Some(unsafe { self.map.records.value_ptr(tagged.ptr()) })
+    /// Pointer API for in-place modification: calls `f` with the raw value
+    /// pointer and length, which stay valid while `f` runs. The caller is
+    /// responsible for coordinating concurrent writers (e.g. with a lock
+    /// embedded in the value, as the paper's transactional clients do).
+    pub fn with_value_ptr<R>(
+        &mut self,
+        namespace: u16,
+        key: &[u8],
+        f: impl FnOnce(*mut u8, usize) -> R,
+    ) -> Option<R> {
+        let entered = self.session.enter();
+        let (_, tagged) = self.find(&entered, namespace, key)?;
+        // SAFETY: `find` returns a record that `entered` keeps alive.
+        let (ptr, len) = unsafe { self.map.records.value_ptr(tagged.ptr()) };
+        Some(f(ptr, len))
     }
 
     /// Whether `key` exists under `namespace`.
     pub fn contains(&mut self, namespace: u16, key: &[u8]) -> bool {
-        self.find(namespace, key).is_some()
+        let entered = self.session.enter();
+        self.find(&entered, namespace, key).is_some()
     }
 
     /// Replace the value of an existing `key` with `value`, calling `f` on
@@ -219,9 +225,11 @@ impl AllocSession<'_> {
     ///
     /// The new record is published by one Put of its pointer (§3.2.4), so a
     /// concurrent reader sees either the old or the new value, never a gap;
-    /// the old record is freed by the epoch GC two epochs later. The Put
-    /// lands only if the key still holds the record `find` verified, so a
-    /// racing write or a colliding fingerprint sends us back to `find`.
+    /// the old record is retired and freed once no reader can reach it. The
+    /// Put lands only if the key still holds the record `find` verified, so
+    /// a racing write or a colliding fingerprint sends us back to `find`.
+    /// One enter covers the whole exchange, so no record `find` verified can
+    /// be freed (and its address reused) before the Put compares it.
     pub fn replace_with<R>(
         &mut self,
         namespace: u16,
@@ -229,44 +237,45 @@ impl AllocSession<'_> {
         value: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<Option<R>, DlhtError> {
-        let Some((word, mut old)) = self.find(namespace, key) else {
+        let entered = self.session.enter();
+        let Some((word, mut old)) = self.find(&entered, namespace, key) else {
             return Ok(None);
         };
         let new = self.map.new_record(namespace, key, value)?;
-        while self.map.table.put_if(word, old.0, new.0).is_err() {
-            let Some((_, cur)) = self.find(namespace, key) else {
+        while entered.put_if(word, old.0, new.0).is_err() {
+            let Some((_, cur)) = self.find(&entered, namespace, key) else {
                 // SAFETY: the record was never published.
                 unsafe { self.map.records.free(new.ptr()) };
                 return Ok(None);
             };
             old = cur;
         }
-        // SAFETY: our Put unlinked `old`; concurrent readers are protected by
-        // the epoch until it is retired here, once.
+        // SAFETY: our Put unlinked `old`, which is retired here, once.
         Ok(Some(unsafe { self.retire_with(old, f) }))
     }
 
     /// Delete `key`, calling `f` on the value it removed; `None` when the key
     /// is absent. The index slot is reclaimed immediately; the record is
-    /// freed by the epoch GC two epochs later.
+    /// retired and freed once no reader can reach it.
     pub(crate) fn remove_with<R>(
         &mut self,
         namespace: u16,
         key: &[u8],
         f: impl FnOnce(&[u8]) -> R,
     ) -> Option<R> {
+        let entered = self.session.enter();
         loop {
-            let (word, old) = self.find(namespace, key)?;
-            if self.map.table.delete_if(word, old.0).is_ok() {
-                // SAFETY: our Delete unlinked `old`; concurrent readers are
-                // protected by the epoch until it is retired here, once.
+            let (word, old) = self.find(&entered, namespace, key)?;
+            if entered.delete_if(word, old.0).is_ok() {
+                // SAFETY: our Delete unlinked `old`, which is retired here,
+                // once.
                 return Some(unsafe { self.retire_with(old, f) });
             }
         }
     }
 
     /// Delete `key`. The index slot is reclaimed immediately; the record is
-    /// freed by the epoch GC two epochs later.
+    /// retired and freed once no reader can reach it.
     pub fn delete(&mut self, namespace: u16, key: &[u8]) -> bool {
         self.remove_with(namespace, key, |_| ()).is_some()
     }
@@ -276,25 +285,24 @@ impl AllocSession<'_> {
     /// # Safety
     /// This session must have just unlinked `old` from the index.
     unsafe fn retire_with<R>(&mut self, old: TaggedPtr, f: impl FnOnce(&[u8]) -> R) -> R {
-        let ptr = old.ptr();
-        // SAFETY: caller contract — `old` is unlinked, still protected by
-        // this session's epoch, and retired exactly once.
-        unsafe {
-            let result = f(self.map.records.value(ptr));
-            self.map.records.retire(&mut self.handle, ptr, |_| ());
-            result
-        }
+        // SAFETY: caller contract — `old` is unlinked by us and not retired
+        // yet, so nothing frees it before the `retire` below.
+        let result = f(unsafe { self.map.records.value(old.ptr()) });
+        self.session.retire(old.ptr());
+        result
     }
 
-    /// Announce a quiescent point: retired records from two epochs ago become
-    /// freeable, and the global epoch advances once all sessions have done so.
+    /// Free every retired record (of any session) that no reader can reach
+    /// any more. Other sessions do not need this call to make progress:
+    /// retirements collect on their own every few dozen records, and this
+    /// only frees the rest now.
     pub fn quiesce(&mut self) {
-        self.handle.quiescent();
+        self.map.table.collect_garbage();
     }
 
-    /// Number of records retired by this session and not yet freed.
+    /// Records retired on this map (by any session) and not yet freed.
     pub fn pending_garbage(&self) -> usize {
-        self.handle.pending()
+        self.map.table.pending_records()
     }
 }
 
@@ -369,10 +377,15 @@ mod tests {
         let mut s = map.session();
         let key = 1u64.to_le_bytes();
         s.insert(0, &key, &0u64.to_le_bytes()).unwrap();
-        let (ptr, len) = s.get_value_ptr(0, &key).unwrap();
+        let len = s
+            .with_value_ptr(0, &key, |ptr, len| {
+                // SAFETY: single-threaded test, pointer valid inside the
+                // closure.
+                unsafe { std::ptr::copy_nonoverlapping(99u64.to_le_bytes().as_ptr(), ptr, len) };
+                len
+            })
+            .unwrap();
         assert_eq!(len, 8);
-        // SAFETY: single-threaded test, pointer valid until quiesce.
-        unsafe { std::ptr::copy_nonoverlapping(99u64.to_le_bytes().as_ptr(), ptr, 8) };
         assert_eq!(s.get(0, &key).unwrap(), 99u64.to_le_bytes().to_vec());
     }
 
@@ -414,6 +427,40 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_session_holds_nothing_back() {
+        let counting = Arc::new(CountingAllocator::new(SystemAllocator::new()));
+        let map = DlhtAllocMap::new(
+            DlhtConfig::new(64).with_variable_size(true),
+            counting.clone() as Arc<dyn ValueAllocator>,
+            0,
+            0,
+        );
+        let (opened, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let left = std::thread::scope(|s| {
+            // A session on another thread that stays open and idle.
+            s.spawn(|| {
+                let _idle = map.session();
+                opened.wait();
+                done.wait();
+            });
+            opened.wait();
+            let mut busy = map.session();
+            for i in 0..1_000u64 {
+                let key = i.to_le_bytes();
+                assert!(busy.insert(0, &key, &[1u8; 16]).unwrap());
+                assert!(busy.delete(0, &key));
+                busy.quiesce();
+            }
+            // Read before the idle thread may leave, asserted after: a
+            // failed assertion must not strand it at the barrier.
+            let left = (busy.pending_garbage(), counting.live());
+            done.wait();
+            left
+        });
+        assert_eq!(left, (0, 0), "the idle session pins records");
+    }
+
+    #[test]
     fn drop_frees_live_records() {
         let counting = Arc::new(CountingAllocator::new(SystemAllocator::new()));
         {
@@ -437,6 +484,65 @@ mod tests {
         let mut s = map.session();
         assert!(s.insert(0, b"short", &[0u8; 16]).is_err());
         assert!(s.insert(0, &[0u8; 8], &[0u8; 15]).is_err());
+    }
+
+    #[test]
+    fn a_read_keeps_its_record_until_its_closure_returns() {
+        let counting = Arc::new(CountingAllocator::new(SystemAllocator::new()));
+        let map = DlhtAllocMap::new(
+            DlhtConfig::new(64).with_variable_size(true),
+            counting.clone() as Arc<dyn ValueAllocator>,
+            0,
+            0,
+        );
+        let mut reader = map.session();
+        reader.insert(0, b"k", b"value").unwrap();
+        let freed_inside = reader
+            .get_with(0, b"k", |value| {
+                // Another thread deletes the record and frees what it can
+                // while this closure still reads it.
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let mut writer = map.session();
+                        assert!(writer.delete(0, b"k"));
+                        writer.quiesce();
+                    });
+                });
+                assert_eq!(value, b"value");
+                counting.deallocs()
+            })
+            .unwrap();
+        assert_eq!(freed_inside, 0, "freed under a running read");
+        reader.quiesce();
+        assert_eq!(counting.deallocs(), 1);
+    }
+
+    #[test]
+    fn a_record_map_without_resizing_still_announces() {
+        // An Inlined table with resizing off skips the announcements
+        // (§3.4.5); a record map must not, or nothing protects its reads.
+        let counting = Arc::new(CountingAllocator::new(SystemAllocator::new()));
+        let map = DlhtAllocMap::new(
+            DlhtConfig::new(64)
+                .with_variable_size(true)
+                .with_resizing(false),
+            counting.clone() as Arc<dyn ValueAllocator>,
+            0,
+            0,
+        );
+        let mut reader = map.session();
+        reader.insert(0, b"k", b"v").unwrap();
+        let freed_inside = reader.get_with(0, b"k", |_| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut writer = map.session();
+                    assert!(writer.delete(0, b"k"));
+                    writer.quiesce();
+                });
+            });
+            counting.deallocs()
+        });
+        assert_eq!(freed_inside, Some(0), "freed under a running read");
     }
 
     #[test]

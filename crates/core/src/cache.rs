@@ -4,16 +4,16 @@
 //! [`CacheMap`] is the storage engine behind the memcache-compatible text
 //! protocol in `dlht-net`. Its entries are the same out-of-line records as
 //! [`crate::DlhtAllocMap`]'s (see [`crate::record`] for the layout, key words
-//! and epoch reclamation), each carrying an [`EntryMeta`] block with the
-//! fields a cache needs: `flags`, `deadline`, `cas` and `last_access`.
+//! and reclamation), each carrying an [`EntryMeta`] block with the fields a
+//! cache needs: `flags`, `deadline`, `cas` and `last_access`.
 //!
 //! * **TTL** — `deadline` is an absolute cache-clock second (`0` = never
 //!   expires). Reads check it lazily, so an expired entry is *never served*
 //!   even before the reaper removes it; `touch` publishes a copy of the entry
 //!   with the new deadline.
 //! * **Reaping** — [`CacheSession::sweep_expired`] scans the index for dead
-//!   deadlines and retires those entries through the epoch machinery, so a
-//!   background reaper drains expiry storms in bulk without stopping readers.
+//!   deadlines and retires those entries into their shards, so a background
+//!   reaper drains expiry storms in bulk without stopping readers.
 //! * **Eviction** — with a non-zero memory budget, [`CacheSession::maybe_evict`]
 //!   keeps `index_bytes + value bytes` under the watermark by removing the
 //!   least-recently-used entries ([`EvictionPolicy::Lru`], via the atomic
@@ -22,24 +22,27 @@
 //!
 //! ## Concurrency
 //!
-//! Nothing takes a lock. Reads ride the index's lock-free Get plus QSBR
-//! epoch protection, exactly like `DlhtAllocMap`. A published entry is
-//! immutable apart from its `last_access` stamp, so every mutation (store,
-//! delete, touch, incr/decr, reap, evict) is "read the entry pointer, act
-//! only if the key still holds it": a conditional Put or Delete on the
-//! pointer in the index. When a racing writer got there first, the
+//! Nothing takes a lock. Each read happens inside one enter on the key's
+//! shard, which keeps the entry alive, exactly like `DlhtAllocMap`. A
+//! published entry is immutable apart from its `last_access` stamp, so
+//! every mutation (store, delete, touch, incr/decr, reap, evict) is "read
+//! the entry pointer, act only if the key still holds it": a conditional
+//! Put or Delete on the pointer in the index, inside the same enter as the
+//! read. When a racing writer got there first, the
 //! mutation re-reads the key and decides again, so read-modify-write ops
 //! lose no update and the reaper never unlinks an entry that a racing
-//! `touch` or `set` replaced. Retired records are freed two epochs after
-//! unlinking; sessions must call [`CacheSession::quiesce`] periodically
-//! (the server does so once per event loop pass).
+//! `touch` or `set` replaced. An unlinked entry retires into its shard and
+//! is freed once no reader can reach it; [`CacheSession::quiesce`] frees
+//! what is freeable at once (the server calls it once per event loop pass).
 
+use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::record::{key_word, Records};
-use crate::sharded::ShardedTable;
+use crate::session::Session;
+use crate::sharded::{ShardedSession, ShardedTable};
 use crate::stats::TableStats;
+use crate::table::{DlhtMap, EnterGuard};
 use dlht_alloc::AllocatorKind;
-use dlht_epoch::{Collector, LocalHandle};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -242,7 +245,7 @@ pub struct CacheStats {
     pub evicted: u64,
     /// `flush_all` invocations.
     pub flushes: u64,
-    /// Bytes of retired records not yet freed by the epoch GC.
+    /// Bytes of retired records not yet freed.
     pub pending_reclaim_bytes: u64,
     /// Seconds on the cache clock since creation.
     pub uptime_secs: u32,
@@ -282,8 +285,7 @@ pub struct ReapOutcome {
 /// TTL-carrying entry records. See the module docs for the design.
 pub struct CacheMap {
     table: ShardedTable,
-    records: Records<EntryMeta>,
-    collector: Arc<Collector>,
+    records: Arc<Records<EntryMeta>>,
     clock: Arc<dyn CacheClock>,
     /// Unix seconds at cache-clock second 1 (for absolute memcache expiry).
     unix_at_start: u64,
@@ -316,7 +318,22 @@ impl CacheMap {
     /// Create a cache driving TTL decisions from an explicit clock
     /// (deterministic tests use [`ManualClock`]).
     pub fn with_clock(config: CacheConfig, clock: Arc<dyn CacheClock>) -> Self {
-        let table = ShardedTable::with_capacity(config.shards.max(1), config.capacity.max(64));
+        let records = Arc::new(Records::new(AllocatorKind::Pool.build(), None));
+        let pending_reclaim_bytes = Arc::new(AtomicU64::new(0));
+        let free = {
+            let (records, pending) = (Arc::clone(&records), Arc::clone(&pending_reclaim_bytes));
+            // SAFETY: each shard calls its free hook once per entry it
+            // retired, after no reader can reach the entry.
+            Arc::new(move |ptr: *mut u8| unsafe {
+                let size = records.size(ptr) as u64;
+                pending.fetch_sub(size, Ordering::Relaxed);
+                records.free(ptr)
+            })
+        };
+        let sizing = DlhtConfig::for_capacity(config.capacity.max(64));
+        let table = ShardedTable::build(config.shards.max(1), sizing, |c| {
+            DlhtMap::for_records(c, free.clone())
+        });
         let index_bytes = table.index_bytes() as u64;
         let unix_at_start = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -324,8 +341,7 @@ impl CacheMap {
             .unwrap_or(0);
         CacheMap {
             table,
-            records: Records::new(AllocatorKind::Pool.build(), None),
-            collector: Arc::new(Collector::new()),
+            records,
             clock,
             unix_at_start,
             budget: config.memory_budget,
@@ -335,7 +351,7 @@ impl CacheMap {
             index_bytes_cache: AtomicU64::new(index_bytes),
             items: AtomicU64::new(0),
             value_bytes: AtomicU64::new(0),
-            pending_reclaim_bytes: Arc::new(AtomicU64::new(0)),
+            pending_reclaim_bytes,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             sets: AtomicU64::new(0),
@@ -353,14 +369,12 @@ impl CacheMap {
         })
     }
 
-    /// Open a per-thread session (owns the thread's epoch handle; call
-    /// [`CacheSession::quiesce`] periodically).
+    /// Open a per-thread session (cheap: it caches the thread's slots).
     pub fn session(&self) -> CacheSession<'_> {
-        let handle = self
-            .collector
-            .register()
-            .expect("too many concurrent cache sessions");
-        CacheSession { map: self, handle }
+        CacheSession {
+            map: self,
+            session: self.table.session(),
+        }
     }
 
     /// Seconds on the cache clock.
@@ -416,11 +430,6 @@ impl CacheMap {
         self.table.retired_indexes()
     }
 
-    /// The epoch collector (exposed for coordinated shutdown in tests).
-    pub fn collector(&self) -> &Arc<Collector> {
-        &self.collector
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -472,32 +481,26 @@ impl CacheMap {
         }
     }
 
-    /// Retire an entry that was just unlinked from the index: move its bytes
-    /// from the resident gauge to the pending-reclaim gauge and defer the
-    /// free to the epoch GC.
-    fn retire_entry(&self, handle: &mut LocalHandle, word_value: u64) {
+    /// Retire an entry that `shard` just unlinked from the index: move its
+    /// bytes from the resident gauge to the pending-reclaim gauge and hand
+    /// it to the shard, which frees it once no reader can reach it.
+    fn retire_entry(&self, shard: &Session<'_>, word_value: u64) {
         let ptr = word_value as *mut u8;
-        let pending = Arc::clone(&self.pending_reclaim_bytes);
-        // SAFETY: the caller's own Put or Delete unlinked the entry, so it is
-        // retired once; it stays alive until this session's next quiescent
-        // point.
-        unsafe {
-            let size = self.records.size(ptr) as u64;
-            self.value_bytes.fetch_sub(size, Ordering::Relaxed);
-            self.pending_reclaim_bytes
-                .fetch_add(size, Ordering::Relaxed);
-            self.records.retire(handle, ptr, move |size| {
-                pending.fetch_sub(size as u64, Ordering::Relaxed);
-            });
-        }
+        // SAFETY: the caller's own Put or Delete unlinked the entry and it
+        // is not retired yet, so nothing can free it before the line below.
+        let size = unsafe { self.records.size(ptr) } as u64;
+        self.value_bytes.fetch_sub(size, Ordering::Relaxed);
+        self.pending_reclaim_bytes
+            .fetch_add(size, Ordering::Relaxed);
+        shard.retire(ptr);
     }
 
     /// Metadata of a published entry.
     ///
     /// # Safety
-    /// `word_value` must be linked in this map's index, or unlinked after
-    /// the calling session's last quiescent point; the reference must not
-    /// outlive that protection.
+    /// `word_value` must have been read from this map's index inside an
+    /// enter on its shard that is still held, or be unlinked by the caller
+    /// and not yet retired; the reference must not outlive that.
     unsafe fn meta<'r>(&self, word_value: u64) -> &'r EntryMeta {
         // SAFETY: caller contract.
         unsafe { self.records.meta(word_value as *const u8) }
@@ -536,12 +539,12 @@ enum SlotState {
     Foreign(u64),
 }
 
-/// Per-thread session over a [`CacheMap`]: owns the thread's epoch handle,
-/// so record pointers read inside one call stay valid until the session's
-/// next [`CacheSession::quiesce`].
+/// Per-thread session over a [`CacheMap`]: a [`ShardedSession`] on its
+/// index, and like one not `Send`. A session between calls holds nothing
+/// back.
 pub struct CacheSession<'a> {
     map: &'a CacheMap,
-    handle: LocalHandle,
+    session: ShardedSession<'a>,
 }
 
 impl<'a> CacheSession<'a> {
@@ -550,13 +553,25 @@ impl<'a> CacheSession<'a> {
         self.map
     }
 
-    /// Classify what currently occupies `word`.
-    fn slot_state(&self, word: u64, exact: bool, key: &[u8], now: u32) -> SlotState {
-        match self.map.table.get(word) {
+    /// The session of the shard `word` routes to.
+    fn shard(&self, word: u64) -> &Session<'a> {
+        self.session.session_for(word)
+    }
+
+    /// Classify what currently occupies `word`, read inside `entered`.
+    fn slot_state(
+        &self,
+        entered: &EnterGuard<'_>,
+        word: u64,
+        exact: bool,
+        key: &[u8],
+        now: u32,
+    ) -> SlotState {
+        match entered.get(word) {
             None => SlotState::Empty,
             Some(cur) => {
-                // SAFETY: `cur` was published by this map and cannot be
-                // freed before this session's next quiescent point.
+                // SAFETY: `cur` was read inside `entered`, which keeps it
+                // alive.
                 let (holds, meta) = unsafe {
                     (
                         self.map.records.holds(cur as *const u8, key, exact),
@@ -575,13 +590,16 @@ impl<'a> CacheSession<'a> {
     }
 
     /// Unlink `word` if it still holds `cur`, and retire the record. `false`
-    /// when a racing write replaced or removed it first.
-    fn unlink(&mut self, word: u64, cur: u64) -> bool {
-        if self.map.table.delete_if(word, cur).is_err() {
+    /// when a racing write replaced or removed it first. The caller holds
+    /// an enter on the shard from the read of `cur` on, so `cur` cannot have
+    /// been freed and reused meanwhile.
+    fn unlink(&self, word: u64, cur: u64) -> bool {
+        let shard = self.shard(word);
+        if shard.enter().delete_if(word, cur).is_err() {
             return false;
         }
         self.map.items.fetch_sub(1, Ordering::Relaxed);
-        self.map.retire_entry(&mut self.handle, cur);
+        self.map.retire_entry(shard, cur);
         true
     }
 
@@ -632,10 +650,15 @@ impl<'a> CacheSession<'a> {
         let deadline = self.map.deadline_for(exptime);
         let now = self.map.clock.now();
         let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
+        let shard = self.shard(word);
+        let entered = shard.enter();
         // Written on first need and reused across retries.
         let mut entry: Option<*mut u8> = None;
         let stored = loop {
-            let replaces = match (require_live, self.slot_state(word, exact, key, now)) {
+            let replaces = match (
+                require_live,
+                self.slot_state(&entered, word, exact, key, now),
+            ) {
                 // An expired entry is logically absent: remove it here so
                 // `add` can take the slot and the accounting reflects reality.
                 (_, SlotState::Expired(cur)) => {
@@ -659,12 +682,12 @@ impl<'a> CacheSession<'a> {
             });
             match replaces {
                 Some(cur) => {
-                    if self.map.table.put_if(word, cur, new as u64).is_ok() {
-                        self.map.retire_entry(&mut self.handle, cur);
+                    if entered.put_if(word, cur, new as u64).is_ok() {
+                        self.map.retire_entry(shard, cur);
                         break StoreOutcome::Stored;
                     }
                 }
-                None => match self.map.table.insert(word, new as u64) {
+                None => match shard.insert(word, new as u64) {
                     Ok(InsertOutcome::Inserted) => {
                         self.map.items.fetch_add(1, Ordering::Relaxed);
                         break StoreOutcome::Stored;
@@ -678,6 +701,7 @@ impl<'a> CacheSession<'a> {
                 },
             }
         };
+        drop(entered);
         if stored == StoreOutcome::Stored {
             self.map.sets.fetch_add(1, Ordering::Relaxed);
         } else if let Some(unlinked) = entry {
@@ -689,7 +713,8 @@ impl<'a> CacheSession<'a> {
 
     /// Lock-free lookup: invoke `f` on the live entry, or return `None` on
     /// a miss. Entries past their deadline are **never** surfaced, even
-    /// before the reaper removes them.
+    /// before the reaper removes them. The lookup, the key check and `f` run
+    /// inside one enter on the key's shard.
     // HOT: the cache read path — no locks, one index Get, one record read.
     pub fn get_with<R>(&mut self, key: &[u8], f: impl FnOnce(CacheView<'_>) -> R) -> Option<R> {
         let now = self.map.clock.now();
@@ -697,13 +722,14 @@ impl<'a> CacheSession<'a> {
         let miss = |map: &CacheMap| {
             map.misses.fetch_add(1, Ordering::Relaxed);
         };
-        let Some(cur) = self.map.table.get(word) else {
+        let entered = self.shard(word).enter();
+        let Some(cur) = entered.get(word) else {
             miss(self.map);
             return None;
         };
         let ptr = cur as *const u8;
-        // SAFETY: `cur` was published by this map; epoch protection (this
-        // session is between quiescent points) keeps the record alive.
+        // SAFETY: `cur` was read inside `entered`, which keeps it alive
+        // until this function returns.
         let meta = unsafe { self.map.meta(cur) };
         // SAFETY: as above.
         if !unsafe { self.map.records.holds(ptr, key, exact) } || meta.expired_at(now) {
@@ -733,8 +759,9 @@ impl<'a> CacheSession<'a> {
     pub fn delete(&mut self, key: &[u8]) -> bool {
         let now = self.map.clock.now();
         let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
+        let entered = self.shard(word).enter();
         loop {
-            match self.slot_state(word, exact, key, now) {
+            match self.slot_state(&entered, word, exact, key, now) {
                 SlotState::Empty | SlotState::Foreign(_) => return false,
                 SlotState::Expired(cur) => {
                     if self.unlink(word, cur) {
@@ -797,11 +824,13 @@ impl<'a> CacheSession<'a> {
         let now = self.map.clock.now();
         let (word, exact) = key_word(key, CACHE_HASH_SEED, true);
         let map = self.map;
+        let shard = self.shard(word);
+        let entered = shard.enter();
         loop {
-            let SlotState::Live(cur) = self.slot_state(word, exact, key, now) else {
+            let SlotState::Live(cur) = self.slot_state(&entered, word, exact, key, now) else {
                 return Err(CounterError::NotFound);
             };
-            // SAFETY: live entry under epoch protection (see `get_with`).
+            // SAFETY: read inside `entered`, which keeps it alive.
             let (value, meta) = unsafe { (map.records.value(cur as *const u8), map.meta(cur)) };
             let next = edit(value)?;
             let mut buf = [0u8; 20];
@@ -814,8 +843,8 @@ impl<'a> CacheSession<'a> {
             };
             let deadline = deadline.unwrap_or(meta.deadline);
             let entry = map.write_entry(key, value, meta.flags, deadline, cas);
-            if map.table.put_if(word, cur, entry as u64).is_ok() {
-                map.retire_entry(&mut self.handle, cur);
+            if entered.put_if(word, cur, entry as u64).is_ok() {
+                map.retire_entry(shard, cur);
                 return Ok(next);
             }
             map.discard_entry(entry);
@@ -829,9 +858,10 @@ impl<'a> CacheSession<'a> {
         self.map.table.for_each(|word, _| words.push(word));
         let mut removed = 0;
         for word in words {
-            if let Some(cur) = self.map.table.delete(word) {
+            let shard = self.shard(word);
+            if let Some(cur) = shard.delete(word) {
                 self.map.items.fetch_sub(1, Ordering::Relaxed);
-                self.map.retire_entry(&mut self.handle, cur);
+                self.map.retire_entry(shard, cur);
                 removed += 1;
             }
         }
@@ -840,8 +870,7 @@ impl<'a> CacheSession<'a> {
     }
 
     /// One reaper pass: sweep expired entries, then enforce the memory
-    /// budget, then announce a quiescent point (so repeated passes actually
-    /// free what they retired).
+    /// budget, then free what is freeable.
     pub fn reap(&mut self) -> ReapOutcome {
         let expired = self.sweep_expired();
         let evicted = self.maybe_evict();
@@ -851,25 +880,27 @@ impl<'a> CacheSession<'a> {
 
     /// Scan the index and retire every entry whose deadline has passed.
     /// Concurrent-safe: each victim is unlinked only if its key still holds
-    /// the scanned entry (a racing `touch`/`set` replaced it and wins).
+    /// the scanned entry (a racing `touch`/`set` replaced it and wins). One
+    /// enter on every shard spans the scan and the unlinks.
     pub fn sweep_expired(&mut self) -> u64 {
         let now = self.map.clock.now();
-        let mut victims: Vec<(u64, u64)> = Vec::new();
-        self.map.table.for_each(|word, value_word| {
-            // SAFETY: published record under epoch protection — this
-            // session does not quiesce during the scan.
-            if unsafe { self.map.meta(value_word) }.expired_at(now) {
-                victims.push((word, value_word));
+        self.session.entered(|| {
+            let mut victims: Vec<(u64, u64)> = Vec::new();
+            self.map.table.for_each(|word, value_word| {
+                // SAFETY: read inside the enter on every shard.
+                if unsafe { self.map.meta(value_word) }.expired_at(now) {
+                    victims.push((word, value_word));
+                }
+            });
+            let mut reaped = 0;
+            for (word, value_word) in victims {
+                if self.unlink(word, value_word) {
+                    self.map.expired.fetch_add(1, Ordering::Relaxed);
+                    reaped += 1;
+                }
             }
-        });
-        let mut reaped = 0;
-        for (word, value_word) in victims {
-            if self.unlink(word, value_word) {
-                self.map.expired.fetch_add(1, Ordering::Relaxed);
-                reaped += 1;
-            }
-        }
-        reaped
+            reaped
+        })
     }
 
     /// Enforce the memory budget: when `index_bytes + value bytes` exceeds
@@ -902,50 +933,54 @@ impl<'a> CacheSession<'a> {
             .saturating_sub(index_bytes);
         let now = self.map.clock.now();
         let fifo = self.map.eviction == EvictionPolicy::Fifo;
-        let mut candidates: Vec<(u64, u64, u64)> = Vec::new();
-        self.map.table.for_each(|word, value_word| {
-            // SAFETY: published record under epoch protection (no quiesce
-            // during the scan).
-            let meta = unsafe { self.map.meta(value_word) };
-            let order = if fifo {
-                meta.cas
-            } else {
-                // LRU: coldest access first; ties broken by insert order.
-                ((meta.last_access.load(Ordering::Relaxed) as u64) << 32) | (meta.cas & 0xFFFF_FFFF)
-            };
-            candidates.push((order, word, value_word));
-        });
-        candidates.sort_unstable_by_key(|&(order, _, _)| order);
-        let mut evicted = 0;
-        for (_, word, value_word) in candidates {
-            if self.map.value_bytes.load(Ordering::Relaxed) <= target {
-                break;
+        // One enter on every shard spans the scan and the unlinks.
+        self.session.entered(|| {
+            let mut candidates: Vec<(u64, u64, u64)> = Vec::new();
+            self.map.table.for_each(|word, value_word| {
+                // SAFETY: read inside the enter on every shard.
+                let meta = unsafe { self.map.meta(value_word) };
+                let order = if fifo {
+                    meta.cas
+                } else {
+                    // LRU: coldest access first; ties broken by insert order.
+                    ((meta.last_access.load(Ordering::Relaxed) as u64) << 32)
+                        | (meta.cas & 0xFFFF_FFFF)
+                };
+                candidates.push((order, word, value_word));
+            });
+            candidates.sort_unstable_by_key(|&(order, _, _)| order);
+            let mut evicted = 0;
+            for (_, word, value_word) in candidates {
+                if self.map.value_bytes.load(Ordering::Relaxed) <= target {
+                    break;
+                }
+                // SAFETY: scanned inside the same enter.
+                let was_expired = unsafe { self.map.meta(value_word) }.expired_at(now);
+                if !self.unlink(word, value_word) {
+                    continue; // replaced or removed since the scan
+                }
+                if was_expired {
+                    self.map.expired.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.map.evicted.fetch_add(1, Ordering::Relaxed);
+                    evicted += 1;
+                }
             }
-            // SAFETY: scanned above; this session has not quiesced since.
-            let was_expired = unsafe { self.map.meta(value_word) }.expired_at(now);
-            if !self.unlink(word, value_word) {
-                continue; // replaced or removed since the scan
-            }
-            if was_expired {
-                self.map.expired.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.map.evicted.fetch_add(1, Ordering::Relaxed);
-                evicted += 1;
-            }
-        }
-        evicted
+            evicted
+        })
     }
 
-    /// Announce a quiescent point: records retired two epochs ago become
-    /// freeable, and the global epoch advances once all sessions have done
-    /// so.
+    /// Free every retired entry (of any session) that no reader can reach
+    /// any more. Other sessions do not need this call to make progress:
+    /// retirements collect on their own every few dozen entries, and this
+    /// only frees the rest now.
     pub fn quiesce(&mut self) {
-        self.handle.quiescent();
+        self.map.table.collect_retired();
     }
 
-    /// Records retired by this session and not yet freed.
+    /// Entries retired on this cache (by any session) and not yet freed.
     pub fn pending_garbage(&self) -> usize {
-        self.handle.pending()
+        self.map.table.pending_records()
     }
 }
 
@@ -1125,6 +1160,34 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_session_holds_nothing_back() {
+        let (_clock, map) = manual_cache(0, EvictionPolicy::Lru);
+        let (opened, done) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let left = std::thread::scope(|s| {
+            // A session on another thread that stays open and idle.
+            s.spawn(|| {
+                let _idle = map.session();
+                opened.wait();
+                done.wait();
+            });
+            opened.wait();
+            let mut busy = map.session();
+            for i in 0..1_000u64 {
+                let key = format!("idle:{i}");
+                busy.set(key.as_bytes(), &[3u8; 16], 0, 0).unwrap();
+                assert!(busy.delete(key.as_bytes()));
+                busy.quiesce();
+            }
+            // Read before the idle thread may leave, asserted after: a
+            // failed assertion must not strand it at the barrier.
+            let left = (busy.pending_garbage(), map.stats().pending_reclaim_bytes);
+            done.wait();
+            left
+        });
+        assert_eq!(left, (0, 0), "the idle session pins entries");
+    }
+
+    #[test]
     fn eviction_respects_budget_and_lru_keeps_hot_keys() {
         let value = [1u8; 1024];
         let (_clock, map) = {
@@ -1196,6 +1259,31 @@ mod tests {
         assert_eq!(map.len(), 0);
         assert_eq!(s.get(b"k0"), None);
         assert_eq!(map.stats().flushes, 1);
+    }
+
+    #[test]
+    fn a_read_keeps_its_entry_until_its_closure_returns() {
+        let (_clock, map) = manual_cache(0, EvictionPolicy::Lru);
+        let mut reader = map.session();
+        reader.set(b"k", b"value", 0, 0).unwrap();
+        let pending_inside = reader
+            .get_with(b"k", |view| {
+                // Another thread deletes the entry and frees what it can
+                // while this closure still reads it.
+                std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let mut writer = map.session();
+                        assert!(writer.delete(b"k"));
+                        writer.quiesce();
+                    });
+                });
+                assert_eq!(view.value, b"value");
+                map.stats().pending_reclaim_bytes
+            })
+            .unwrap();
+        assert!(pending_inside > 0, "freed under a running read");
+        reader.quiesce();
+        assert_eq!(map.stats().pending_reclaim_bytes, 0);
     }
 
     #[test]

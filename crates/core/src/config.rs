@@ -26,8 +26,9 @@ pub struct DlhtConfig {
     /// count.
     pub hash: HashKind,
     /// Whether the index may grow. When disabled, a full bin makes inserts
-    /// fail with [`crate::DlhtError::TableFull`], and the per-request
-    /// enter/leave notifications are skipped (§5.2.5 "Resizing" bar).
+    /// fail with [`crate::DlhtError::TableFull`], and an Inlined table skips
+    /// the per-request enter/leave notifications (§5.2.5 "Resizing" bar);
+    /// a record table still makes them, since it frees records.
     pub resizing: bool,
     /// Bins per transfer chunk during a resize.
     pub chunk_bins: usize,

@@ -59,8 +59,9 @@ impl BinGeometry {
 ///
 /// Indexes are linked into a forward chain through `Index::next` by the
 /// resize protocol; the chain is only ever extended at the tail and freed from
-/// the head (oldest first), which is what makes announcing the entered index
-/// sufficient to protect a whole traversal (see `registry.rs`).
+/// the head (oldest first). Every index reachable from the one a thread
+/// entered on is retired after its enter announced, so the announcement
+/// protects the whole traversal (see `registry.rs`).
 pub struct Index {
     bins: Slab<PrimaryBucket>,
     links: Slab<LinkBucket>,

@@ -81,7 +81,6 @@ pub mod index;
 pub mod kv;
 pub mod pipeline;
 pub mod prefetch;
-pub mod registry;
 pub mod session;
 pub mod sharded;
 pub mod stats;
@@ -91,6 +90,7 @@ pub mod typed;
 mod alloc_map;
 mod cache;
 mod record;
+mod registry;
 mod set;
 mod single_thread;
 mod table;
@@ -119,7 +119,6 @@ pub use typed::{ByteCodec, Dlht, Inline8, KvCodec, TypedBatch, TypedResponse};
 
 // Re-export the substrate crates so downstream users need only one dependency.
 pub use dlht_alloc as alloc;
-pub use dlht_epoch as epoch;
 pub use dlht_hash as hash;
 
 #[cfg(test)]
@@ -170,14 +169,14 @@ mod model_tests {
                     2 => assert_eq!(map.get(k), model.get(&k).copied(), "seed {seed}"),
                     3 => {
                         let want = if matches { Ok(()) } else { Err(held) };
-                        assert_eq!(map.put_if(k, expected, v), want, "seed {seed}");
+                        assert_eq!(map.enter().put_if(k, expected, v), want, "seed {seed}");
                         if matches {
                             model.insert(k, v);
                         }
                     }
                     4 => {
                         let want = if matches { Ok(()) } else { Err(held) };
-                        assert_eq!(map.delete_if(k, expected), want, "seed {seed}");
+                        assert_eq!(map.enter().delete_if(k, expected), want, "seed {seed}");
                         if matches {
                             model.remove(&k);
                         }

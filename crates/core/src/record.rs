@@ -2,7 +2,9 @@
 //! record layout, shared by [`crate::DlhtAllocMap`] and [`crate::CacheMap`].
 //! The index slot's value word points at a record; a lookup on a fingerprint
 //! key word ([`key_word`]) verifies the key stored in the record; a delete
-//! retires the record through the epoch GC (§3.2.3).
+//! retires the record into the table it was unlinked from, which frees it
+//! through [`Records::free`] once no reader can reach it (§3.2.3, the
+//! epoch of `registry.rs`).
 //!
 //! ```text
 //!  record (VALUE_ALIGN-aligned, one allocation)
@@ -20,7 +22,6 @@
 
 use crate::error::DlhtError;
 use dlht_alloc::{ValueAllocator, VALUE_ALIGN};
-use dlht_epoch::LocalHandle;
 use dlht_hash::WyHash;
 use std::marker::PhantomData;
 use std::mem::{align_of, needs_drop, size_of};
@@ -211,44 +212,22 @@ impl<M: Sync> Records<M> {
         }
     }
 
-    /// Free a record at once: one never published, or one still linked in
-    /// an index being dropped.
+    /// Free a record at once: one never published, one still linked in an
+    /// index being dropped, or one its table retired and no reader can
+    /// reach any more.
     /// # Safety
     /// As [`Records::lengths`], and no other thread can reach the record.
     pub(crate) unsafe fn free(&self, ptr: *mut u8) {
         // SAFETY: caller contract — `size` is the size `write` allocated.
         unsafe { self.allocator.dealloc(ptr, self.size(ptr)) };
     }
-
-    /// Retire a record just unlinked from the index: the epoch GC frees it
-    /// once every session has passed a quiescent point, after running
-    /// `on_free` with its size.
-    /// # Safety
-    /// As [`Records::lengths`], and the record is unlinked and retired once.
-    pub(crate) unsafe fn retire(
-        &self,
-        handle: &mut LocalHandle,
-        ptr: *mut u8,
-        on_free: impl FnOnce(usize) + Send + 'static,
-    ) {
-        // SAFETY: caller contract.
-        let size = unsafe { self.size(ptr) };
-        let allocator = Arc::clone(&self.allocator);
-        let addr = ptr as usize;
-        handle.defer(move || {
-            on_free(size);
-            // SAFETY: the epoch GC runs this only after every session passed
-            // a quiescent point, so no reader can still hold the record.
-            unsafe { allocator.dealloc(addr as *mut u8, size) };
-        });
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DlhtConfig, DlhtMap};
     use dlht_alloc::{CountingAllocator, SystemAllocator};
-    use dlht_epoch::Collector;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
@@ -295,23 +274,29 @@ mod tests {
     #[test]
     fn retired_records_are_freed_after_quiescence() {
         let alloc = Arc::new(CountingAllocator::new(SystemAllocator::new()));
-        let records: Records<()> = Records::new(alloc.clone(), None);
-        let mut handle = Arc::new(Collector::new()).register().unwrap();
+        let records: Arc<Records<()>> = Arc::new(Records::new(alloc.clone(), None));
         let freed = Arc::new(AtomicU32::new(0));
+        let hook = {
+            let (records, freed) = (Arc::clone(&records), Arc::clone(&freed));
+            // SAFETY: the table frees each record it retired once, after no
+            // reader can reach it.
+            Arc::new(move |ptr: *mut u8| unsafe {
+                freed.fetch_add(records.size(ptr) as u32, Ordering::Relaxed);
+                records.free(ptr)
+            })
+        };
+        let table = DlhtMap::for_records(DlhtConfig::new(16), hook);
+        let session = table.session();
+        let reader = table.session();
+        let pin = reader.enter();
         for i in 0..10u32 {
-            let ptr = records.write(&i.to_le_bytes(), &[0; 20], ());
-            let freed = Arc::clone(&freed);
-            // SAFETY: never published, retired once.
-            unsafe {
-                records.retire(&mut handle, ptr, move |n| {
-                    _ = freed.fetch_add(n as u32, Ordering::Relaxed)
-                })
-            };
+            // Never published, so unlinked: retired once.
+            session.retire(records.write(&i.to_le_bytes(), &[0; 20], ()));
         }
-        assert_eq!(alloc.deallocs(), 0, "records must outlive the epoch");
-        for _ in 0..4 {
-            handle.quiescent();
-        }
+        table.collect_garbage();
+        assert_eq!(alloc.deallocs(), 0, "an entered reader holds them back");
+        drop(pin);
+        table.collect_garbage();
         assert_eq!(alloc.live(), 0);
         assert_eq!(
             freed.load(Ordering::Relaxed),

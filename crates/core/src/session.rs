@@ -1,12 +1,12 @@
 //! Per-thread submission sessions (§3.2.5 + §3.3).
 //!
-//! Every DLHT request must announce itself to the [`crate::registry::ThreadRegistry`]
-//! so retired indexes can be garbage-collected after a resize. The plain
-//! operations look the announcement slot up through a thread-local on every
-//! call; a [`Session`] claims the slot **once** and reuses it, so each
-//! single operation and each executed batch pays one enter/leave pair (the
-//! two stores the paper describes) — and it is the factory for the
-//! [`Pipeline`] submission interface.
+//! Every DLHT request must announce itself in the table's thread registry,
+//! so that what a resize or a record writer retires outlives its readers.
+//! The plain operations look the announcement slot up through a
+//! thread-local on every call; a [`Session`] claims the slot **once** and
+//! reuses it, so each single operation and each executed batch pays one
+//! enter/leave pair (the two stores the paper describes) — and it is the
+//! factory for the [`Pipeline`] submission interface.
 //!
 //! Prefetch hints take no announcement at all. A session keeps the geometry
 //! of the index it last entered (bins address, bin count, hash) and
@@ -56,8 +56,8 @@ use std::marker::PhantomData;
 /// and drive batches or a [`Pipeline`] through it.
 pub struct Session<'t> {
     table: &'t DlhtMap,
-    /// The claimed announcement slot; `None` when resizing is disabled and
-    /// the enter/leave protocol is skipped entirely (§3.4.5).
+    /// The claimed announcement slot; `None` when the table skips the
+    /// enter/leave protocol entirely (§3.4.5, see [`DlhtMap::announces`]).
     slot: Option<usize>,
     /// Geometry of the index this session last entered: the hint
     /// [`Session::prefetch`] works from without entering.
@@ -69,8 +69,7 @@ pub struct Session<'t> {
 impl<'t> Session<'t> {
     pub(crate) fn new(table: &'t DlhtMap) -> Self {
         let slot = table
-            .config()
-            .resizing
+            .announces()
             .then(|| table.registry().slot_for_current_thread());
         Session {
             table,
@@ -138,6 +137,15 @@ impl<'t> Session<'t> {
     /// Delete `key`, returning its value if it was present.
     pub fn delete(&self, key: u64) -> Option<u64> {
         self.entered(|start| self.table.delete_guarded(start, key))
+    }
+
+    /// Retire `record`, which this thread just unlinked from a record
+    /// table, into this session's slot.
+    pub(crate) fn retire(&self, record: *mut u8) {
+        let slot = self
+            .slot
+            .unwrap_or_else(|| self.table.registry().slot_for_current_thread());
+        self.table.retire_record(slot, record);
     }
 
     /// Issue a software prefetch for the bin `key` hashes to.

@@ -104,6 +104,17 @@ impl ShardedTable {
     /// is `config.num_bins` — each shard starts with `num_bins / shards` bins
     /// (at least 2) and all other knobs of `config`.
     pub fn with_config(shards: usize, config: DlhtConfig) -> Self {
+        Self::build(shards, config, DlhtMap::with_config)
+    }
+
+    /// [`ShardedTable::with_config`] with each shard built by `shard` from
+    /// its share of `config` (a record table's shards are
+    /// [`DlhtMap::for_records`]).
+    pub(crate) fn build(
+        shards: usize,
+        config: DlhtConfig,
+        shard: impl Fn(DlhtConfig) -> DlhtMap,
+    ) -> Self {
         let shards = shards.clamp(1, MAX_SHARDS).next_power_of_two();
         let shard_bits = shards.trailing_zeros();
         let per_shard = DlhtConfig {
@@ -111,9 +122,7 @@ impl ShardedTable {
             ..config.clone()
         };
         ShardedTable {
-            shards: (0..shards)
-                .map(|_| DlhtMap::with_config(per_shard.clone()))
-                .collect(),
+            shards: (0..shards).map(|_| shard(per_shard.clone())).collect(),
             shard_bits,
             config,
         }
@@ -211,18 +220,6 @@ impl ShardedTable {
         self.route(key).delete(key)
     }
 
-    /// `DlhtMap::put_if` on the key's shard.
-    #[inline]
-    pub(crate) fn put_if(&self, key: u64, current: u64, new: u64) -> Result<(), Option<u64>> {
-        self.route(key).put_if(key, current, new)
-    }
-
-    /// `DlhtMap::delete_if` on the key's shard.
-    #[inline]
-    pub(crate) fn delete_if(&self, key: u64, current: u64) -> Result<(), Option<u64>> {
-        self.route(key).delete_if(key, current)
-    }
-
     /// Insert if absent, otherwise update; returns the previous value on
     /// update and propagates insert errors (see [`DlhtMap::upsert`]).
     #[inline]
@@ -290,7 +287,7 @@ impl ShardedTable {
         self.shards.iter().map(|s| s.stats()).collect()
     }
 
-    /// Free retired index generations on every shard.
+    /// Free retired index generations (and records) on every shard.
     pub fn collect_retired(&self) {
         for shard in self.shards.iter() {
             shard.collect_garbage();
@@ -300,6 +297,11 @@ impl ShardedTable {
     /// Retired-but-not-yet-freed index generations summed across shards.
     pub fn retired_indexes(&self) -> usize {
         self.shards.iter().map(|s| s.retired_indexes()).sum()
+    }
+
+    /// Retired-but-not-yet-freed records summed across shards.
+    pub(crate) fn pending_records(&self) -> usize {
+        self.shards.iter().map(DlhtMap::pending_records).sum()
     }
 
     /// Run [`DlhtMap::check_invariants`] on every shard, labelling failures
@@ -358,8 +360,9 @@ impl<'t> ShardedSession<'t> {
         self.table
     }
 
+    /// The session of the shard `key` routes to.
     #[inline]
-    fn session_for(&self, key: u64) -> &Session<'t> {
+    pub(crate) fn session_for(&self, key: u64) -> &Session<'t> {
         &self.shards[self.table.shard_of(key)].session
     }
 
@@ -415,17 +418,19 @@ impl<'t> ShardedSession<'t> {
     }
 
     /// Run `f` with every shard entered through its session, each entry held
-    /// in its [`ShardSlot`] until `f` returns.
-    fn entered(&self, f: impl FnOnce()) {
+    /// in its [`ShardSlot`] until `f` returns. Not re-entrant: an inner call
+    /// would drop the outer call's entries.
+    pub(crate) fn entered<T>(&self, f: impl FnOnce() -> T) -> T {
         for slot in self.shards.iter() {
             let guard = slot.session.enter();
             slot.start.set(guard.index_ptr());
             slot.guard.set(Some(guard));
         }
-        f();
+        let r = f();
         for slot in self.shards.iter() {
             drop(slot.guard.take());
         }
+        r
     }
 
     /// The in-order loop, each request on the index its shard entered. Only

@@ -17,10 +17,10 @@ use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};
 use crate::header::{BinHeader, BinState, SlotState, SLOTS_PER_BIN};
 use crate::index::Index;
-use crate::registry::ThreadRegistry;
+use crate::registry::{ThreadRegistry, MAX_THREADS};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Outcome of attempting an operation on one index generation.
 enum Probe<T> {
@@ -50,6 +50,9 @@ impl<T> Probe<T> {
 /// (slot index, its key-value pair, value word).
 pub(crate) type Found<'a> = (usize, &'a AtomicPair, u64);
 
+/// How a record table frees a retired record no thread can reach anymore.
+pub(crate) type FreeRecord = Arc<dyn Fn(*mut u8) + Send + Sync>;
+
 /// Concurrent hash map with inlined 8-byte keys and values.
 ///
 /// All operations are *practically non-blocking* (§2.1): an operation on key
@@ -70,21 +73,25 @@ pub struct DlhtMap {
     current: AtomicPtr<Index>,
     registry: ThreadRegistry,
     config: DlhtConfig,
-    /// Indexes that have been replaced but may still be referenced by
-    /// in-flight operations. Freed strictly oldest-first.
-    retired: Mutex<VecDeque<usize>>,
+    /// Frees retired records; `None` unless value words point at records.
+    free_record: Option<FreeRecord>,
+    /// Indexes that have been replaced, with their retirement stamps, but
+    /// may still be referenced by in-flight operations. Freed oldest-first.
+    retired: Mutex<VecDeque<(u64, usize)>>,
     resizes: AtomicU64,
 }
 
 // SAFETY: all interior state is atomics / mutex-protected; the raw Index
-// pointers are managed by the hazard/retire protocol described in registry.rs.
+// pointers are managed by the epoch protocol described in registry.rs, and
+// `free_record` is `Send + Sync`.
 unsafe impl Send for DlhtMap {}
 // SAFETY: as above — shared access goes through atomics, the registry
 // handshake, or the retired-list Mutex.
 unsafe impl Sync for DlhtMap {}
 
 /// RAII announcement that the current thread is operating on the table
-/// (the paper's per-thread pointer, §3.2.5 "GC old index").
+/// (the paper's per-thread pointer, §3.2.5 "GC old index"). Whatever the
+/// thread reads from the table while it holds one is not freed.
 pub(crate) struct EnterGuard<'a> {
     table: &'a DlhtMap,
     slot: Option<usize>,
@@ -97,12 +104,33 @@ impl<'a> EnterGuard<'a> {
     pub(crate) fn index_ptr(&self) -> *mut Index {
         self.index
     }
+
+    /// Look up `key` from the index this guard entered: for a record read
+    /// that must stay inside the same enter as its lookup.
+    #[inline]
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
+        self.table.get_guarded(self.index, key)
+    }
+
+    /// Replace `key`'s value with `new` only if it still holds `current`.
+    /// `Err` carries the value actually found (`None` = absent).
+    pub(crate) fn put_if(&self, key: u64, current: u64, new: u64) -> Result<(), Option<u64>> {
+        let put = |idx: &Index| self.table.put_in(idx, key, Some(current), new);
+        self.table.run(self.index, put).map(drop)
+    }
+
+    /// Delete `key` only if it still holds `current`. `Err` carries the
+    /// value actually found (`None` = absent).
+    pub(crate) fn delete_if(&self, key: u64, current: u64) -> Result<(), Option<u64>> {
+        let delete = |idx: &Index| self.table.delete_in(idx, key, Some(current));
+        self.table.run(self.index, delete).map(drop)
+    }
 }
 
 impl Drop for EnterGuard<'_> {
     fn drop(&mut self) {
         if let Some(slot) = self.slot {
-            self.table.registry.clear(slot);
+            self.table.registry.leave(slot);
         }
     }
 }
@@ -110,11 +138,23 @@ impl Drop for EnterGuard<'_> {
 impl DlhtMap {
     /// Create a map from an explicit configuration.
     pub fn with_config(config: DlhtConfig) -> Self {
+        Self::build(config, None)
+    }
+
+    /// A table whose value words point at records: it retires what its
+    /// writers unlink and frees each record with `free` once no thread can
+    /// reach it. Its enters always announce, whatever `config.resizing`.
+    pub(crate) fn for_records(config: DlhtConfig, free: FreeRecord) -> Self {
+        Self::build(config, Some(free))
+    }
+
+    fn build(config: DlhtConfig, free_record: Option<FreeRecord>) -> Self {
         let initial = Box::into_raw(Box::new(Index::new(config.num_bins, &config, 0)));
         DlhtMap {
             current: AtomicPtr::new(initial),
-            registry: ThreadRegistry::new(),
+            registry: ThreadRegistry::with_capacity(MAX_THREADS),
             config,
+            free_record,
             retired: Mutex::new(VecDeque::new()),
             resizes: AtomicU64::new(0),
         }
@@ -157,14 +197,19 @@ impl DlhtMap {
     }
 
     // ------------------------------------------------------------------
-    // Entering / leaving (index garbage collection protocol)
+    // Entering / leaving (the reclamation protocol, registry.rs)
     // ------------------------------------------------------------------
+
+    /// Whether enters announce: not for an Inlined table with resizing off,
+    /// which frees nothing threads may read (§3.4.5 / §5.2.5).
+    #[inline]
+    pub(crate) fn announces(&self) -> bool {
+        self.config.resizing || self.free_record.is_some()
+    }
 
     /// Announce entry into the table and pin the current index generation.
     pub(crate) fn enter(&self) -> EnterGuard<'_> {
-        if !self.config.resizing {
-            // §3.4.5 / §5.2.5: with resizing disabled the enter/leave
-            // notifications are unnecessary and skipped.
+        if !self.announces() {
             return EnterGuard {
                 table: self,
                 slot: None,
@@ -177,24 +222,17 @@ impl DlhtMap {
     /// [`DlhtMap::enter`] with an already-claimed registry slot — the
     /// [`crate::Session`] fast path, which caches its slot at construction and
     /// skips the thread-local lookup on every request.
+    #[inline]
     pub(crate) fn enter_with_slot(&self, slot: usize) -> EnterGuard<'_> {
-        loop {
-            // ORDERING: SeqCst on both `current` loads — the load/announce/
-            // re-check handshake must be totally ordered against the resizer's
-            // swap-then-scan; with weaker orders the re-check could pass while
-            // the resizer's scan missed the announcement.
-            let p = self.current.load(Ordering::SeqCst);
-            self.registry.announce(slot, p as usize);
-            // ORDERING: SeqCst — see above; pairs with the first load.
-            if self.current.load(Ordering::SeqCst) == p {
-                return EnterGuard {
-                    table: self,
-                    slot: Some(slot),
-                    index: p,
-                };
-            }
-            // The index changed between load and announce; re-announce so the
-            // resizer never misses us.
+        self.registry.enter(slot);
+        // ORDERING: Acquire — pairs with the grower's swap. Read after the
+        // enter's fence, so a resize that retires this index stamps it with
+        // an epoch the announcement holds back (see registry.rs).
+        let index = self.current.load(Ordering::Acquire);
+        EnterGuard {
+            table: self,
+            slot: Some(slot),
+            index,
         }
     }
 
@@ -280,13 +318,6 @@ impl DlhtMap {
             .ok()
     }
 
-    /// Replace `key`'s value with `new` only if it still holds `current`.
-    /// `Err` carries the value actually found (`None` = absent).
-    pub(crate) fn put_if(&self, key: u64, current: u64, new: u64) -> Result<(), Option<u64>> {
-        let put = |idx: &Index| self.put_in(idx, key, Some(current), new);
-        self.entered(|start| self.run(start, put)).map(drop)
-    }
-
     /// Insert if absent, otherwise update. Returns the previous value on
     /// update, `Ok(None)` on a fresh insert, and propagates insert errors
     /// (reserved key, table full with resizing disabled).
@@ -316,13 +347,6 @@ impl DlhtMap {
     /// Delete starting from an already-pinned index generation (batch API).
     pub(crate) fn delete_guarded(&self, start: *mut Index, key: u64) -> Option<u64> {
         self.run(start, |idx| self.delete_in(idx, key, None)).ok()
-    }
-
-    /// Delete `key` only if it still holds `current`. `Err` carries the value
-    /// actually found (`None` = absent).
-    pub(crate) fn delete_if(&self, key: u64, current: u64) -> Result<(), Option<u64>> {
-        let delete = |idx: &Index| self.delete_in(idx, key, Some(current));
-        self.entered(|start| self.run(start, delete)).map(drop)
     }
 
     /// Whether `key` is present.
@@ -672,17 +696,16 @@ impl DlhtMap {
         while !old.fully_transferred() {
             std::hint::spin_loop();
         }
-        // Redirect new entrants to the new index; whoever wins retires `old`.
-        // ORDERING: SeqCst — the index swap must be totally ordered against
-        // the SeqCst load/announce handshake in `enter_with_slot`, so a reader
-        // either sees the new index or its announcement of the old one is
-        // visible to `collect_garbage`'s scan.
+        // Redirect new entrants to the new index; whoever wins retires `old`,
+        // stamped after the swap (the stamp's fence orders the two).
         if self
             .current
-            .compare_exchange(old_ptr, new_ptr, Ordering::SeqCst, Ordering::SeqCst) // ORDERING: see above
+            .compare_exchange(old_ptr, new_ptr, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            self.retired.lock().unwrap().push_back(old_ptr as usize);
+            let mut retired = self.retired.lock().unwrap();
+            // Stamped under the lock, so the list's stamps never decrease.
+            retired.push_back((self.registry.stamp(), old_ptr as usize));
         }
         self.collect_garbage();
         new_ptr
@@ -773,23 +796,47 @@ impl DlhtMap {
         }
     }
 
-    /// Free retired index generations that no thread announces anymore
-    /// (oldest first).
+    /// Free every retired index generation and record that no thread can
+    /// reach anymore: advance the epoch (at most twice, as far as the
+    /// entered threads allow), then free what is two epochs older than it.
+    /// With no thread entered, one call frees all.
     pub fn collect_garbage(&self) {
-        let mut retired = match self.retired.try_lock() {
-            Ok(g) => g,
-            Err(_) => return,
+        let Ok(mut retired) = self.retired.try_lock() else {
+            return;
         };
-        while let Some(&front) = retired.front() {
-            if self.registry.anyone_announces(front) {
+        if retired.is_empty() && self.pending_records() == 0 {
+            return;
+        }
+        // Every stamp is at most the current epoch.
+        let epoch = self.registry.advance_to(self.registry.epoch() + 2);
+        while let Some(&(stamp, front)) = retired.front() {
+            if stamp + 2 > epoch {
                 break;
             }
             retired.pop_front();
-            // SAFETY: the index was removed from `current` (it was retired),
-            // is the oldest retired generation, and no thread announces it —
-            // so no reference can still exist.
+            // SAFETY: the index was swapped out of `current` before its
+            // stamp was read, and the epoch has advanced twice since, so no
+            // thread that could have read it is still entered.
             drop(unsafe { Box::from_raw(front as *mut Index) });
         }
+        drop(retired);
+        if let Some(free) = &self.free_record {
+            self.registry
+                .free_records(epoch, |addr| free(addr as *mut u8));
+        }
+    }
+
+    /// Retire `record`, just unlinked from this record table by the caller
+    /// on registry `slot`: it is freed once no thread can reach it.
+    pub(crate) fn retire_record(&self, slot: usize, record: *mut u8) {
+        if self.registry.retire(slot, record as usize) {
+            self.collect_garbage();
+        }
+    }
+
+    /// Records retired and not yet freed.
+    pub(crate) fn pending_records(&self) -> usize {
+        self.registry.pending_records()
     }
 
     /// Number of retired-but-not-yet-freed index generations (stats/tests).
@@ -836,22 +883,6 @@ impl DlhtMap {
     pub(crate) fn index_bytes(&self) -> usize {
         // SAFETY: `entered` pins the index for the closure.
         self.entered(|idx| unsafe { &*idx }.memory_bytes())
-    }
-
-    /// Issue a software prefetch for the bin that `key` hashes to in the
-    /// current index, for [`crate::AllocSession::prefetch`].
-    ///
-    /// This enters and leaves the table for every key. A per-thread
-    /// [`crate::Session`] keeps the current index's geometry as a hint, and
-    /// its [`Session::prefetch`](crate::Session::prefetch) is the fast path:
-    /// no announcement unless the index changed.
-    #[inline]
-    pub(crate) fn prefetch(&self, key: u64) {
-        self.entered(|idx| {
-            // SAFETY: `entered` pins the index for the closure.
-            let idx = unsafe { &*idx };
-            idx.prefetch_bin(idx.bin_of(key));
-        })
     }
 
     /// Generation number of the current index (0 until the first resize
@@ -1044,16 +1075,21 @@ impl DlhtMap {
     /// underneath it, but concurrent mutators can make per-bin checks fail
     /// spuriously, so do not call it while a workload is running.
     pub fn check_invariants(&self) -> Result<(), String> {
+        self.registry.check_invariants()?;
         {
             // The retired list must never hold null or duplicate pointers —
-            // either would become a bad free in `collect_garbage`.
+            // either would become a bad free in `collect_garbage` — and its
+            // stamps must not decrease, or an oldest-first free stops early.
             let retired = self.retired.lock().unwrap();
-            for (i, &p) in retired.iter().enumerate() {
+            for (i, &(stamp, p)) in retired.iter().enumerate() {
                 if p == 0 {
                     return Err(format!("retired[{i}] is null"));
                 }
-                if retired.iter().skip(i + 1).any(|&q| q == p) {
+                if retired.iter().skip(i + 1).any(|&(_, q)| q == p) {
                     return Err(format!("retired[{i}] {p:#x} appears twice"));
+                }
+                if retired.get(i + 1).is_some_and(|&(next, _)| next < stamp) {
+                    return Err(format!("retired[{i}] stamp {stamp} above the next one"));
                 }
             }
         }
@@ -1062,9 +1098,9 @@ impl DlhtMap {
         let mut prev_generation: Option<u32> = None;
         let mut result = Ok(());
         while !ptr.is_null() {
-            // SAFETY: the chain is pinned by `guard` (indexes are freed
-            // oldest-first and only when no announcement references them), so
-            // every node from the entered index onward stays alive.
+            // SAFETY: the chain is pinned by `guard`: every index from the
+            // entered one onward was retired after the announcement, so it
+            // is not freed before the guard drops.
             let idx = unsafe { &*ptr };
             let next = idx.next_ptr();
             if let Some(prev) = prev_generation {
@@ -1166,9 +1202,15 @@ impl DlhtMap {
 
 impl Drop for DlhtMap {
     fn drop(&mut self) {
-        // Exclusive access: free all retired generations and the live chain.
+        // Exclusive access: free every retired record and generation, then
+        // the live chain.
+        if let Some(free) = &self.free_record {
+            // Whatever the stamps: no thread can enter anymore.
+            self.registry
+                .free_records(u64::MAX, |addr| free(addr as *mut u8));
+        }
         let mut retired = std::mem::take(&mut *self.retired.lock().unwrap());
-        for ptr in retired.drain(..) {
+        for (_, ptr) in retired.drain(..) {
             // SAFETY: exclusive access on drop.
             drop(unsafe { Box::from_raw(ptr as *mut Index) });
         }
@@ -1603,6 +1645,35 @@ mod tests {
     }
 
     #[test]
+    fn a_nested_enter_keeps_the_outer_enters_protection() {
+        let map = DlhtMap::with_config(DlhtConfig::new(4).with_chunk_bins(2));
+        for k in 0..4u64 {
+            assert!(map.insert(k, k).unwrap().inserted());
+        }
+        let outer = map.enter();
+        // An enter and leave nested inside `outer`, as a `for_each` closure
+        // that calls `get` makes.
+        assert_eq!(map.get(1), Some(1));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut k = 100u64;
+                while map.resizes() == 0 {
+                    assert!(map.insert(k, k).unwrap().inserted());
+                    k += 1;
+                }
+                map.collect_garbage();
+            });
+        });
+        // The index `outer` entered on must survive the collection (it is
+        // only compared here, never dereferenced).
+        assert_ne!(outer.index_ptr(), map.current_unpinned() as *mut Index);
+        assert_eq!(map.retired_indexes(), 1, "freed under a live outer enter");
+        drop(outer);
+        map.collect_garbage();
+        assert_eq!(map.retired_indexes(), 0);
+    }
+
+    #[test]
     fn one_type_serves_every_entry_point() {
         use crate::kv::KvBackend;
         use crate::sharded::ShardedTable;
@@ -1611,5 +1682,171 @@ mod tests {
         assert!(std::ptr::eq(map.raw(), &map));
         assert_eq!(<DlhtMap as KvBackend>::name(&map), "DLHT");
         assert_eq!(ShardedTable::with_capacity(4, 64).name(), "DLHT-4shards");
+    }
+}
+
+/// Exact-reclamation accounting for records retired into a table: every
+/// retired item is freed exactly once — through epoch advances, through
+/// another session's collection, and at the table's drop — and nothing is
+/// freed while a reader that could hold it is entered.
+#[cfg(test)]
+mod drop_count {
+    use super::*;
+    use dlht_util::miri_scaled;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A payload that counts its drops and detects double frees: dropping
+    /// it twice underflows the live counter and panics.
+    struct Tracked {
+        drops: Arc<AtomicUsize>,
+        live: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::SeqCst);
+            let was = self.live.fetch_sub(1, Ordering::SeqCst);
+            assert!(was > 0, "double drop detected");
+        }
+    }
+
+    #[derive(Default)]
+    struct Counts {
+        drops: Arc<AtomicUsize>,
+        live: Arc<AtomicUsize>,
+    }
+
+    impl Counts {
+        fn item(&self) -> *mut u8 {
+            self.live.fetch_add(1, Ordering::SeqCst);
+            let item = Box::new(Tracked {
+                drops: Arc::clone(&self.drops),
+                live: Arc::clone(&self.live),
+            });
+            Box::into_raw(item).cast()
+        }
+
+        fn drops(&self) -> usize {
+            self.drops.load(Ordering::SeqCst)
+        }
+
+        fn live(&self) -> usize {
+            self.live.load(Ordering::SeqCst)
+        }
+    }
+
+    /// A record table whose "records" are `Tracked` boxes.
+    fn table() -> DlhtMap {
+        // SAFETY: the table frees each item it retired once, and every
+        // retired item came from `Counts::item`'s `Box::into_raw`.
+        let free = |p: *mut u8| drop(unsafe { Box::from_raw(p.cast::<Tracked>()) });
+        DlhtMap::for_records(DlhtConfig::new(16), Arc::new(free))
+    }
+
+    #[test]
+    fn every_retired_item_is_freed_exactly_once() {
+        let counts = Counts::default();
+        let map = table();
+        let session = map.session();
+        let total = miri_scaled(300) as usize;
+        for i in 0..total {
+            session.retire(counts.item());
+            if i % 5 == 0 {
+                map.collect_garbage();
+            }
+            // Nothing is freed early or lost: what is not freed is pending.
+            assert_eq!(counts.live(), map.pending_records());
+            assert_eq!(counts.drops() + map.pending_records(), i + 1);
+            map.check_invariants().expect("invariants mid-retire");
+        }
+        // No thread is entered, so one collection frees the rest...
+        map.collect_garbage();
+        assert_eq!(map.pending_records(), 0);
+        assert_eq!(counts.drops(), total);
+        // ...and the drop frees nothing twice.
+        drop(map);
+        assert_eq!(counts.drops(), total);
+        assert_eq!(counts.live(), 0);
+    }
+
+    #[test]
+    fn a_dropped_sessions_garbage_is_freed_by_a_surviving_session() {
+        let counts = Counts::default();
+        let map = table();
+        let survivor = map.session();
+        let per_session = miri_scaled(100) as usize;
+        // The survivor stays entered while the others come and go, so
+        // nothing they retire can be freed yet.
+        let pin = survivor.enter();
+        for _ in 0..4 {
+            // Each short-lived session retires on its own thread, and the
+            // thread exits (releasing its slot) with the garbage unfreed.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let session = map.session();
+                    for _ in 0..per_session {
+                        session.retire(counts.item());
+                    }
+                    map.collect_garbage();
+                });
+            });
+        }
+        assert_eq!(counts.drops(), 0, "freed under a live enter");
+        assert_eq!(map.pending_records(), 4 * per_session);
+        map.check_invariants()
+            .expect("invariants with departed sessions");
+        // The survivor's collection frees every departed session's garbage.
+        drop(pin);
+        map.collect_garbage();
+        assert_eq!(counts.drops(), 4 * per_session);
+        assert_eq!(counts.live(), 0);
+    }
+
+    #[test]
+    fn multithreaded_churn_loses_and_doubles_nothing() {
+        let counts = Counts::default();
+        let map = table();
+        const THREADS: usize = 4;
+        let per_thread = miri_scaled(400) as usize;
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (map, counts) = (&map, &counts);
+                s.spawn(move || {
+                    let session = map.session();
+                    for i in 0..per_thread {
+                        // Readers stay entered across some retirements.
+                        let pin = (i % 7 < 3).then(|| session.enter());
+                        session.retire(counts.item());
+                        drop(pin);
+                        if i % (3 + t) == 0 {
+                            map.collect_garbage();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(counts.drops() + map.pending_records(), THREADS * per_thread);
+        map.check_invariants().expect("invariants after the churn");
+        drop(map);
+        assert_eq!(counts.drops(), THREADS * per_thread);
+        assert_eq!(counts.live(), 0);
+    }
+
+    #[test]
+    fn everything_left_is_freed_when_the_table_is_dropped() {
+        let counts = Counts::default();
+        let map = table();
+        let total = miri_scaled(100) as usize;
+        let session = map.session();
+        let pin = session.enter();
+        for _ in 0..total {
+            session.retire(counts.item());
+        }
+        map.collect_garbage();
+        assert_eq!(counts.drops(), 0, "freed under a live enter");
+        drop(pin);
+        drop(map);
+        assert_eq!(counts.drops(), total);
+        assert_eq!(counts.live(), 0);
     }
 }

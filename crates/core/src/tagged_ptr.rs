@@ -58,7 +58,7 @@ impl TaggedPtr {
     /// The 48-bit pointer.
     // ESCAPE: pure bit-field accessor on a copied word — it dereferences
     // nothing and confers no lifetime. Whether the address may be followed
-    // is decided by the caller's epoch guard, not by this decoder.
+    // is decided by the caller's enter guard, not by this decoder.
     #[inline]
     pub fn ptr(self) -> *mut u8 {
         (self.0 & PTR_MASK) as *mut u8

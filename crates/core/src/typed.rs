@@ -9,7 +9,7 @@
 //!   8-byte slot words of the Inlined [`DlhtMap`] path.
 //! * Everything else (`String`, `Vec<u8>`, structs via the [`ByteCodec`]
 //!   bytes encoding) goes to the Allocator mode ([`DlhtAllocMap`]) with
-//!   variable-size records and epoch-GC'd deletes.
+//!   variable-size records and epoch-reclaimed deletes.
 //!
 //! The pair `(K, V)` runs inlined only when **both** types are inline; a mixed
 //! pair (say `u64 -> Vec<u8>`) uses the Allocator mode with the inline half
@@ -297,9 +297,10 @@ enum Inner {
 /// the paper mode the types call for (see the module docs).
 ///
 /// All operations take `&self` and are thread-safe. On the Allocator path
-/// each call opens a short-lived epoch session; long probe loops that want to
-/// amortize that cost can drop to [`Dlht::alloc_map`] and manage an
-/// [`crate::AllocSession`] directly.
+/// each call opens a short-lived [`crate::AllocSession`] (one thread-local
+/// slot lookup), and each write frees what is freeable before it returns;
+/// long probe loops that want to amortize that cost can drop to
+/// [`Dlht::alloc_map`] and keep a session directly.
 pub struct Dlht<K: KvCodec, V: KvCodec> {
     inner: Inner,
     _marker: PhantomData<fn(K, V)>,
@@ -443,8 +444,8 @@ impl<K: KvCodec, V: KvCodec> Dlht<K, V> {
     }
 
     /// Remove `key`, returning its value. On the Inlined path the slot is
-    /// immediately reusable; on the Allocator path the record is reclaimed by
-    /// the epoch GC.
+    /// immediately reusable; on the Allocator path the record is freed once
+    /// no reader can reach it.
     pub fn remove(&self, key: &K) -> Option<V> {
         match &self.inner {
             Inner::Inline(map) => map.delete(key.encode_word()).map(V::decode_word),

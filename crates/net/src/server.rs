@@ -730,8 +730,7 @@ fn worker_loop_kv(
 
 /// The cache persona's worker: one [`CacheSession`] shared by every
 /// memcache connection on this worker, quiesced once per event-loop pass so
-/// records retired by deletes/evictions on this thread become reclaimable
-/// (the reaper's own quiescence then frees them).
+/// the records its deletes and evictions retired are freed promptly.
 fn worker_loop_cache(
     cache: &CacheMap,
     shared: &WorkerShared,
@@ -911,8 +910,7 @@ fn run_event_loop<E, P: ConnProto<E>>(
             .sum();
         env.buffer_bytes.store(bytes, Ordering::Relaxed);
 
-        // Persona hook (the cache worker announces a quiescent point here,
-        // after every borrowed entry pointer from this pass is dead).
+        // Persona hook (the cache worker frees what its pass retired).
         end_pass(engine);
         if !events.is_empty() {
             last_busy = Instant::now();
@@ -1055,8 +1053,8 @@ fn process_input<E, P: ConnProto<E>>(
 
 /// The cache persona's background reaper: its own [`CacheSession`] sweeps
 /// expired entries and enforces the memory budget every `interval`, then
-/// announces quiescence so retirements (its own and the workers') are
-/// actually freed. Re-checks the shutdown flag at least every
+/// frees what is freeable (its own retirements and the workers'). Re-checks
+/// the shutdown flag at least every
 /// [`POLL_INTERVAL`], so shutdown joins stay bounded.
 fn reaper_loop(cache: &CacheMap, interval: Duration, shutdown: &AtomicBool) {
     let mut session = cache.session();

@@ -12,7 +12,8 @@ const ORDERS: u16 = 2; // namespace for the "orders" table
 
 fn main() {
     // Everyday path: the typed facade routes String -> Vec<u8> rows to the
-    // Allocator mode automatically (variable-size records, epoch-GC deletes).
+    // Allocator mode automatically (variable-size records, epoch-reclaimed
+    // deletes).
     let rows: Dlht<String, Vec<u8>> = Dlht::with_capacity(100_000);
     std::thread::scope(|s| {
         for t in 0..4u64 {
@@ -41,7 +42,8 @@ fn main() {
         0,
     );
 
-    // Each worker thread opens its own session (carries its epoch-GC handle).
+    // Each worker thread opens its own session (it caches the thread's slot
+    // in the table's reclamation registry).
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let index = &index;
@@ -77,7 +79,7 @@ fn main() {
     println!("user row = {name_len} bytes, order row = {order_len} bytes");
 
     // Deletes reclaim the index slot immediately; the record memory is freed
-    // by the epoch GC after the next quiescent points.
+    // once no reader can reach it (`quiesce` frees it now).
     assert!(session.delete(ORDERS, &key));
     session.quiesce();
     println!(

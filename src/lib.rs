@@ -10,8 +10,8 @@
 //!   hashtable in `dlht-baselines`, so workloads and benchmarks drive any
 //!   table interchangeably;
 //! * the mode-specific types ([`DlhtMap`], [`DlhtAllocMap`], [`DlhtSet`],
-//!   [`SingleThreadMap`]) and the substrate crates (hash functions, epoch GC,
-//!   value allocators);
+//!   [`SingleThreadMap`]) and the substrate crates (hash functions, value
+//!   allocators);
 //! * the **sharded front** [`ShardedTable`] — N independent DLHT shards
 //!   with shard-local (independent) resizes behind the same `KvBackend`
 //!   surface.
@@ -36,7 +36,7 @@
 //! let ids: Dlht<u64, u64> = Dlht::with_capacity(1024);
 //! exercise(&ids, 42, 4200).unwrap();
 //!
-//! // Allocator mode: out-of-line records, epoch-GC'd deletes.
+//! // Allocator mode: out-of-line records, epoch-reclaimed deletes.
 //! let docs: Dlht<String, Vec<u8>> = Dlht::with_capacity(1024);
 //! exercise(&docs, "answer".to_string(), vec![42u8; 100]).unwrap();
 //! ```
@@ -86,8 +86,6 @@ pub use dlht_core::{impl_bytes_codec, impl_inline8_codec};
 pub use dlht_alloc as alloc;
 /// Low-level building blocks (headers, buckets, batch types, prefetching).
 pub use dlht_core as core;
-/// Client-driven epoch-based reclamation used by Allocator-mode deletes.
-pub use dlht_epoch as epoch;
 /// The hash functions of the paper's Table 2 (modulo, wyhash).
 pub use dlht_hash as hash;
 

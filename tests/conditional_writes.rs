@@ -1,9 +1,11 @@
 //! Racing writers over the table's value-conditional Put and Delete, seen
 //! through the two record stores built on them.
 //!
-//! * Allocator mode frees every record exactly once: `replace_with` racing
-//!   `delete` + `insert` on a few keys, with a tracking allocator that counts
-//!   double frees, frees of unknown pointers, and records left live.
+//! * Allocator mode frees every record exactly once, and never one a reader
+//!   still reads: `replace_with` racing `delete` + `insert` on a few keys,
+//!   a reader on the same keys and an idle session, with a tracking
+//!   allocator that poisons freed blocks and counts double frees, frees of
+//!   unknown pointers, and records left live.
 //! * The lock-free cache still adds up: racing set/incr/touch/delete plus a
 //!   reaper lose no increment, and the item gauge, the index and the
 //!   pending-reclaim gauge agree once the sessions quiesce.
@@ -19,6 +21,9 @@ use std::sync::{Arc, Mutex};
 /// Freed blocks held back from `System` before release, so an address is not
 /// handed out again while a late second free of it could still arrive.
 const QUARANTINE: usize = 1 << 16;
+
+/// The byte a freed block is filled with before it enters the quarantine.
+const POISON: u8 = 0xA5;
 
 #[derive(Default)]
 struct Books {
@@ -64,6 +69,9 @@ impl ValueAllocator for Tracking {
             Some((_, false)) => b.double_frees += 1,
             Some((len, live)) => {
                 assert_eq!(*len, size, "freed with a different size");
+                // SAFETY: a live block of `size` bytes from `alloc`; a reader
+                // that still reads it sees the poison.
+                unsafe { std::ptr::write_bytes(ptr, POISON, size) };
                 *live = false;
                 b.live -= 1;
                 b.quarantine.push_back(ptr as usize);
@@ -106,9 +114,27 @@ fn allocator_mode_frees_each_record_exactly_once() {
         8,
         8,
     );
+    // Open for the whole run and never used: it must not hold frees back.
+    let idle = map.session();
+    let writers_done = AtomicBool::new(false);
     std::thread::scope(|s| {
+        // Reader: every value it reads is one a writer stored, never the
+        // poison of a freed record.
+        let reader = s.spawn(|| {
+            let mut session = map.session();
+            let mut reads = 0u64;
+            while !writers_done.load(Ordering::Acquire) {
+                for k in 0..KEYS {
+                    if let Some(value) = session.get_with(0, &k.to_le_bytes(), |v| v.to_vec()) {
+                        assert_ne!(value, [POISON; 8], "read a freed record");
+                        reads += 1;
+                    }
+                }
+            }
+            reads
+        });
         // Replacer: swap in a new record for whatever the key holds.
-        s.spawn(|| {
+        let replacer = s.spawn(|| {
             let mut session = map.session();
             for i in 0..ITERS {
                 let key = (i % KEYS).to_le_bytes();
@@ -119,7 +145,7 @@ fn allocator_mode_frees_each_record_exactly_once() {
             }
         });
         // Churner: delete the key and insert it again.
-        s.spawn(|| {
+        let churner = s.spawn(|| {
             let mut session = map.session();
             for i in 0..ITERS {
                 let key = (i / 2 % KEYS).to_le_bytes();
@@ -133,6 +159,10 @@ fn allocator_mode_frees_each_record_exactly_once() {
                 }
             }
         });
+        replacer.join().unwrap();
+        churner.join().unwrap();
+        writers_done.store(true, Ordering::Release);
+        assert!(reader.join().unwrap() > 0, "the reader never hit");
     });
     // Let every retired record reach its free.
     {
@@ -141,6 +171,11 @@ fn allocator_mode_frees_each_record_exactly_once() {
             session.quiesce();
         }
     }
+    assert_eq!(
+        idle.pending_garbage(),
+        0,
+        "the idle session held frees back"
+    );
     drop(map);
     let (double_frees, unknown_frees, live) = tracking.report();
     assert_eq!(double_frees, 0, "records freed twice");
