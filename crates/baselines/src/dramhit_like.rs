@@ -163,10 +163,6 @@ impl Engine for DramhitEngine<'_> {
         }
         self.order.set(order);
     }
-
-    fn live_keys(&self) -> u64 {
-        self.map.cells.live() as u64
-    }
 }
 
 #[cfg(test)]

@@ -131,10 +131,6 @@ impl Engine for MicaLikeMap {
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         dlht_core::kv::execute_serial(self, batch, policy)
     }
-
-    fn live_keys(&self) -> u64 {
-        self.len() as u64
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@
 //! lose no update and the reaper never unlinks an entry that a racing
 //! `touch` or `set` replaced. An unlinked entry retires into its shard and
 //! is freed once no reader can reach it; [`CacheSession::quiesce`] frees
-//! what is freeable at once (the server calls it once per event loop pass).
+//! what is freeable at once (the server's reaper calls it on every pass).
 
 use crate::config::DlhtConfig;
 use crate::error::{DlhtError, InsertOutcome};

@@ -3,15 +3,15 @@
 //! through. The paper issues prefetches through the per-thread batch
 //! interface and pays one enter/leave per batch, not per key (§3.2.5, §3.3);
 //! an [`Engine`] is that interface, and [`KvBackend::engine`] hands one out.
+//! It only prefetches and runs batches: what a server asks about the table
+//! (`STATS`, `LEN`) goes through the table itself.
 
 use crate::batch::{Batch, BatchPolicy};
 use crate::kv::{execute_serial, KvBackend};
-use crate::stats::TableStats;
 use std::ops::Deref;
 
-/// Prefetch a key, execute a batch, and answer the `STATS`/`LEN` questions a
-/// server asks — what a caller, a [`crate::Pipeline`] or a wire service
-/// drives.
+/// Prefetch a key and execute a batch — what a caller, a [`crate::Pipeline`]
+/// or a wire service drives.
 ///
 /// Engines need not be `Send`: a session is pinned to its creating thread.
 /// No method shares a name with a [`KvBackend`] method, so a type may
@@ -39,27 +39,6 @@ pub trait Engine {
     /// order. Engines with an up-front prefetch sweep skip it here instead
     /// of prefetching every request twice.
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy);
-
-    /// Structural statistics of the table behind the engine. Designs without
-    /// a DLHT-style index report the all-zero default.
-    fn table_stats(&self) -> TableStats {
-        TableStats::default()
-    }
-
-    /// Retired-but-not-yet-freed index generations (0 for designs without
-    /// index retirement).
-    fn retired_index_count(&self) -> usize {
-        0
-    }
-
-    /// Live keys in the table (may be linear-time).
-    fn live_keys(&self) -> u64;
-
-    /// Which shard `key` routes to, for slow-op trace attribution.
-    /// Unsharded engines stay on the default.
-    fn shard_of(&self, _key: u64) -> u32 {
-        0
-    }
 }
 
 /// Shared references and boxes are engines too: several connections on one
@@ -76,18 +55,6 @@ macro_rules! forward_engine {
             }
             fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
                 (**self).execute_prefetched(batch, policy)
-            }
-            fn table_stats(&self) -> TableStats {
-                (**self).table_stats()
-            }
-            fn retired_index_count(&self) -> usize {
-                (**self).retired_index_count()
-            }
-            fn live_keys(&self) -> u64 {
-                (**self).live_keys()
-            }
-            fn shard_of(&self, key: u64) -> u32 {
-                (**self).shard_of(key)
             }
         }
     )+};
@@ -109,17 +76,5 @@ where
 
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         execute_serial(&*self.0, batch, policy)
-    }
-
-    fn table_stats(&self) -> TableStats {
-        self.0.stats()
-    }
-
-    fn retired_index_count(&self) -> usize {
-        self.0.retired_indexes()
-    }
-
-    fn live_keys(&self) -> u64 {
-        self.0.len() as u64
     }
 }

@@ -43,7 +43,6 @@ use crate::error::{DlhtError, InsertOutcome};
 use crate::header::SlotState;
 use crate::index::BinGeometry;
 use crate::pipeline::Pipeline;
-use crate::stats::TableStats;
 use crate::table::{DlhtMap, EnterGuard};
 use std::cell::Cell;
 use std::marker::PhantomData;
@@ -207,15 +206,6 @@ impl Engine for Session<'_> {
     }
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         Session::execute_prefetched(self, batch, policy);
-    }
-    fn table_stats(&self) -> TableStats {
-        self.table.stats()
-    }
-    fn retired_index_count(&self) -> usize {
-        self.table.retired_indexes()
-    }
-    fn live_keys(&self) -> u64 {
-        self.table.len() as u64
     }
 }
 

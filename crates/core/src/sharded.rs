@@ -459,18 +459,6 @@ impl Engine for ShardedSession<'_> {
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         ShardedSession::execute_prefetched(self, batch, policy);
     }
-    fn table_stats(&self) -> TableStats {
-        self.table.stats()
-    }
-    fn retired_index_count(&self) -> usize {
-        self.table.retired_indexes()
-    }
-    fn live_keys(&self) -> u64 {
-        self.table.len() as u64
-    }
-    fn shard_of(&self, key: u64) -> u32 {
-        self.table.shard_of(key) as u32
-    }
 }
 
 #[cfg(test)]

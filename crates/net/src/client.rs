@@ -355,18 +355,6 @@ impl<S: Read + Write> DlhtClient<S> {
         Ok(())
     }
 
-    /// Execute a one-shot request slice remotely (convenience over
-    /// [`DlhtClient::execute`]).
-    pub fn execute_requests(
-        &mut self,
-        reqs: &[Request],
-        policy: BatchPolicy,
-    ) -> Result<Vec<Response>, NetError> {
-        let mut batch = Batch::from(reqs);
-        self.execute(&mut batch, policy)?;
-        Ok(batch.into_responses())
-    }
-
     /// Fetch the server's typed statistics snapshot (`KvBackend::stats()` +
     /// `retired_indexes()` — no string parsing).
     pub fn stats(&mut self) -> Result<RemoteStats, NetError> {

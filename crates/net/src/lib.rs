@@ -20,7 +20,10 @@
 //!   plus `BATCH` (explicit [`dlht_core::BatchPolicy`]), `STATS` (typed),
 //!   `LEN` and `PING`, with zero-copy decode into [`dlht_core::Request`].
 //! * [`service`] — the transport-independent connection engine (frames →
-//!   batch → responses) every transport shares.
+//!   batch → responses) every transport shares, over two planes: the
+//!   table's [`dlht_core::Engine`] runs the data opcodes, and
+//!   [`AdminBackend`] answers `STATS`/`LEN`/`PING` through one function on
+//!   the data port and the admin plane alike.
 //! * [`buf`] — [`ByteRing`], the per-connection sliding byte buffer with
 //!   amortized O(1) consumption and capacity release on drain.
 //! * [`poll`] — a dependency-free readiness abstraction: [`poll::Poller`]
@@ -33,12 +36,13 @@
 //!   (`STATS`/`LEN`/`PING`), graceful shutdown, live counters.
 //! * [`client`] — [`DlhtClient`]: a pipelining client over any
 //!   `Read + Write` transport (TCP or loopback).
+//! * [`remote`] — [`WireBackend`]: a server presented as a local
+//!   [`dlht_core::KvBackend`], written once over a [`Link`] to a client.
+//!   [`RemoteBackend`] links over TCP (one connection per worker thread),
+//!   so workloads like YCSB run over the wire unchanged.
 //! * [`loopback`] — a deterministic in-process transport so protocol tests
-//!   run offline, plus [`LoopbackBackend`] which puts any
-//!   [`dlht_core::KvBackend`] behind the wire for the differential oracle.
-//! * [`remote`] — [`RemoteBackend`]: a server presented as a local
-//!   `KvBackend` (one connection per worker thread), so workloads like YCSB
-//!   run over the wire unchanged.
+//!   run offline, plus [`LoopbackBackend`], the wire backend over it, which
+//!   puts any `KvBackend` behind the wire for the differential oracle.
 //!
 //! ## Example (in-process loopback; the TCP path is identical)
 //!
@@ -88,8 +92,8 @@ pub use client::{DlhtClient, NetError};
 pub use loopback::{loopback_client, LoopbackBackend, LoopbackTransport};
 pub use memcache::MemcacheConn;
 pub use metrics::{ServerMetrics, TraceEntry, TRACE_RING_CAP};
-pub use remote::{flag_value, server_addr_from_args, RemoteBackend};
-pub use server::{AdminBackend, DlhtServer, ServerConfig, ServerCounters, WRITE_HIGH_WATER};
-pub use service::{ConnStats, Drive, Service};
+pub use remote::{flag_value, server_addr_from_args, Link, RemoteBackend, WireBackend};
+pub use server::{DlhtServer, ServerConfig, ServerCounters, WRITE_HIGH_WATER};
+pub use service::{AdminBackend, ConnStats, Drive, Service};
 pub use test_util::{bind_ephemeral, bind_ephemeral_memcache};
 pub use wire::{RemoteCacheStats, RemoteStats, WireError, MAX_PAYLOAD, VERSION};

@@ -10,23 +10,23 @@
 //! pipelining-becomes-batching property, since everything written before a
 //! flush is processed as one drain.
 //!
-//! [`LoopbackBackend`] closes the loop for the test suites: it implements
-//! [`KvBackend`] and [`Engine`] by driving any inner backend *through the
-//! wire*, so the model-differential oracle validates the protocol path with
-//! the same random sequences it replays against the tables directly.
+//! [`LoopbackBackend`] closes the loop for the test suites: the one
+//! [`WireBackend`] over a [`LoopbackLink`], driving any inner backend
+//! *through the wire*, so the model-differential oracle validates the
+//! protocol path with the same random sequences it replays against the
+//! tables directly.
 
 use crate::client::{DlhtClient, NetError};
-use crate::service::Service;
-use crate::wire::RemoteStats;
-use dlht_core::{
-    Batch, BatchPolicy, DlhtError, Engine, InsertOutcome, KvBackend, MapFeatures, TableStats,
-};
+use crate::remote::{Link, WireBackend};
+use crate::service::{AdminBackend, Service};
+use dlht_core::{Batch, BatchPolicy, Engine, KvBackend, TableStats};
+use std::fmt;
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
 
 /// A deterministic in-process byte transport over a [`Service`] (module docs
 /// above).
-pub struct LoopbackTransport<E: Engine> {
+pub struct LoopbackTransport<E: Engine + AdminBackend> {
     service: Service<E>,
     /// Client → server bytes not yet processed.
     inbound: Vec<u8>,
@@ -37,7 +37,7 @@ pub struct LoopbackTransport<E: Engine> {
     closed: bool,
 }
 
-impl<E: Engine> LoopbackTransport<E> {
+impl<E: Engine + AdminBackend> LoopbackTransport<E> {
     /// Wrap `engine` in a loopback connection.
     pub fn new(engine: E) -> Self {
         LoopbackTransport {
@@ -76,7 +76,7 @@ impl<E: Engine> LoopbackTransport<E> {
     }
 }
 
-impl<E: Engine> Write for LoopbackTransport<E> {
+impl<E: Engine + AdminBackend> Write for LoopbackTransport<E> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         if self.closed && self.outbound.len() == self.opos {
             return Err(std::io::Error::new(
@@ -94,7 +94,7 @@ impl<E: Engine> Write for LoopbackTransport<E> {
     }
 }
 
-impl<E: Engine> Read for LoopbackTransport<E> {
+impl<E: Engine + AdminBackend> Read for LoopbackTransport<E> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if self.opos == self.outbound.len() {
             self.pump();
@@ -113,24 +113,27 @@ impl<E: Engine> Read for LoopbackTransport<E> {
 }
 
 /// A [`DlhtClient`] over an in-process loopback connection to `engine`.
-pub fn loopback_client<E: Engine>(engine: E) -> DlhtClient<LoopbackTransport<E>> {
+pub fn loopback_client<E: Engine + AdminBackend>(engine: E) -> DlhtClient<LoopbackTransport<E>> {
     DlhtClient::new(LoopbackTransport::new(engine))
 }
 
 /// The server side of a [`LoopbackBackend`]: each batch runs on a fresh
 /// engine of the served backend (a test harness can afford one per batch),
 /// so the wire keeps that backend's own batch semantics, reordering included.
-struct Served(Arc<dyn KvBackend>);
+pub struct Served(Arc<dyn KvBackend>);
 
 impl Engine for Served {
     fn prefetch(&self, _key: u64) {}
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
         self.0.engine().execute(batch, policy);
     }
+}
+
+impl AdminBackend for Served {
     fn table_stats(&self) -> TableStats {
         self.0.stats()
     }
-    fn retired_index_count(&self) -> usize {
+    fn retired_indexes(&self) -> usize {
         self.0.retired_indexes()
     }
     fn live_keys(&self) -> u64 {
@@ -138,7 +141,26 @@ impl Engine for Served {
     }
 }
 
-type LoopbackClient = DlhtClient<LoopbackTransport<Served>>;
+/// One loopback connection to a [`Served`] backend, shared by every thread
+/// behind a lock.
+pub struct LoopbackLink(Mutex<DlhtClient<LoopbackTransport<Served>>>);
+
+impl fmt::Display for LoopbackLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("loopback wire")
+    }
+}
+
+impl Link for LoopbackLink {
+    type Transport = LoopbackTransport<Served>;
+
+    fn with_client<R>(
+        &self,
+        f: impl FnOnce(&mut DlhtClient<Self::Transport>) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        f(&mut self.0.lock().expect("loopback client lock"))
+    }
+}
 
 /// Any [`KvBackend`] served **through the wire protocol** in-process: every
 /// operation is encoded into frames, decoded by the server-side [`Service`],
@@ -146,23 +168,14 @@ type LoopbackClient = DlhtClient<LoopbackTransport<Served>>;
 ///
 /// `name()` and `features()` pass through to the inner backend so
 /// capability-probing test harnesses (the model-differential oracle) treat
-/// the wrapped table exactly like the bare one. The backend is its own
-/// [`Engine`]: a batch travels as one explicit `BATCH` frame by default;
-/// [`LoopbackBackend::with_pipelined_singles`] instead sends `RunAll`
-/// batches as pipelined plain frames, exercising the server-side
-/// drain-into-batch path.
-pub struct LoopbackBackend {
-    name: &'static str,
-    features: MapFeatures,
-    client: Mutex<LoopbackClient>,
-    pipelined_singles: bool,
-}
+/// the wrapped table exactly like the bare one.
+pub type LoopbackBackend = WireBackend<LoopbackLink>;
 
 impl LoopbackBackend {
     /// Serve `backend` through a loopback wire connection, with batches sent
     /// as explicit `BATCH` frames.
     pub fn new(backend: Arc<dyn KvBackend>) -> Self {
-        Self::build(backend, false)
+        Self::serve(backend, false)
     }
 
     /// Like [`LoopbackBackend::new`], but `RunAll` batches travel as
@@ -170,107 +183,23 @@ impl LoopbackBackend {
     /// the batch envelope (`StopOnFailure`, `Unordered`) still use `BATCH`
     /// frames.
     pub fn with_pipelined_singles(backend: Arc<dyn KvBackend>) -> Self {
-        Self::build(backend, true)
+        Self::serve(backend, true)
     }
 
-    fn build(backend: Arc<dyn KvBackend>, pipelined_singles: bool) -> Self {
-        LoopbackBackend {
+    fn serve(backend: Arc<dyn KvBackend>, pipelined_singles: bool) -> Self {
+        WireBackend {
             name: backend.name(),
             features: backend.features(),
-            client: Mutex::new(loopback_client(Served(backend))),
+            link: LoopbackLink(Mutex::new(loopback_client(Served(backend)))),
             pipelined_singles,
         }
-    }
-
-    fn with_client<R>(&self, f: impl FnOnce(&mut LoopbackClient) -> Result<R, NetError>) -> R {
-        let mut client = self.client.lock().expect("loopback client lock");
-        f(&mut client).expect("loopback wire operation failed")
-    }
-
-    /// Typed stats round trip (the same `STATS` command a remote client
-    /// issues).
-    pub fn remote_stats(&self) -> RemoteStats {
-        self.with_client(|c| c.stats())
-    }
-}
-
-impl KvBackend for LoopbackBackend {
-    fn get(&self, key: u64) -> Option<u64> {
-        self.with_client(|c| c.get(key))
-    }
-
-    fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        let mut client = self.client.lock().expect("loopback client lock");
-        match client.insert(key, value) {
-            Ok(outcome) => Ok(outcome),
-            Err(NetError::Table(e)) => Err(e),
-            Err(e) => panic!("loopback wire insert failed: {e}"),
-        }
-    }
-
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        self.with_client(|c| c.put(key, value))
-    }
-
-    fn delete(&self, key: u64) -> Option<u64> {
-        self.with_client(|c| c.delete(key))
-    }
-
-    fn len(&self) -> usize {
-        self.with_client(|c| c.server_len()) as usize
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn features(&self) -> MapFeatures {
-        self.features
-    }
-
-    fn stats(&self) -> TableStats {
-        self.remote_stats().table
-    }
-
-    fn retired_indexes(&self) -> usize {
-        self.remote_stats().retired as usize
-    }
-
-    fn supports_batching(&self) -> bool {
-        true
-    }
-
-    fn engine(&self) -> Box<dyn Engine + '_> {
-        Box::new(self)
-    }
-}
-
-/// Nothing to prefetch on this side of the wire: a batch is one round trip.
-impl Engine for LoopbackBackend {
-    fn prefetch(&self, _key: u64) {}
-    fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        if self.pipelined_singles && policy == BatchPolicy::RunAll {
-            let (requests, responses) = batch.begin_execution();
-            self.with_client(|c| c.pipelined_into(requests, responses));
-        } else {
-            self.with_client(|c| c.execute(batch, policy));
-        }
-    }
-    fn table_stats(&self) -> TableStats {
-        self.remote_stats().table
-    }
-    fn retired_index_count(&self) -> usize {
-        self.remote_stats().retired as usize
-    }
-    fn live_keys(&self) -> u64 {
-        self.with_client(|c| c.server_len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlht_core::{Request, Response, ShardedTable};
+    use dlht_core::{DlhtError, Request, Response, ShardedTable};
 
     fn run(lb: &LoopbackBackend, reqs: &[Request], policy: BatchPolicy) -> Vec<Response> {
         let mut batch = Batch::from(reqs);

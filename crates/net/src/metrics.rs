@@ -523,9 +523,16 @@ pub struct ServiceObs {
 impl ServiceObs {
     // HOT: once per request on the kv data path; panic-free.
     /// Record one request's decode→response-queued latency and, past the
-    /// slow threshold, a trace entry.
+    /// slow threshold, a trace entry. `shard` is asked only for a trace
+    /// entry, so an untraced request does not pay for its routing.
     #[inline]
-    pub(crate) fn record_request(&self, req: &Request, shard: u32, queue_depth: u32, ns: u64) {
+    pub(crate) fn record_request(
+        &self,
+        req: &Request,
+        shard: impl FnOnce() -> u32,
+        queue_depth: u32,
+        ns: u64,
+    ) {
         let (op, hist) = match req {
             Request::Get(_) => ("get", &self.get),
             Request::Put(..) => ("put", &self.put),
@@ -540,7 +547,7 @@ impl ServiceObs {
                     op,
                     key_hash: key_fingerprint(req.key()),
                     micros,
-                    shard,
+                    shard: shard(),
                     queue_depth,
                     seq: 0,
                 });
@@ -678,7 +685,7 @@ mod tests {
         let metrics = ServerMetrics::new_kv(2, Some(0));
         let obs = metrics.kv_obs(0).unwrap();
         for i in 0..(TRACE_RING_CAP as u64 + 10) {
-            obs.record_request(&Request::Get(i), 1, 4, i * 1_000);
+            obs.record_request(&Request::Get(i), || 1, 4, i * 1_000);
         }
         let entries = metrics.trace_entries();
         assert_eq!(entries.len(), TRACE_RING_CAP, "ring is bounded");
@@ -694,14 +701,16 @@ mod tests {
     fn trace_threshold_filters() {
         let metrics = ServerMetrics::new_kv(1, Some(100));
         let obs = metrics.kv_obs(0).unwrap();
-        obs.record_request(&Request::Get(1), 0, 1, 50_000); // 50 µs: below
-        obs.record_request(&Request::Put(2, 2), 0, 1, 250_000); // 250 µs: above
+        // An untraced request never asks for its shard.
+        let untraced = || panic!("shard asked for an untraced request");
+        obs.record_request(&Request::Get(1), untraced, 1, 50_000); // 50 µs: below
+        obs.record_request(&Request::Put(2, 2), || 0, 1, 250_000); // 250 µs: above
         let entries = metrics.trace_entries();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].op, "put");
         let disabled = ServerMetrics::new_kv(1, None);
         let obs = disabled.kv_obs(0).unwrap();
-        obs.record_request(&Request::Get(1), 0, 1, u64::MAX / 2);
+        obs.record_request(&Request::Get(1), untraced, 1, u64::MAX / 2);
         assert!(disabled.trace_entries().is_empty());
     }
 

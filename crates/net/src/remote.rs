@@ -1,16 +1,23 @@
-//! [`RemoteBackend`]: a `dlht-net` server presented as a local
-//! [`KvBackend`], so every workload, benchmark, and test harness in the
-//! repository can run **over the wire** unchanged (`--server <addr>` in the
-//! workload-driving binaries).
+//! [`WireBackend`]: a `dlht-net` server presented as a local [`KvBackend`],
+//! so every workload, benchmark, and test harness in the repository can run
+//! **over the wire** unchanged (`--server <addr>` in the workload-driving
+//! binaries, the wire column of the model-differential oracle).
 //!
-//! The workload runner drives one shared `&dyn KvBackend` from many threads;
-//! a TCP connection cannot be shared that way without serializing everything
-//! behind a lock. `RemoteBackend` therefore keeps **one connection per
-//! (thread, backend)** in a thread-local registry — mirroring the server's
-//! thread-per-connection model, so an N-thread workload run exercises N
-//! server connections. The backend is its own [`Engine`]: a batch maps to
-//! one `BATCH` frame (one round trip per batch: wire batching ≙ table
-//! batching).
+//! The backend is written once; its [`Link`] says how it reaches a
+//! [`DlhtClient`]:
+//!
+//! * [`RemoteBackend`] ([`TcpLink`]) keeps **one TCP connection per
+//!   (thread, backend)** in a thread-local registry. The workload runner
+//!   drives one shared `&dyn KvBackend` from many threads, and a TCP
+//!   connection cannot be shared that way without serializing everything
+//!   behind a lock; one connection per thread mirrors the server's model,
+//!   so an N-thread workload run exercises N server connections.
+//! * [`crate::LoopbackBackend`] ([`crate::loopback::LoopbackLink`]) serves
+//!   any in-process backend through one shared loopback connection.
+//!
+//! The backend is its own [`Engine`]: a batch maps to one `BATCH` frame
+//! (one round trip per batch: wire batching ≙ table batching), or, with
+//! pipelined singles, a `RunAll` batch travels as pipelined plain frames.
 //!
 //! Network failures inside the `KvBackend` surface (which has no error
 //! channel for Gets/Puts/Deletes) **panic** with context rather than
@@ -24,121 +31,81 @@ use dlht_core::{
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static NEXT_BACKEND_ID: AtomicU64 = AtomicU64::new(0);
+/// How a [`WireBackend`] reaches a [`DlhtClient`]. `Display` names the
+/// peer in the panic message of a failed operation.
+pub trait Link: fmt::Display {
+    /// The byte transport under the client.
+    type Transport: Read + Write;
 
-thread_local! {
-    /// This thread's open connections, one per live [`RemoteBackend`].
-    static CONNECTIONS: RefCell<HashMap<u64, DlhtClient<TcpStream>>> =
-        RefCell::new(HashMap::new());
-}
-
-/// A remote `dlht-net` server behind the [`KvBackend`] trait (module docs
-/// above).
-pub struct RemoteBackend {
-    addr: String,
-    id: u64,
-}
-
-impl RemoteBackend {
-    /// Connect to `addr` (e.g. `127.0.0.1:4455`), validating the server with
-    /// a `PING` round trip.
-    pub fn connect(addr: impl Into<String>) -> Result<RemoteBackend, NetError> {
-        let backend = RemoteBackend {
-            addr: addr.into(),
-            id: NEXT_BACKEND_ID.fetch_add(1, Ordering::Relaxed),
-        };
-        backend.try_with_conn(|c| c.ping())?;
-        Ok(backend)
-    }
-
-    /// The server address this backend talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// Run `f` on this thread's connection, opening it on first use. A
-    /// failed operation drops the connection so the next call reconnects.
-    fn try_with_conn<R>(
+    /// Run `f` on the client the calling thread talks through.
+    fn with_client<R>(
         &self,
-        f: impl FnOnce(&mut DlhtClient<TcpStream>) -> Result<R, NetError>,
-    ) -> Result<R, NetError> {
-        CONNECTIONS.with(|cell| {
-            let mut conns = cell.borrow_mut();
-            let client = match conns.entry(self.id) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(DlhtClient::connect(&self.addr)?)
-                }
-            };
-            let result = f(client);
-            // A transport/protocol failure poisons the connection; a table
-            // error (reserved key, full table) is a healthy response.
-            if matches!(result, Err(ref e) if !matches!(e, NetError::Table(_))) {
-                conns.remove(&self.id);
-            }
-            result
-        })
+        f: impl FnOnce(&mut DlhtClient<Self::Transport>) -> Result<R, NetError>,
+    ) -> Result<R, NetError>;
+}
+
+/// A `dlht-net` server behind the [`KvBackend`] trait, reached through `L`
+/// (module docs above).
+pub struct WireBackend<L> {
+    pub(crate) link: L,
+    pub(crate) name: &'static str,
+    pub(crate) features: MapFeatures,
+    /// Send `RunAll` batches as pipelined plain frames (the server's
+    /// drain-into-batch path) instead of one `BATCH` frame.
+    pub(crate) pipelined_singles: bool,
+}
+
+impl<L: Link> WireBackend<L> {
+    /// Run `f` on this thread's client, panicking on any failure.
+    fn call<R>(&self, f: impl FnOnce(&mut DlhtClient<L::Transport>) -> Result<R, NetError>) -> R {
+        self.link
+            .with_client(f)
+            .unwrap_or_else(|e| panic!("{} failed: {e}", self.link))
     }
 
-    fn with_conn<R>(&self, f: impl FnOnce(&mut DlhtClient<TcpStream>) -> Result<R, NetError>) -> R {
-        self.try_with_conn(f)
-            .unwrap_or_else(|e| panic!("remote backend {} failed: {e}", self.addr))
-    }
-
-    /// Typed statistics snapshot from the server.
+    /// Typed statistics snapshot from the server (the same `STATS` command
+    /// a remote client issues).
     pub fn remote_stats(&self) -> RemoteStats {
-        self.with_conn(|c| c.stats())
+        self.call(|c| c.stats())
     }
 }
 
-impl Drop for RemoteBackend {
-    fn drop(&mut self) {
-        // Release the dropping thread's connection for this backend so
-        // repeated create/drop cycles on one thread don't accumulate open
-        // sockets. Other threads' entries (keyed by this backend's unique
-        // id, never reused) die with their threads.
-        let _ = CONNECTIONS.try_with(|cell| {
-            if let Ok(mut conns) = cell.try_borrow_mut() {
-                conns.remove(&self.id);
-            }
-        });
-    }
-}
-
-impl KvBackend for RemoteBackend {
+impl<L: Link + Send + Sync> KvBackend for WireBackend<L> {
     fn get(&self, key: u64) -> Option<u64> {
-        self.with_conn(|c| c.get(key))
+        self.call(|c| c.get(key))
     }
 
     fn insert(&self, key: u64, value: u64) -> Result<InsertOutcome, DlhtError> {
-        self.try_with_conn(|c| c.insert(key, value))
-            .map_err(|e| match e {
-                NetError::Table(table_err) => table_err,
-                other => panic!("remote backend {} failed: {other}", self.addr),
-            })
+        // A table error (reserved key, full table) is a healthy answer.
+        self.call(|c| match c.insert(key, value) {
+            Err(NetError::Table(e)) => Ok(Err(e)),
+            answer => answer.map(Ok),
+        })
     }
 
     fn put(&self, key: u64, value: u64) -> Option<u64> {
-        self.with_conn(|c| c.put(key, value))
+        self.call(|c| c.put(key, value))
     }
 
     fn delete(&self, key: u64) -> Option<u64> {
-        self.with_conn(|c| c.delete(key))
+        self.call(|c| c.delete(key))
     }
 
     fn len(&self) -> usize {
-        self.with_conn(|c| c.server_len()) as usize
+        self.call(|c| c.server_len()) as usize
     }
 
     fn name(&self) -> &'static str {
-        "DLHT-Remote"
+        self.name
     }
 
     fn features(&self) -> MapFeatures {
-        MapFeatures::dlht()
+        self.features
     }
 
     fn stats(&self) -> TableStats {
@@ -158,21 +125,103 @@ impl KvBackend for RemoteBackend {
     }
 }
 
-/// Nothing to prefetch on this side of the wire: a batch is one round trip
-/// on this thread's connection.
-impl Engine for RemoteBackend {
+/// Nothing to prefetch on this side of the wire: a batch is one round trip.
+impl<L: Link> Engine for WireBackend<L> {
     fn prefetch(&self, _key: u64) {}
+
     fn execute_prefetched(&self, batch: &mut Batch, policy: BatchPolicy) {
-        self.with_conn(|c| c.execute(batch, policy));
+        if self.pipelined_singles && policy == BatchPolicy::RunAll {
+            let (requests, responses) = batch.begin_execution();
+            self.call(|c| c.pipelined_into(requests, responses));
+        } else {
+            self.call(|c| c.execute(batch, policy));
+        }
     }
-    fn table_stats(&self) -> TableStats {
-        self.remote_stats().table
+}
+
+static NEXT_LINK_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's open connections, one per live [`TcpLink`].
+    static CONNECTIONS: RefCell<HashMap<u64, DlhtClient<TcpStream>>> =
+        RefCell::new(HashMap::new());
+}
+
+/// One TCP connection per (thread, link), opened on first use. A failed
+/// call (transport or protocol error) drops the connection so the next call
+/// reconnects.
+pub struct TcpLink {
+    addr: String,
+    id: u64,
+}
+
+impl fmt::Display for TcpLink {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "remote backend {}", self.addr)
     }
-    fn retired_index_count(&self) -> usize {
-        self.remote_stats().retired as usize
+}
+
+impl Link for TcpLink {
+    type Transport = TcpStream;
+
+    fn with_client<R>(
+        &self,
+        f: impl FnOnce(&mut DlhtClient<TcpStream>) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        CONNECTIONS.with(|cell| {
+            let mut conns = cell.borrow_mut();
+            let client = match conns.entry(self.id) {
+                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(DlhtClient::connect(&self.addr)?)
+                }
+            };
+            let result = f(client);
+            if result.is_err() {
+                conns.remove(&self.id);
+            }
+            result
+        })
     }
-    fn live_keys(&self) -> u64 {
-        self.with_conn(|c| c.server_len())
+}
+
+impl Drop for TcpLink {
+    fn drop(&mut self) {
+        // Release the dropping thread's connection for this link so
+        // repeated create/drop cycles on one thread don't accumulate open
+        // sockets. Other threads' entries (keyed by this link's unique id,
+        // never reused) die with their threads.
+        let _ = CONNECTIONS.try_with(|cell| {
+            if let Ok(mut conns) = cell.try_borrow_mut() {
+                conns.remove(&self.id);
+            }
+        });
+    }
+}
+
+/// A remote `dlht-net` server over TCP, one connection per thread.
+pub type RemoteBackend = WireBackend<TcpLink>;
+
+impl RemoteBackend {
+    /// Connect to `addr` (e.g. `127.0.0.1:4455`), validating the server with
+    /// a `PING` round trip.
+    pub fn connect(addr: impl Into<String>) -> Result<RemoteBackend, NetError> {
+        let backend = WireBackend {
+            link: TcpLink {
+                addr: addr.into(),
+                id: NEXT_LINK_ID.fetch_add(1, Ordering::Relaxed),
+            },
+            name: "DLHT-Remote",
+            features: MapFeatures::dlht(),
+            pipelined_singles: false,
+        };
+        backend.link.with_client(|c| c.ping())?;
+        Ok(backend)
+    }
+
+    /// The server address this backend talks to.
+    pub fn addr(&self) -> &str {
+        &self.link.addr
     }
 }
 

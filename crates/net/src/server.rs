@@ -69,9 +69,9 @@ use crate::buf::ByteRing;
 use crate::memcache::MemcacheConn;
 use crate::metrics::{self, ServerMetrics};
 use crate::poll::{waker_pair, Event, Interest, Poller, Source, WakeReceiver, Waker, SPIN_BUDGET};
-use crate::service::{ConnStats, Drive, Service};
+use crate::service::{answer_control, AdminBackend, ConnStats, Drive, Service};
 use crate::wire::{self, WireError};
-use dlht_core::{CacheMap, CacheSession, CacheStats, ShardedSession, ShardedTable, TableStats};
+use dlht_core::{CacheMap, CacheSession, ShardedSession, ShardedTable};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
@@ -178,49 +178,6 @@ enum Persona {
     },
     /// The memcache text protocol over a [`CacheMap`] (TTL + eviction).
     Cache { cache: Arc<CacheMap> },
-}
-
-/// What the admin plane needs from a store, whichever persona serves the
-/// data plane: `STATS`/`LEN` answers plus the cache counter extension.
-pub trait AdminBackend: Send + Sync {
-    /// Structural statistics for the `STATS` command.
-    fn table_stats(&self) -> TableStats;
-    /// Retired-index count for the `STATS` command.
-    fn retired_indexes(&self) -> usize;
-    /// Live keys for the `LEN` command.
-    fn live_keys(&self) -> u64;
-    /// Cache persona counters; `None` on the kv persona (the `STATS`
-    /// response is then the plain, unextended payload).
-    fn cache_stats(&self) -> Option<CacheStats> {
-        None
-    }
-}
-
-impl AdminBackend for ShardedTable {
-    fn table_stats(&self) -> TableStats {
-        self.stats()
-    }
-    fn retired_indexes(&self) -> usize {
-        ShardedTable::retired_indexes(self)
-    }
-    fn live_keys(&self) -> u64 {
-        self.len() as u64
-    }
-}
-
-impl AdminBackend for CacheMap {
-    fn table_stats(&self) -> TableStats {
-        CacheMap::table_stats(self)
-    }
-    fn retired_indexes(&self) -> usize {
-        CacheMap::retired_indexes(self)
-    }
-    fn live_keys(&self) -> u64 {
-        self.len()
-    }
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.stats())
-    }
 }
 
 /// Per-worker channel from the acceptor (and the shutdown path) into the
@@ -378,7 +335,7 @@ impl DlhtServer {
                 .spawn(move || accept_loop(listener, &shutdown, &metrics, &shareds))?
         };
 
-        let admin_backend: Arc<dyn AdminBackend> = match &persona {
+        let admin_backend: Arc<dyn AdminBackend + Send + Sync> = match &persona {
             Persona::Kv { table, .. } => table.clone(),
             Persona::Cache { cache } => cache.clone(),
         };
@@ -722,15 +679,16 @@ fn worker_loop_kv(
             }
             KvProto { service, fault_key }
         },
-        |_| {},
         &env,
         Handoff { shared, wake_rx },
     );
 }
 
 /// The cache persona's worker: one [`CacheSession`] shared by every
-/// memcache connection on this worker, quiesced once per event-loop pass so
-/// the records its deletes and evictions retired are freed promptly.
+/// memcache connection on this worker. The records its deletes and
+/// evictions retire are collected by the session every 64 retirements per
+/// shard, and by the reaper's sweep every [`ServerConfig::reap_interval_ms`]:
+/// up to 63 retired records per worker and shard may wait for that sweep.
 fn worker_loop_cache(
     cache: &CacheMap,
     shared: &WorkerShared,
@@ -756,7 +714,6 @@ fn worker_loop_cache(
             }
             conn
         },
-        |session| session.quiesce(),
         &env,
         Handoff { shared, wake_rx },
     );
@@ -807,12 +764,10 @@ impl Inbox for Handoff<'_> {
 
 /// The event loop every persona and the admin plane run: adopt new
 /// connections, poll readiness, drive each ready connection through its
-/// [`ConnProto`], publish the buffer gauge, and let the persona hook run
-/// once per pass.
+/// [`ConnProto`], and publish the buffer gauge.
 fn run_event_loop<E, P: ConnProto<E>>(
     engine: &mut E,
     mut new_proto: impl FnMut() -> P,
-    mut end_pass: impl FnMut(&mut E),
     env: &WorkerEnv<'_>,
     mut inbox: impl Inbox,
 ) {
@@ -909,9 +864,6 @@ fn run_event_loop<E, P: ConnProto<E>>(
             .map(|c| (c.rbuf.capacity() + c.wbuf.capacity()) as u64)
             .sum();
         env.buffer_bytes.store(bytes, Ordering::Relaxed);
-
-        // Persona hook (the cache worker frees what its pass retired).
-        end_pass(engine);
         if !events.is_empty() {
             last_busy = Instant::now();
         }
@@ -1122,7 +1074,7 @@ fn admin_loop(
         metrics,
         binary: None,
     };
-    run_event_loop(&mut (), new_proto, |_| {}, &env, listener);
+    run_event_loop(&mut (), new_proto, &env, listener);
 }
 
 /// The admin plane's inbox: its own non-blocking listener, accepted from
@@ -1206,8 +1158,9 @@ fn find_header_end(data: &[u8]) -> Option<usize> {
 }
 
 /// Serve every complete admin frame in `input`, appending responses to
-/// `out`; returns the bytes consumed. The cache persona's `STATS` answer
-/// carries the extended payload with expirations/evictions/hit counters.
+/// `out`; returns the bytes consumed. Control frames are answered like on
+/// the data port (the cache persona's `STATS` carries the extended
+/// payload); data opcodes are refused.
 fn admin_process(
     backend: &dyn AdminBackend,
     input: &[u8],
@@ -1217,38 +1170,15 @@ fn admin_process(
     let mut used = 0;
     while let Some((frame, n)) = wire::decode_frame(&input[used..])? {
         metrics.admin_frames.incr(0);
-        match frame.opcode {
-            wire::op::STATS if frame.payload.is_empty() => match backend.cache_stats() {
-                Some(cache) => wire::encode_stats_cache(
-                    out,
-                    &backend.table_stats(),
-                    backend.retired_indexes(),
-                    &cache,
-                ),
-                None => wire::encode_stats(out, &backend.table_stats(), backend.retired_indexes()),
-            },
-            wire::op::LEN if frame.payload.is_empty() => {
-                wire::encode_len(out, backend.live_keys());
-            }
-            wire::op::STATS | wire::op::LEN => {
-                return Err(WireError::BadPayload {
-                    opcode: frame.opcode,
-                    len: frame.payload.len(),
-                });
-            }
-            wire::op::PING => {
-                wire::put_header(out, wire::resp::PONG, frame.payload.len());
-                out.extend_from_slice(frame.payload);
-            }
-            op @ (wire::op::GET
-            | wire::op::PUT
-            | wire::op::INSERT
-            | wire::op::DELETE
-            | wire::op::BATCH) => {
-                return Err(WireError::AdminRestricted(op));
-            }
-            other => return Err(WireError::UnknownOpcode(other)),
+        if let op @ (wire::op::GET
+        | wire::op::PUT
+        | wire::op::INSERT
+        | wire::op::DELETE
+        | wire::op::BATCH) = frame.opcode
+        {
+            return Err(WireError::AdminRestricted(op));
         }
+        answer_control(backend, frame.opcode, frame.payload, out)?;
         used += n;
     }
     Ok(used)
@@ -1258,7 +1188,7 @@ fn admin_process(
 mod tests {
     use super::*;
     use crate::client::DlhtClient;
-    use dlht_core::{BatchPolicy, KvBackend, Request, Response};
+    use dlht_core::{Batch, BatchPolicy, KvBackend, Request, Response};
 
     fn start() -> (DlhtServer, Arc<ShardedTable>) {
         let table = Arc::new(ShardedTable::with_capacity(4, 4_096));
@@ -1300,16 +1230,17 @@ mod tests {
         let reqs: Vec<Request> = (0..32u64).map(|k| Request::Insert(k, k * 3)).collect();
         let resps = client.pipelined(&reqs).unwrap();
         assert!(resps.iter().all(|r| r.succeeded()));
-        let out = client
-            .execute_requests(
-                &[
-                    Request::Get(31),
-                    Request::Get(999), // miss -> stop
-                    Request::Delete(0),
-                ],
-                BatchPolicy::StopOnFailure,
-            )
+        let mut batch = Batch::from(
+            &[
+                Request::Get(31),
+                Request::Get(999), // miss -> stop
+                Request::Delete(0),
+            ][..],
+        );
+        client
+            .execute(&mut batch, BatchPolicy::StopOnFailure)
             .unwrap();
+        let out = batch.responses();
         assert_eq!(out[0], Response::Value(Some(93)));
         assert_eq!(out[2], Response::Skipped);
         assert_eq!(table.len(), 32, "skipped delete must not run");

@@ -18,17 +18,160 @@
 //! A client that pipelines N requests in one write therefore gets exactly
 //! the paper's batch execution (§3.3) on the server: wire pipelining ≙
 //! prefetch pipeline depth. Explicit `BATCH` frames carry a
-//! [`BatchPolicy`] and execute as their own batch; `STATS`/`LEN`/`PING`
-//! are barriers that flush pending singles first so global ordering holds.
+//! [`BatchPolicy`] and execute as their own batch.
 //!
-//! The [`Engine`] is the table's per-thread one: the server hands each
-//! connection its worker's [`dlht_core::ShardedSession`], and the loopback
-//! transport takes any engine, [`dlht_core::BackendEngine`] included.
+//! The wire boundary has two planes, each written once. The data plane is
+//! the table's per-thread [`Engine`]: the server hands each connection its
+//! worker's [`dlht_core::ShardedSession`], and the loopback transport takes
+//! any engine, [`dlht_core::BackendEngine`] included. The control plane is
+//! [`AdminBackend`]: `STATS`/`LEN`/`PING` are answered from it by one
+//! function on both the data port (where they are barriers that flush the
+//! pending singles first, so global ordering holds) and the admin plane.
 
 use crate::metrics::ServiceObs;
 use crate::wire::{self, WireError};
-use dlht_core::{Batch, BatchPolicy, Engine};
+use dlht_core::{
+    BackendEngine, Batch, BatchPolicy, CacheMap, CacheStats, Engine, KvBackend, ShardedSession,
+    ShardedTable, TableStats,
+};
+use std::ops::Deref;
 use std::time::Instant;
+
+/// The control plane: what a server answers `STATS` and `LEN` from, and
+/// which shard a slow-op trace entry names. The data port asks it of the
+/// connection's engine, the admin plane of the shared store.
+pub trait AdminBackend {
+    /// Structural statistics for the `STATS` command.
+    fn table_stats(&self) -> TableStats;
+    /// Retired-index count for the `STATS` command.
+    fn retired_indexes(&self) -> usize;
+    /// Live keys for the `LEN` command (may be linear-time).
+    fn live_keys(&self) -> u64;
+    /// Cache persona counters; `None` on the kv persona (the `STATS`
+    /// response is then the plain, unextended payload).
+    fn cache_stats(&self) -> Option<CacheStats> {
+        None
+    }
+    /// Which shard `key` routes to, for slow-op trace attribution.
+    /// Unsharded stores stay on the default.
+    fn shard_of(&self, _key: u64) -> u32 {
+        0
+    }
+}
+
+/// Several connections on one event-loop worker share that worker's
+/// session by reference.
+impl<T: AdminBackend + ?Sized> AdminBackend for &T {
+    fn table_stats(&self) -> TableStats {
+        (**self).table_stats()
+    }
+    fn retired_indexes(&self) -> usize {
+        (**self).retired_indexes()
+    }
+    fn live_keys(&self) -> u64 {
+        (**self).live_keys()
+    }
+    fn cache_stats(&self) -> Option<CacheStats> {
+        (**self).cache_stats()
+    }
+    fn shard_of(&self, key: u64) -> u32 {
+        (**self).shard_of(key)
+    }
+}
+
+impl AdminBackend for ShardedTable {
+    fn table_stats(&self) -> TableStats {
+        self.stats()
+    }
+    fn retired_indexes(&self) -> usize {
+        ShardedTable::retired_indexes(self)
+    }
+    fn live_keys(&self) -> u64 {
+        self.len() as u64
+    }
+}
+
+/// A worker's session answers for the table it routes into.
+impl AdminBackend for ShardedSession<'_> {
+    fn table_stats(&self) -> TableStats {
+        self.table().table_stats()
+    }
+    fn retired_indexes(&self) -> usize {
+        self.table().retired_indexes()
+    }
+    fn live_keys(&self) -> u64 {
+        self.table().live_keys()
+    }
+    fn shard_of(&self, key: u64) -> u32 {
+        self.table().shard_of(key) as u32
+    }
+}
+
+impl AdminBackend for CacheMap {
+    fn table_stats(&self) -> TableStats {
+        CacheMap::table_stats(self)
+    }
+    fn retired_indexes(&self) -> usize {
+        CacheMap::retired_indexes(self)
+    }
+    fn live_keys(&self) -> u64 {
+        self.len()
+    }
+    fn cache_stats(&self) -> Option<CacheStats> {
+        Some(self.stats())
+    }
+}
+
+impl<P: Deref> AdminBackend for BackendEngine<P>
+where
+    P::Target: KvBackend,
+{
+    fn table_stats(&self) -> TableStats {
+        self.0.stats()
+    }
+    fn retired_indexes(&self) -> usize {
+        self.0.retired_indexes()
+    }
+    fn live_keys(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+/// Answer one `STATS`, `LEN` or `PING` frame from `backend`, appending the
+/// response to `out` — the one answerer of the data port and the admin
+/// plane. Any other opcode is [`WireError::UnknownOpcode`].
+pub(crate) fn answer_control<B: AdminBackend + ?Sized>(
+    backend: &B,
+    opcode: u8,
+    payload: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    match opcode {
+        wire::op::STATS | wire::op::LEN if !payload.is_empty() => Err(WireError::BadPayload {
+            opcode,
+            len: payload.len(),
+        }),
+        wire::op::STATS => {
+            let table = backend.table_stats();
+            let retired = backend.retired_indexes();
+            match backend.cache_stats() {
+                Some(cache) => wire::encode_stats_cache(out, &table, retired, &cache),
+                None => wire::encode_stats(out, &table, retired),
+            }
+            Ok(())
+        }
+        wire::op::LEN => {
+            wire::encode_len(out, backend.live_keys());
+            Ok(())
+        }
+        wire::op::PING => {
+            wire::put_header(out, wire::resp::PONG, payload.len());
+            out.extend_from_slice(payload);
+            Ok(())
+        }
+        other => Err(WireError::UnknownOpcode(other)),
+    }
+}
 
 /// Per-connection counters, merged into the server-wide totals when the
 /// connection closes (and visible live through [`Service::stats`]).
@@ -62,7 +205,7 @@ pub enum Drive {
 }
 
 /// The transport-independent connection engine (module docs above).
-pub struct Service<E: Engine> {
+pub struct Service<E: Engine + AdminBackend> {
     engine: E,
     /// Reusable batch: steady-state processing is allocation-free.
     batch: Batch,
@@ -72,7 +215,7 @@ pub struct Service<E: Engine> {
     obs: Option<ServiceObs>,
 }
 
-impl<E: Engine> Service<E> {
+impl<E: Engine + AdminBackend> Service<E> {
     /// Create a service executing against `engine`.
     pub fn new(engine: E) -> Self {
         Service {
@@ -123,7 +266,7 @@ impl<E: Engine> Service<E> {
             let ns = t0.elapsed().as_nanos() as u64;
             let depth = self.batch.len() as u32;
             for req in self.batch.requests() {
-                obs.record_request(req, self.engine.shard_of(req.key()), depth, ns);
+                obs.record_request(req, || self.engine.shard_of(req.key()), depth, ns);
             }
         }
         self.batch.clear();
@@ -221,39 +364,12 @@ impl<E: Engine> Service<E> {
                 self.batch.clear();
                 Ok(())
             }
-            wire::op::STATS => {
-                if !payload.is_empty() {
-                    return Err(WireError::BadPayload {
-                        opcode,
-                        len: payload.len(),
-                    });
-                }
+            // STATS, LEN and PING are barriers: the pending singles are
+            // answered first, so global ordering holds.
+            _ => {
                 self.flush_singles(out, t0);
-                wire::encode_stats(
-                    out,
-                    &self.engine.table_stats(),
-                    self.engine.retired_index_count(),
-                );
-                Ok(())
+                answer_control(&self.engine, opcode, payload, out)
             }
-            wire::op::LEN => {
-                if !payload.is_empty() {
-                    return Err(WireError::BadPayload {
-                        opcode,
-                        len: payload.len(),
-                    });
-                }
-                self.flush_singles(out, t0);
-                wire::encode_len(out, self.engine.live_keys());
-                Ok(())
-            }
-            wire::op::PING => {
-                self.flush_singles(out, t0);
-                wire::put_header(out, wire::resp::PONG, payload.len());
-                out.extend_from_slice(payload);
-                Ok(())
-            }
-            other => Err(WireError::UnknownOpcode(other)),
         }
     }
 }

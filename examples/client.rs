@@ -10,7 +10,7 @@
 //! pipelined window (one round trip, one server-side batch), an explicit
 //! `BATCH` with `StopOnFailure`, and the typed `STATS` struct.
 
-use dlht::{BatchPolicy, Request, Response, ShardedTable};
+use dlht::{Batch, BatchPolicy, Request, Response, ShardedTable};
 use dlht_net::{DlhtClient, DlhtServer};
 use std::sync::Arc;
 
@@ -51,16 +51,17 @@ fn main() {
     );
 
     // Explicit batch with a policy: the first failure skips the rest.
-    let out = client
-        .execute_requests(
-            &[
-                Request::Get(1),
-                Request::Get(9_999_999), // miss -> stop
-                Request::Delete(1),
-            ],
-            BatchPolicy::StopOnFailure,
-        )
+    let mut batch = Batch::from(
+        &[
+            Request::Get(1),
+            Request::Get(9_999_999), // miss -> stop
+            Request::Delete(1),
+        ][..],
+    );
+    client
+        .execute(&mut batch, BatchPolicy::StopOnFailure)
         .expect("batch");
+    let out = batch.responses();
     assert_eq!(out[2], Response::Skipped);
     println!("StopOnFailure batch: {:?}", out);
 

@@ -453,3 +453,64 @@ fn idle_admin_connection_does_not_delay_a_ping() {
         "shutdown must be bounded"
     );
 }
+
+/// Write `request` to `addr` on a fresh connection and return the raw bytes
+/// of the first `frames` response frames.
+fn raw_answers(addr: std::net::SocketAddr, request: &[u8], frames: usize) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(request).unwrap();
+    let mut answers = Vec::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let (mut used, mut seen) = (0, 0);
+        while let Some((_, n)) = dlht_net::wire::decode_frame(&answers[used..]).unwrap() {
+            used += n;
+            seen += 1;
+        }
+        if seen >= frames {
+            return answers;
+        }
+        let n = stream.read(&mut buf).expect("read answers");
+        assert!(n > 0, "connection closed after {seen} of {frames} frames");
+        answers.extend_from_slice(&buf[..n]);
+    }
+}
+
+/// One answerer: the data port and the admin plane answer `STATS`, `LEN`
+/// and `PING` with the same bytes.
+#[test]
+fn data_and_admin_ports_answer_control_frames_identically() {
+    let (server, admin_addr) = bind_with_admin();
+    let mut data = DlhtClient::connect(server.local_addr()).unwrap();
+    for k in 0..100u64 {
+        assert!(data.insert(k, k * 7).unwrap().inserted());
+    }
+    assert_eq!(data.delete(0).unwrap(), Some(0));
+
+    use dlht_net::wire::{self, op};
+    let mut request = Vec::new();
+    wire::encode_empty(&mut request, op::STATS);
+    wire::encode_empty(&mut request, op::LEN);
+    wire::put_header(&mut request, op::PING, 4);
+    request.extend_from_slice(b"ping");
+    let on_data = raw_answers(server.local_addr(), &request, 3);
+    let on_admin = raw_answers(admin_addr, &request, 3);
+    assert_eq!(on_data, on_admin, "data and admin answers differ");
+
+    let (stats, used) = wire::decode_frame(&on_data).unwrap().unwrap();
+    assert_eq!(stats.opcode, wire::resp::RESP_STATS);
+    assert_eq!(
+        wire::decode_stats(stats.payload)
+            .unwrap()
+            .table
+            .occupied_slots,
+        99
+    );
+    let (len, _) = wire::decode_frame(&on_data[used..]).unwrap().unwrap();
+    assert_eq!(len.opcode, wire::resp::RESP_LEN);
+    assert_eq!(wire::decode_len(len.payload).unwrap(), 99);
+    server.shutdown();
+}
